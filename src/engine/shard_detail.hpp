@@ -1,6 +1,7 @@
-// Internal sharding machinery of the parallel verifier, shared by the
-// unified front door (engine/verify_api.cpp) and the compatibility
-// overloads + streaming shards (engine/parallel_verifier.cpp). One
+// Internal sharding machinery of the parallel verifier: the unified front
+// door (engine/verify_api.cpp) runs every in-core pass through it, and the
+// streaming overloads (engine/parallel_verifier.cpp) shard their slabs
+// with it; the in-core overloads there borrow only its shape checks. One
 // labelling is sharded into contiguous ranges of "shard items" -- grid rows
 // on Torus2D, axis-0 lines on TorusD (a chunk of the line space is a slab
 // along the outermost axes) -- each shard runs the exact serial kernel
@@ -19,11 +20,12 @@
 // share one implementation; include it only from src/engine.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "engine/thread_pool.hpp"
 #include "lcl/stream_verify.hpp"
@@ -116,142 +118,123 @@ std::int64_t nodeGrain(std::int64_t itemGrain, const Torus& torus) {
   return itemGrain > 0 ? itemGrain * torus.n() : 0;
 }
 
-// --- bit-sliced shard runners ---------------------------------------------
-// Selection mirrors the serial engine (verifier_detail::bitsliceSelected*),
-// so every thread count runs the same kernel tier; each runner returns
-// false when the problem stays on the row-pointer kernel. 2D shards (and
-// d = 2 TorusD shards, via the delegated table) run the self-contained
-// rolling row kernel; d >= 3 stages the whole labelling into a LabelPlanes
-// buffer with its own sharded transposition pass first (disjoint line
-// ranges, so the staging writes are race-free). `forced` bypasses the
-// selection predicate for a pinned-tier request (the caller has already
-// validated that a plan exists).
+// --- the fused bit-sliced pass ---------------------------------------------
 
-inline bool bitsliceShardCount(engine::ThreadPool& pool, std::int64_t grain,
-                               const Torus2D& torus, const GridLcl& lcl,
-                               std::span<const int> labels,
-                               std::int64_t* result, bool forced = false) {
-  if (!forced && !verifier_detail::bitsliceSelected(lcl, torus.size())) {
-    return false;
-  }
-  verify_probes::recordCall(verify_probes::Tier::kBitsliced,
-                            static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(
-      verify_probes::spanName(verify_probes::Tier::kBitsliced));
-  *result = pool.parallelReduce(
-      0, shardItems(torus), grain, std::int64_t{0},
-      [&](std::int64_t begin, std::int64_t end) {
-        return verifier_detail::bitsliceViolationRows(
-            lcl.table(), torus.n(), torus.n(), labels.data(),
-            static_cast<int>(begin), static_cast<int>(end),
-            /*stopAtFirst=*/false);
-      },
-      [](std::int64_t a, std::int64_t b) { return a + b; });
-  return true;
+/// Staging buffer of a bit-sliced pass: empty for Torus2D and for d = 2
+/// TorusD (the rolling row kernel reads the labels directly), the whole
+/// labelling's planes for d >= 3.
+inline LabelPlanes slicedPlanes(const Torus2D&, const GridLcl&) {
+  return LabelPlanes();
+}
+inline LabelPlanes slicedPlanes(const TorusD& torus, const GridLclD& lcl) {
+  return verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
 }
 
-inline bool bitsliceShardCount(engine::ThreadPool& pool, std::int64_t grain,
-                               const TorusD& torus, const GridLclD& lcl,
-                               std::span<const int> labels,
-                               std::int64_t* result, bool forced = false) {
-  if (!forced && !verifier_detail::bitsliceSelectedD(lcl, torus.size())) {
-    return false;
-  }
-  verify_probes::recordCall(verify_probes::Tier::kBitsliced,
-                            static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(
-      verify_probes::spanName(verify_probes::Tier::kBitsliced));
-  const std::int64_t lines = shardItems(torus);
-  LabelPlanes planes = verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
-  if (planes.rows() > 0) {
-    pool.parallelFor(0, lines, grain,
-                     [&](std::int64_t begin, std::int64_t end) {
-                       verifier_detail::bitsliceStageLinesD(
-                           torus, labels, planes, begin, end);
-                     });
-  }
-  *result = pool.parallelReduce(
-      0, lines, grain, std::int64_t{0},
-      [&](std::int64_t begin, std::int64_t end) {
-        return verifier_detail::bitsliceViolationLinesD(
-            lcl.table(), torus, planes, labels.data(), begin, end,
-            /*stopAtFirst=*/false);
-      },
-      [](std::int64_t a, std::int64_t b) { return a + b; });
-  return true;
+/// The bit-sliced kernel slice over shard items [begin, end); raises
+/// *maxLabel (when non-null) to the largest label it read.
+inline std::int64_t bitsliceSlice(const Torus2D& torus, const GridLcl& lcl,
+                                  const LabelPlanes&, const int* labels,
+                                  std::int64_t begin, std::int64_t end,
+                                  bool stopAtFirst, unsigned* maxLabel) {
+  return verifier_detail::bitsliceViolationRows(
+      lcl.table(), torus.n(), torus.n(), labels, static_cast<int>(begin),
+      static_cast<int>(end), stopAtFirst, maxLabel);
+}
+inline std::int64_t bitsliceSlice(const TorusD& torus, const GridLclD& lcl,
+                                  const LabelPlanes& planes, const int* labels,
+                                  std::int64_t begin, std::int64_t end,
+                                  bool stopAtFirst, unsigned* maxLabel) {
+  return verifier_detail::bitsliceViolationLinesD(
+      lcl.table(), torus, planes, labels, begin, end, stopAtFirst, maxLabel);
 }
 
-inline bool bitsliceShardVerify(engine::ThreadPool& pool, std::int64_t grain,
-                                const Torus2D& torus, const GridLcl& lcl,
-                                std::span<const int> labels, bool* feasible,
-                                bool forced = false) {
-  if (!forced && !verifier_detail::bitsliceSelected(lcl, torus.size())) {
-    return false;
+/// One bit-sliced pass over a labelling with the alphabet check fused into
+/// the row transpose: serial on the caller when `pool` is null, otherwise
+/// sharded by shard items. A d >= 3 labelling is first staged by its own
+/// pass (sharded over disjoint line ranges, so the writes are race-free),
+/// and the kernel is skipped when the staging already read a label outside
+/// [0, sigma). Count shards combine in shard order, so counts are
+/// bit-identical at every thread count; verify shards exit cooperatively,
+/// each treating an out-of-range label it read as a violation. Returns the
+/// answer of verifier_detail::resolveBitslicePass: std::nullopt when a
+/// count must rerun on the functional tier.
+template <typename Torus, typename Lcl>
+std::optional<std::int64_t> bitslicePass(engine::ThreadPool* pool,
+                                         std::int64_t grain,
+                                         const Torus& torus, const Lcl& lcl,
+                                         std::span<const int> labels,
+                                         bool stopAtFirst) {
+  const unsigned sigma = static_cast<unsigned>(lcl.sigma());
+  const std::int64_t items = shardItems(torus);
+  const auto maxOf = [](unsigned a, unsigned b) { return std::max(a, b); };
+  unsigned maxLabel = 0;
+  std::int64_t violations = 0;
+  {
+    telemetry::ScopedSpan span(
+        verify_probes::spanName(verify_probes::Tier::kBitsliced));
+    LabelPlanes planes = slicedPlanes(torus, lcl);
+    if (planes.rows() > 0) {
+      const auto stage = [&](std::int64_t begin, std::int64_t end) {
+        return planes.setRows(labels, begin, end);
+      };
+      maxLabel = pool == nullptr
+                     ? stage(0, items)
+                     : pool->parallelReduce(0, items, grain, 0u, stage, maxOf);
+    }
+    if (maxLabel >= sigma) {
+      // The staging read a label outside the alphabet: nothing to run.
+    } else if (pool == nullptr) {
+      violations = bitsliceSlice(torus, lcl, planes, labels.data(), 0, items,
+                                 stopAtFirst, &maxLabel);
+    } else if (stopAtFirst) {
+      std::atomic<bool> violated{false};
+      pool->parallelFor(0, items, grain,
+                        [&](std::int64_t begin, std::int64_t end) {
+                          if (violated.load(std::memory_order_relaxed)) return;
+                          unsigned chunkMax = 0;
+                          if (bitsliceSlice(torus, lcl, planes, labels.data(),
+                                            begin, end, /*stopAtFirst=*/true,
+                                            &chunkMax) > 0 ||
+                              chunkMax >= sigma) {
+                            violated.store(true, std::memory_order_relaxed);
+                          }
+                        });
+      violations = violated.load() ? 1 : 0;
+    } else {
+      struct Partial {
+        std::int64_t violations = 0;
+        unsigned maxLabel = 0;
+      };
+      const Partial total = pool->parallelReduce(
+          0, items, grain, Partial{},
+          [&](std::int64_t begin, std::int64_t end) {
+            Partial partial;
+            partial.violations =
+                bitsliceSlice(torus, lcl, planes, labels.data(), begin, end,
+                              /*stopAtFirst=*/false, &partial.maxLabel);
+            return partial;
+          },
+          [&](Partial a, Partial b) {
+            return Partial{a.violations + b.violations,
+                           maxOf(a.maxLabel, b.maxLabel)};
+          });
+      violations = total.violations;
+      maxLabel = maxOf(maxLabel, total.maxLabel);
+    }
   }
-  verify_probes::recordCall(verify_probes::Tier::kBitsliced,
-                            static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(
-      verify_probes::spanName(verify_probes::Tier::kBitsliced));
-  std::atomic<bool> violated{false};
-  pool.parallelFor(0, shardItems(torus), grain,
-                   [&](std::int64_t begin, std::int64_t end) {
-                     if (violated.load(std::memory_order_relaxed)) return;
-                     if (verifier_detail::bitsliceViolationRows(
-                             lcl.table(), torus.n(), torus.n(), labels.data(),
-                             static_cast<int>(begin), static_cast<int>(end),
-                             /*stopAtFirst=*/true) > 0) {
-                       violated.store(true, std::memory_order_relaxed);
-                     }
-                   });
-  *feasible = !violated.load();
-  return true;
+  return verifier_detail::resolveBitslicePass(
+      violations, maxLabel, lcl.sigma(), stopAtFirst,
+      static_cast<long long>(labels.size()));
 }
 
-inline bool bitsliceShardVerify(engine::ThreadPool& pool, std::int64_t grain,
-                                const TorusD& torus, const GridLclD& lcl,
-                                std::span<const int> labels, bool* feasible,
-                                bool forced = false) {
-  if (!forced && !verifier_detail::bitsliceSelectedD(lcl, torus.size())) {
-    return false;
-  }
-  verify_probes::recordCall(verify_probes::Tier::kBitsliced,
-                            static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(
-      verify_probes::spanName(verify_probes::Tier::kBitsliced));
-  const std::int64_t lines = shardItems(torus);
-  // The d >= 3 staging below is one full parallel pass; only the kernel
-  // pass early-exits cooperatively. (The serial engine staggers staging
-  // one block ahead instead -- see verifier_d.cpp -- but a sharded
-  // staggered stage would serialise on block order.)
-  LabelPlanes planes = verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
-  if (planes.rows() > 0) {
-    pool.parallelFor(0, lines, grain,
-                     [&](std::int64_t begin, std::int64_t end) {
-                       verifier_detail::bitsliceStageLinesD(
-                           torus, labels, planes, begin, end);
-                     });
-  }
-  std::atomic<bool> violated{false};
-  pool.parallelFor(0, lines, grain,
-                   [&](std::int64_t begin, std::int64_t end) {
-                     if (violated.load(std::memory_order_relaxed)) return;
-                     if (verifier_detail::bitsliceViolationLinesD(
-                             lcl.table(), torus, planes, labels.data(), begin,
-                             end, /*stopAtFirst=*/true) > 0) {
-                       violated.store(true, std::memory_order_relaxed);
-                     }
-                   });
-  *feasible = !violated.load();
-  return true;
-}
+// --- the sharded alphabet scan ---------------------------------------------
 
-// --- shared sharding scheme ------------------------------------------------
-
-/// Sharded table-path precondition check. The serial allLabelsInRange scan
-/// would sit in front of the parallel kernel as a serial O(N) pass (a
-/// material Amdahl fraction -- the kernel itself is only a few loads per
-/// node), so the scan is sharded too, with chunks after the first
-/// out-of-range find returning immediately.
+/// Sharded alphabet check of the table tier, tier pins and the streaming
+/// frontier. The serial allLabelsInRange scan would sit in front of the
+/// parallel kernel as a serial O(N) pass (a material Amdahl fraction --
+/// the kernel itself is only a few loads per node), so the scan is sharded
+/// too, with chunks after the first out-of-range find returning
+/// immediately.
 template <typename Torus>
 bool shardedAllInRange(engine::ThreadPool& pool, std::int64_t grain,
                        const Torus& torus, int sigma,
@@ -270,146 +253,6 @@ bool shardedAllInRange(engine::ThreadPool& pool, std::int64_t grain,
   return !outOfRange.load();
 }
 
-/// Sharded violation count over one labelling; exact same shard kernels as
-/// the serial path, summed in shard order.
-template <typename Torus, typename Lcl>
-std::int64_t shardedCount(engine::ThreadPool& pool, std::int64_t grain,
-                          const Torus& torus, const Lcl& lcl,
-                          std::span<const int> labels) {
-  checkLabelling(torus, lcl, labels);
-  const auto sum = [](std::int64_t a, std::int64_t b) { return a + b; };
-  if (lcl.hasTable() &&
-      shardedAllInRange(pool, grain, torus, lcl.sigma(), labels)) {
-    std::int64_t bitsliced = 0;
-    if (bitsliceShardCount(pool, grain, torus, lcl, labels, &bitsliced)) {
-      return bitsliced;
-    }
-    verify_probes::recordCall(verify_probes::Tier::kTable,
-                              static_cast<std::int64_t>(labels.size()));
-    telemetry::ScopedSpan span(
-        verify_probes::spanName(verify_probes::Tier::kTable));
-    return pool.parallelReduce(
-        0, shardItems(torus), grain, std::int64_t{0},
-        [&](std::int64_t begin, std::int64_t end) {
-          return tableSlice(torus, lcl, labels.data(), begin, end,
-                            /*stopAtFirst=*/false);
-        },
-        sum);
-  }
-  verify_probes::recordCall(verify_probes::Tier::kFunctional,
-                            static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(
-      verify_probes::spanName(verify_probes::Tier::kFunctional));
-  return pool.parallelReduce(
-      0, static_cast<std::int64_t>(labels.size()), nodeGrain(grain, torus),
-      std::int64_t{0},
-      [&](std::int64_t begin, std::int64_t end) {
-        return functionalSlice(torus, lcl, labels, begin, end,
-                               /*stopAtFirst=*/false);
-      },
-      sum);
-}
-
-/// Sharded feasibility check with cooperative early exit: shards that start
-/// after a violation was found return immediately. The boolean outcome is
-/// scheduling-independent either way.
-template <typename Torus, typename Lcl>
-bool shardedVerify(engine::ThreadPool& pool, std::int64_t grain,
-                   const Torus& torus, const Lcl& lcl,
-                   std::span<const int> labels) {
-  checkLabelling(torus, lcl, labels);
-  std::atomic<bool> violated{false};
-  const bool tablePath =
-      lcl.hasTable() &&
-      shardedAllInRange(pool, grain, torus, lcl.sigma(), labels);
-  if (tablePath) {
-    bool feasible = true;
-    if (bitsliceShardVerify(pool, grain, torus, lcl, labels, &feasible)) {
-      return feasible;
-    }
-  }
-  const verify_probes::Tier tier = tablePath ? verify_probes::Tier::kTable
-                                             : verify_probes::Tier::kFunctional;
-  verify_probes::recordCall(tier, static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(verify_probes::spanName(tier));
-  const std::int64_t items = tablePath
-                                 ? shardItems(torus)
-                                 : static_cast<std::int64_t>(labels.size());
-  pool.parallelFor(0, items, tablePath ? grain : nodeGrain(grain, torus),
-                   [&](std::int64_t begin, std::int64_t end) {
-                     if (violated.load(std::memory_order_relaxed)) return;
-                     const std::int64_t bad =
-                         tablePath
-                             ? tableSlice(torus, lcl, labels.data(), begin,
-                                          end, /*stopAtFirst=*/true)
-                             : functionalSlice(torus, lcl, labels, begin, end,
-                                               /*stopAtFirst=*/true);
-                     if (bad > 0) {
-                       violated.store(true, std::memory_order_relaxed);
-                     }
-                   });
-  return !violated.load();
-}
-
-/// Batched feasibility: one labelling per work item (options.grain counts
-/// labellings); a single-labelling batch falls through to the sharded
-/// single-labelling path with auto item grain (the caller's grain counts
-/// labellings on the batch entry points, not rows/lines).
-template <typename Torus, typename Lcl>
-std::vector<std::uint8_t> shardedVerifyBatch(engine::ThreadPool& pool,
-                                             std::int64_t grain,
-                                             const Torus& torus,
-                                             const Lcl& lcl,
-                                             std::span<const int> labelsBatch) {
-  const std::size_t count = batchCountOf(torus, labelsBatch);
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
-  std::vector<std::uint8_t> feasible(count, 0);
-  if (count == 1) {
-    feasible[0] =
-        shardedVerify(pool, /*grain=*/0, torus, lcl, labelsBatch) ? 1 : 0;
-    return feasible;
-  }
-  pool.parallelFor(
-      0, static_cast<std::int64_t>(count), grain,
-      [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          feasible[static_cast<std::size_t>(i)] =
-              verify(torus, lcl,
-                     labelsBatch.subspan(static_cast<std::size_t>(i) * stride,
-                                         stride))
-                  ? 1
-                  : 0;
-        }
-      });
-  return feasible;
-}
-
-/// Batched violation counts; same chunking contract as shardedVerifyBatch.
-template <typename Torus, typename Lcl>
-std::vector<std::int64_t> shardedCountBatch(engine::ThreadPool& pool,
-                                            std::int64_t grain,
-                                            const Torus& torus, const Lcl& lcl,
-                                            std::span<const int> labelsBatch) {
-  const std::size_t count = batchCountOf(torus, labelsBatch);
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
-  std::vector<std::int64_t> violations(count, 0);
-  if (count == 1) {
-    violations[0] = shardedCount(pool, /*grain=*/0, torus, lcl, labelsBatch);
-    return violations;
-  }
-  pool.parallelFor(
-      0, static_cast<std::int64_t>(count), grain,
-      [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          violations[static_cast<std::size_t>(i)] = countViolations(
-              torus, lcl,
-              labelsBatch.subspan(static_cast<std::size_t>(i) * stride,
-                                  stride));
-        }
-      });
-  return violations;
-}
-
 // --- streaming (out-of-core) sharding --------------------------------------
 // The sharded halves of the lcl/stream_verify.hpp overloads: the slab walk
 // itself (window geometry, validation frontier, drop-behind, functional
@@ -421,27 +264,17 @@ std::vector<std::int64_t> shardedCountBatch(engine::ThreadPool& pool,
 
 /// The compiled-kernel slice of one streaming chunk; `sliced` is the
 /// pass-wide tier choice (stream_verify_detail::streamUsesBitslice*).
-inline std::int64_t streamKernelSlice(const Torus2D& torus, const GridLcl& lcl,
-                                      const int* labels, bool sliced,
-                                      std::int64_t begin, std::int64_t end,
-                                      bool stopAtFirst) {
+template <typename Torus, typename Lcl>
+std::int64_t streamKernelSlice(const Torus& torus, const Lcl& lcl,
+                               const int* labels, bool sliced,
+                               std::int64_t begin, std::int64_t end,
+                               bool stopAtFirst) {
   if (sliced) {
-    return verifier_detail::bitsliceViolationRows(
-        lcl.table(), torus.n(), torus.n(), labels, static_cast<int>(begin),
-        static_cast<int>(end), stopAtFirst);
-  }
-  return tableSlice(torus, lcl, labels, begin, end, stopAtFirst);
-}
-inline std::int64_t streamKernelSlice(const TorusD& torus, const GridLclD& lcl,
-                                      const int* labels, bool sliced,
-                                      std::int64_t begin, std::int64_t end,
-                                      bool stopAtFirst) {
-  if (sliced) {
-    // Streaming only selects the d = 2 delegated row kernel, which reads
-    // the raw labels and ignores the plane buffer.
+    // Streaming only selects the rolling row kernel (2D, or d = 2 through
+    // the delegated table), which reads the raw labels: no plane buffer.
     static const LabelPlanes kNoPlanes;
-    return verifier_detail::bitsliceViolationLinesD(
-        lcl.table(), torus, kNoPlanes, labels, begin, end, stopAtFirst);
+    return bitsliceSlice(torus, lcl, kNoPlanes, labels, begin, end,
+                         stopAtFirst, nullptr);
   }
   return tableSlice(torus, lcl, labels, begin, end, stopAtFirst);
 }

@@ -1,9 +1,11 @@
 // The unified verification front door (lcl/verify_api.hpp). This is where
-// the engine's tier selection lives once: one range scan (sharded when a
-// pool is attached), then a direct dispatch onto the exact serial kernel
-// slices / sharded runners the per-tier overloads run -- the overloads in
-// parallel_verifier.cpp now forward here, and the bit-identity tests pin
-// the new API against the old entry points at 1/2/8 threads.
+// the engine's tier selection lives once: a direct dispatch onto the exact
+// serial kernel slices / sharded runners the per-tier overloads run -- the
+// overloads in parallel_verifier.cpp forward here, and the bit-identity
+// tests pin the API against the serial entry points at 1/2/8 threads. The
+// automatic bit-sliced tier checks the alphabet inside its own pass; the
+// table tier and tier pins scan it up front (sharded when a pool is
+// attached).
 #include "lcl/verify_api.hpp"
 
 #include <chrono>
@@ -52,29 +54,9 @@ bool hasBitslicePlan(const GridLclD& lcl) {
   return lcl.table().bitslicePlanD() != nullptr;
 }
 
-/// Serial bit-sliced pass over the whole labelling; the d >= 3 case stages
-/// everything up front (same counts as the serial engine's staggered
-/// staging, which is a resident-set optimisation, not a semantic one).
-std::int64_t bitsliceSerial(const Torus2D& torus, const GridLcl& lcl,
-                            std::span<const int> labels, bool stopAtFirst) {
-  return verifier_detail::bitsliceViolationRows(lcl.table(), torus.n(),
-                                                torus.n(), labels.data(), 0,
-                                                torus.n(), stopAtFirst);
-}
-std::int64_t bitsliceSerial(const TorusD& torus, const GridLclD& lcl,
-                            std::span<const int> labels, bool stopAtFirst) {
-  const long long lines = verifier_detail::lineCountD(torus);
-  LabelPlanes planes = verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
-  if (planes.rows() > 0) {
-    verifier_detail::bitsliceStageLinesD(torus, labels, planes, 0, lines);
-  }
-  return verifier_detail::bitsliceViolationLinesD(
-      lcl.table(), torus, planes, labels.data(), 0, lines, stopAtFirst);
-}
-
-/// One range scan deciding (or validating, for a pin) the kernel. `pool`
-/// is null for serial execution; the scan shards when a pool is attached,
-/// exactly like the old threaded overloads.
+/// Decides (or validates, for a pin) the kernel. An automatic bit-sliced
+/// selection scans nothing: the pass checks the alphabet itself. Otherwise
+/// one range scan, sharded when `pool` is attached (null: serial).
 template <typename Torus, typename Lcl>
 Kernel selectKernel(engine::ThreadPool* pool, std::int64_t grain,
                     const Torus& torus, const Lcl& lcl,
@@ -87,11 +69,12 @@ Kernel selectKernel(engine::ThreadPool* pool, std::int64_t grain,
   };
   switch (pin) {
     case TierPin::kAuto:
-      if (!lcl.hasTable() || !labelsInRange()) return Kernel::kFunctional;
-      return sd::bitsliceSelectedFor(
-                 lcl, static_cast<long long>(labels.size()))
-                 ? Kernel::kBitsliced
-                 : Kernel::kTable;
+      if (sd::bitsliceSelectedFor(lcl,
+                                  static_cast<long long>(labels.size()))) {
+        return Kernel::kBitsliced;
+      }
+      return lcl.hasTable() && labelsInRange() ? Kernel::kTable
+                                               : Kernel::kFunctional;
     case TierPin::kFunctional:
       return Kernel::kFunctional;
     case TierPin::kTable:
@@ -118,24 +101,23 @@ Kernel selectKernel(engine::ThreadPool* pool, std::int64_t grain,
   throw std::invalid_argument("verify: unknown tier pin");
 }
 
-/// Exact violation count of one labelling on the resolved kernel.
+/// Exact violation count of one labelling on the resolved kernel. A
+/// bit-sliced pass that read a label outside [0, sigma) is discarded and
+/// the count reruns on the functional tier; `kernel` is updated to the
+/// tier that produced the answer.
 template <typename Torus, typename Lcl>
 std::int64_t runCount(engine::ThreadPool* pool, std::int64_t grain,
                       const Torus& torus, const Lcl& lcl,
-                      std::span<const int> labels, Kernel kernel) {
+                      std::span<const int> labels, Kernel& kernel) {
   const auto sum = [](std::int64_t a, std::int64_t b) { return a + b; };
   switch (kernel) {
     case Kernel::kBitsliced: {
-      if (pool != nullptr) {
-        std::int64_t bitsliced = 0;
-        sd::bitsliceShardCount(*pool, grain, torus, lcl, labels, &bitsliced,
-                               /*forced=*/true);
-        return bitsliced;
+      if (const std::optional<std::int64_t> count = sd::bitslicePass(
+              pool, grain, torus, lcl, labels, /*stopAtFirst=*/false)) {
+        return *count;
       }
-      verify_probes::recordCall(Tier::kBitsliced,
-                                static_cast<std::int64_t>(labels.size()));
-      telemetry::ScopedSpan span(verify_probes::spanName(Tier::kBitsliced));
-      return bitsliceSerial(torus, lcl, labels, /*stopAtFirst=*/false);
+      kernel = Kernel::kFunctional;
+      break;
     }
     case Kernel::kTable: {
       verify_probes::recordCall(Tier::kTable,
@@ -181,16 +163,10 @@ bool runVerify(engine::ThreadPool* pool, std::int64_t grain,
                const Torus& torus, const Lcl& lcl,
                std::span<const int> labels, Kernel kernel) {
   if (kernel == Kernel::kBitsliced) {
-    if (pool != nullptr) {
-      bool feasible = true;
-      sd::bitsliceShardVerify(*pool, grain, torus, lcl, labels, &feasible,
-                              /*forced=*/true);
-      return feasible;
-    }
-    verify_probes::recordCall(Tier::kBitsliced,
-                              static_cast<std::int64_t>(labels.size()));
-    telemetry::ScopedSpan span(verify_probes::spanName(Tier::kBitsliced));
-    return bitsliceSerial(torus, lcl, labels, /*stopAtFirst=*/true) == 0;
+    // Verify mode always has an answer: an out-of-range label is a
+    // violation, so the pass never reruns.
+    return *sd::bitslicePass(pool, grain, torus, lcl, labels,
+                             /*stopAtFirst=*/true) == 0;
   }
   const bool tablePath = kernel == Kernel::kTable;
   const Tier tier = tablePath ? Tier::kTable : Tier::kFunctional;
@@ -247,9 +223,7 @@ VerifyResult dispatchInCore(const Torus& torus, const Lcl& lcl,
   }
   if (count == 1) {
     sd::checkLabelling(torus, lcl, labels);
-    const Kernel kernel =
-        selectKernel(pool, grain, torus, lcl, labels, options.tier);
-    result.tier = tierOf(kernel);
+    Kernel kernel = selectKernel(pool, grain, torus, lcl, labels, options.tier);
     if (options.countViolations) {
       result.violations = runCount(pool, grain, torus, lcl, labels, kernel);
       result.feasible = result.violations == 0;
@@ -257,18 +231,15 @@ VerifyResult dispatchInCore(const Torus& torus, const Lcl& lcl,
       result.feasible = runVerify(pool, grain, torus, lcl, labels, kernel);
       result.violations = result.feasible ? 0 : 1;
     }
+    result.tier = tierOf(kernel);
     return result;
   }
 
   // Batch: one labelling per work item, each selecting its own kernel --
-  // exactly the batch overloads' contract. The reported tier is the first
-  // labelling's selection (resolved serially; selection does not scan when
-  // pinned or uncompiled).
+  // exactly the batch overloads' contract. The reported tier is the one
+  // that answered the first labelling.
   const std::size_t stride = static_cast<std::size_t>(torus.size());
-  const std::span<const int> first = labels.subspan(0, stride);
-  sd::checkLabelling(torus, lcl, first);
-  result.tier =
-      tierOf(selectKernel(nullptr, grain, torus, lcl, first, options.tier));
+  sd::checkLabelling(torus, lcl, labels.subspan(0, stride));
   if (options.countViolations) {
     result.violationsPerLabelling.assign(count, 0);
   } else {
@@ -276,8 +247,7 @@ VerifyResult dispatchInCore(const Torus& torus, const Lcl& lcl,
   }
   const auto oneLabelling = [&](std::size_t i) {
     const std::span<const int> sub = labels.subspan(i * stride, stride);
-    const Kernel kernel =
-        selectKernel(nullptr, grain, torus, lcl, sub, options.tier);
+    Kernel kernel = selectKernel(nullptr, grain, torus, lcl, sub, options.tier);
     if (options.countViolations) {
       result.violationsPerLabelling[i] =
           runCount(nullptr, grain, torus, lcl, sub, kernel);
@@ -285,6 +255,7 @@ VerifyResult dispatchInCore(const Torus& torus, const Lcl& lcl,
       result.feasiblePerLabelling[i] =
           runVerify(nullptr, grain, torus, lcl, sub, kernel) ? 1 : 0;
     }
+    if (i == 0) result.tier = tierOf(kernel);
   };
   if (pool != nullptr) {
     pool->parallelFor(0, static_cast<std::int64_t>(count), grain,

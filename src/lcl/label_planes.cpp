@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
+#include <climits>
 #include <cstdlib>
 #include <stdexcept>
 #include <utility>
@@ -45,42 +46,67 @@ int readSimdEnv() {
   return 2;
 }
 
+#if defined(__SSE2__)
+
+/// Lane-wise unsigned 32-bit max (pmaxud is SSE4.1): flip the sign bits so
+/// a signed compare orders the lanes as unsigned, then blend.
+inline __m128i maxEpu32(__m128i a, __m128i b) {
+  const __m128i sign = _mm_set1_epi32(INT32_MIN);
+  const __m128i aGreater =
+      _mm_cmpgt_epi32(_mm_xor_si128(a, sign), _mm_xor_si128(b, sign));
+  return _mm_or_si128(_mm_and_si128(aGreater, a),
+                      _mm_andnot_si128(aGreater, b));
+}
+
+#endif  // __SSE2__
+
 #if defined(LCLGRID_BITSLICE_AVX2)
 
 /// AVX2 clone of transposeRow's whole aligned body (one dispatched call
 /// per row so the accumulators stay in registers): 32 labels per step,
 /// narrowed with the 256-bit packs -- which interleave their 128-bit
 /// lanes, so one dword permute restores label order -- then each plane
-/// harvested with a byte movemask. Handles k in [0, n & ~63); the caller
-/// finishes the last partial word.
+/// harvested with a byte movemask. The raw labels also feed an unsigned
+/// max (one vpmaxud per 8 labels), returned for the alphabet check.
+/// Handles k in [0, n & ~63); the caller finishes the last partial word.
 #if !defined(__AVX2__)
 __attribute__((target("avx2")))
 #endif
-void transposeRowAvx2(const int* labels, int n, int planes,
-                      std::uint64_t* out, std::size_t W) {
+unsigned transposeRowAvx2(const int* labels, int n, int planes,
+                          std::uint64_t* out, std::size_t W) {
   const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  __m256i maxLabels = _mm256_setzero_si256();
   for (std::size_t w = 0; (w + 1) * 64 <= static_cast<std::size_t>(n); ++w) {
     std::uint64_t packed[8] = {};
     for (int k = 0; k < 64; k += 32) {
       const int* p = labels + w * 64 + k;
-      const __m256i ab = _mm256_packs_epi32(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)),
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8)));
-      const __m256i cd = _mm256_packs_epi32(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 16)),
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 24)));
-      const __m256i bytes =
-          _mm256_permutevar8x32_epi32(_mm256_packus_epi16(ab, cd), order);
-      for (int b = 0; b < planes; ++b) {
+      const __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+      const __m256i b =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8));
+      const __m256i c =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 16));
+      const __m256i d =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 24));
+      maxLabels = _mm256_max_epu32(
+          maxLabels, _mm256_max_epu32(_mm256_max_epu32(a, b),
+                                      _mm256_max_epu32(c, d)));
+      const __m256i bytes = _mm256_permutevar8x32_epi32(
+          _mm256_packus_epi16(_mm256_packs_epi32(a, b),
+                              _mm256_packs_epi32(c, d)),
+          order);
+      for (int bit = 0; bit < planes; ++bit) {
         const std::uint32_t bits = static_cast<std::uint32_t>(
-            _mm256_movemask_epi8(_mm256_slli_epi64(bytes, 7 - b)));
-        packed[b] |= static_cast<std::uint64_t>(bits) << k;
+            _mm256_movemask_epi8(_mm256_slli_epi64(bytes, 7 - bit)));
+        packed[bit] |= static_cast<std::uint64_t>(bits) << k;
       }
     }
     for (int b = 0; b < planes; ++b) {
       out[static_cast<std::size_t>(b) * W + w] = packed[b];
     }
   }
+  alignas(32) std::uint32_t lanes[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), maxLabels);
+  return *std::max_element(lanes, lanes + 8);
 }
 
 bool avx2Supported() {
@@ -168,15 +194,20 @@ int planeCount(int sigma) {
       1, static_cast<int>(std::bit_width(static_cast<unsigned>(sigma - 1))));
 }
 
-void transposeRow(const int* labels, int n, int planes, std::uint64_t* out) {
+unsigned transposeRow(const int* labels, int n, int planes,
+                      std::uint64_t* out) {
   const std::size_t W = wordsPerRow(n);
   std::size_t wBegin = 0;
+  unsigned maxLabel = 0;
 #if defined(LCLGRID_BITSLICE_AVX2)
   if (simdTier() >= SimdTier::kAvx2) {
-    transposeRowAvx2(labels, n, planes, out, W);
+    maxLabel = transposeRowAvx2(labels, n, planes, out, W);
     wBegin = static_cast<std::size_t>(n) / 64;  // full words done
-    if (wBegin == W) return;
+    if (wBegin == W) return maxLabel;
   }
+#endif
+#if defined(__SSE2__)
+  __m128i maxLabels = _mm_setzero_si128();
 #endif
   for (std::size_t w = wBegin; w < W; ++w) {
     const int base = static_cast<int>(w) * 64;
@@ -189,17 +220,21 @@ void transposeRow(const int* labels, int n, int planes, std::uint64_t* out) {
     // and taking the byte movemask -- 16 plane bits per op.
     for (; k + 16 <= m; k += 16) {
       const int* p = labels + base + k;
-      const __m128i lo = _mm_packs_epi32(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 4)));
-      const __m128i hi = _mm_packs_epi32(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8)),
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 12)));
-      const __m128i bytes = _mm_packus_epi16(lo, hi);
-      for (int b = 0; b < planes; ++b) {
+      const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+      const __m128i b =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 4));
+      const __m128i c =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8));
+      const __m128i d =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 12));
+      maxLabels = maxEpu32(maxLabels,
+                           maxEpu32(maxEpu32(a, b), maxEpu32(c, d)));
+      const __m128i bytes =
+          _mm_packus_epi16(_mm_packs_epi32(a, b), _mm_packs_epi32(c, d));
+      for (int bit = 0; bit < planes; ++bit) {
         const unsigned bits = static_cast<unsigned>(
-            _mm_movemask_epi8(_mm_slli_epi64(bytes, 7 - b)));
-        packed[b] |= static_cast<std::uint64_t>(bits) << k;
+            _mm_movemask_epi8(_mm_slli_epi64(bytes, 7 - bit)));
+        packed[bit] |= static_cast<std::uint64_t>(bits) << k;
       }
     }
 #else
@@ -210,8 +245,9 @@ void transposeRow(const int* labels, int n, int planes, std::uint64_t* out) {
     for (; k + 8 <= m; k += 8) {
       std::uint64_t w8 = 0;
       for (int j = 0; j < 8; ++j) {
-        w8 |= static_cast<std::uint64_t>(
-                  static_cast<std::uint8_t>(labels[base + k + j]))
+        const int label = labels[base + k + j];
+        maxLabel = std::max(maxLabel, static_cast<unsigned>(label));
+        w8 |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(label))
               << (8 * j);
       }
       for (int b = 0; b < planes; ++b) {
@@ -224,6 +260,7 @@ void transposeRow(const int* labels, int n, int planes, std::uint64_t* out) {
 #endif
     for (; k < m; ++k) {
       const int label = labels[base + k];
+      maxLabel = std::max(maxLabel, static_cast<unsigned>(label));
       for (int b = 0; b < planes; ++b) {
         packed[b] |= static_cast<std::uint64_t>((label >> b) & 1) << k;
       }
@@ -232,6 +269,12 @@ void transposeRow(const int* labels, int n, int planes, std::uint64_t* out) {
       out[static_cast<std::size_t>(b) * W + w] = packed[b];
     }
   }
+#if defined(__SSE2__)
+  alignas(16) std::uint32_t lanes[4];
+  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), maxLabels);
+  maxLabel = std::max(maxLabel, *std::max_element(lanes, lanes + 4));
+#endif
+  return maxLabel;
 }
 
 void untransposeRow(const std::uint64_t* planes, int n, int planeCount,
@@ -344,8 +387,8 @@ NibbleLut compileNibbleLut(
   NibbleLut lut{};
   // Key layout matches the packed-label kernel: c | n<<2 | e<<4 | s<<6,
   // with the west label selecting the bit. Tuples with a label >= sigma
-  // never reach the kernel (the table path requires in-range labels), so
-  // their bits stay 0.
+  // keep their bits 0: a pass that reads such a label is discarded (the
+  // packer reports the row's max label).
   for (int w = 0; w < sigma; ++w) {
     for (int s = 0; s < sigma; ++s) {
       for (int e = 0; e < sigma; ++e) {
@@ -373,17 +416,20 @@ LabelPlanes::LabelPlanes(int n, long long rows, int planes)
   data_.assign(static_cast<std::size_t>(rows) * planes_ * words_, 0);
 }
 
-void LabelPlanes::setRows(std::span<const int> labels, long long rowBegin,
-                          long long rowEnd) {
+unsigned LabelPlanes::setRows(std::span<const int> labels,
+                              long long rowBegin, long long rowEnd) {
   if (static_cast<long long>(labels.size()) !=
       rows_ * static_cast<long long>(n_)) {
     throw std::invalid_argument("LabelPlanes::setRows: labelling size");
   }
+  unsigned maxLabel = 0;
   for (long long r = rowBegin; r < rowEnd; ++r) {
-    bitslice::transposeRow(
-        labels.data() + static_cast<std::size_t>(r) * n_, n_, planes_,
-        row(r));
+    maxLabel = std::max(
+        maxLabel, bitslice::transposeRow(
+                      labels.data() + static_cast<std::size_t>(r) * n_, n_,
+                      planes_, row(r)));
   }
+  return maxLabel;
 }
 
 void LabelPlanes::toLabels(std::span<int> out) const {

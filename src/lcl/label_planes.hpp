@@ -85,8 +85,12 @@ inline std::uint64_t rowTailMask(int n) {
 /// Transposes one row of n labels into `planes` consecutive plane words
 /// (plane-major: plane b occupies words [b*W, (b+1)*W)). Bits >= n of every
 /// plane word are zero -- the invariant the shift helpers and kernels rely
-/// on. Labels must lie in [0, 2^planes).
-void transposeRow(const int* labels, int n, int planes, std::uint64_t* out);
+/// on. Labels may be any int: the plane bits of a label outside
+/// [0, 2^planes) are unspecified. Returns the row's largest label compared
+/// as unsigned (a negative label ranks above every alphabet), so a caller
+/// learns whether the row lies in [0, sigma) without a second pass.
+unsigned transposeRow(const int* labels, int n, int planes,
+                      std::uint64_t* out);
 
 /// Inverse of transposeRow: label x = the concatenation of its plane bits.
 void untransposeRow(const std::uint64_t* planes, int n, int planeCount,
@@ -205,10 +209,11 @@ class LabelPlanes {
   }
 
   /// Transposes rows [rowBegin, rowEnd) of a flat row-major labelling
-  /// (labels.size() == rows() * n()) into this buffer. Ranges let the
+  /// (labels.size() == rows() * n()) into this buffer and returns the
+  /// rows' largest label as unsigned (see transposeRow). Ranges let the
   /// engine shard the transposition across threads.
-  void setRows(std::span<const int> labels, long long rowBegin,
-               long long rowEnd);
+  unsigned setRows(std::span<const int> labels, long long rowBegin,
+                   long long rowEnd);
 
   /// Inverse transposition of the whole buffer (out.size() == rows()*n()).
   void toLabels(std::span<int> out) const;

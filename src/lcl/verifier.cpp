@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -317,7 +318,8 @@ NotEqualRowFn selectNotEqualRowFn(std::size_t W) {
 /// row to the AVX2/AVX-512 worker selected above instead.
 template <bool StopAtFirst, int B>
 std::int64_t notEqualPlanesViolations(int n, int nRows, const int* labels,
-                                      int yBegin, int yEnd) {
+                                      int yBegin, int yEnd,
+                                      unsigned& maxLabel) {
   const std::size_t W = bitslice::wordsPerRow(n);
   const std::uint64_t tail = bitslice::rowTailMask(n);
   const int topShift = (n - 1) & 63;
@@ -346,8 +348,8 @@ std::int64_t notEqualPlanesViolations(int n, int nRows, const int* labels,
     const int wrapped = y < 0 ? y + nRows : (y >= nRows ? y - nRows : y);
     return labels + static_cast<std::size_t>(wrapped) * n;
   };
-  bitslice::transposeRow(rowAt(yBegin - 1), n, B, prevP);
-  bitslice::transposeRow(rowAt(yBegin), n, B, curP);
+  maxLabel = std::max(bitslice::transposeRow(rowAt(yBegin - 1), n, B, prevP),
+                      bitslice::transposeRow(rowAt(yBegin), n, B, curP));
   for (std::size_t w = 0; w < W; ++w) {
     std::uint64_t diff = 0;
     for (int b = 0; b < B; ++b) {
@@ -358,7 +360,8 @@ std::int64_t notEqualPlanesViolations(int n, int nRows, const int* labels,
   }
   std::int64_t bad = 0;
   for (int y = yBegin; y < yEnd; ++y) {
-    bitslice::transposeRow(rowAt(y + 1), n, B, nextP);
+    maxLabel =
+        std::max(maxLabel, bitslice::transposeRow(rowAt(y + 1), n, B, nextP));
     if (rowFn != nullptr) {
       const std::int64_t rowBad = rowFn(curP, nextP, vPrev, vUp, hBuf, B, W,
                                         tail, topShift, StopAtFirst);
@@ -425,18 +428,18 @@ std::int64_t notEqualPlanesViolations(int n, int nRows, const int* labels,
 template <bool StopAtFirst>
 std::int64_t pairPlanesViolations(const bitslice::BitslicePlan& plan, int n,
                                   int nRows, const int* labels, int yBegin,
-                                  int yEnd) {
+                                  int yEnd, unsigned& maxLabel) {
   if (plan.h.notEqual && plan.v.notEqual) {
     switch (plan.planes) {
       case 1:
-        return notEqualPlanesViolations<StopAtFirst, 1>(n, nRows, labels,
-                                                        yBegin, yEnd);
+        return notEqualPlanesViolations<StopAtFirst, 1>(
+            n, nRows, labels, yBegin, yEnd, maxLabel);
       case 2:
-        return notEqualPlanesViolations<StopAtFirst, 2>(n, nRows, labels,
-                                                        yBegin, yEnd);
+        return notEqualPlanesViolations<StopAtFirst, 2>(
+            n, nRows, labels, yBegin, yEnd, maxLabel);
       case 3:
-        return notEqualPlanesViolations<StopAtFirst, 3>(n, nRows, labels,
-                                                        yBegin, yEnd);
+        return notEqualPlanesViolations<StopAtFirst, 3>(
+            n, nRows, labels, yBegin, yEnd, maxLabel);
       default:
         break;  // unreachable for sigma <= 8; fall through to generic
     }
@@ -458,12 +461,13 @@ std::int64_t pairPlanesViolations(const bitslice::BitslicePlan& plan, int n,
     const int wrapped = y < 0 ? y + nRows : (y >= nRows ? y - nRows : y);
     return labels + static_cast<std::size_t>(wrapped) * n;
   };
-  bitslice::transposeRow(rowAt(yBegin - 1), n, B, prevP);
-  bitslice::transposeRow(rowAt(yBegin), n, B, curP);
+  maxLabel = std::max(bitslice::transposeRow(rowAt(yBegin - 1), n, B, prevP),
+                      bitslice::transposeRow(rowAt(yBegin), n, B, curP));
   plan.v.eval(prevP, curP, W, vPrev);  // bit x = V(c[y-1][x], c[y][x])
   std::int64_t bad = 0;
   for (int y = yBegin; y < yEnd; ++y) {
-    bitslice::transposeRow(rowAt(y + 1), n, B, nextP);
+    maxLabel =
+        std::max(maxLabel, bitslice::transposeRow(rowAt(y + 1), n, B, nextP));
     for (int b = 0; b < B; ++b) {
       bitslice::shiftUpCyclic(curP + static_cast<std::size_t>(b) * W,
                               eastP + static_cast<std::size_t>(b) * W, n);
@@ -501,19 +505,25 @@ std::uint64_t byteTailMask(int n) {
                   : (std::uint64_t{1} << (8 * rem)) - 1;
 }
 
-/// Packs one row of n labels (each < 4) into byte lanes, 8 per word;
-/// lanes >= n are zero.
-void packByteRow(const int* labels, int n, std::uint64_t* out) {
+/// Packs one row of n labels into byte lanes, 8 per word; lanes >= n are
+/// zero. Returns the row's largest label as unsigned (transposeRow's
+/// contract): a label >= 4 spills into its neighbours' lanes, but the
+/// kernel masks every LUT key to 8 bits, so garbage never reads outside
+/// the table and the caller discards the pass.
+unsigned packByteRow(const int* labels, int n, std::uint64_t* out) {
   const std::size_t W8 = byteWords(n);
+  unsigned maxLabel = 0;
   for (std::size_t w = 0; w < W8; ++w) {
     const int base = static_cast<int>(w) * 8;
     const int m = std::min(8, n - base);
     std::uint64_t word = 0;
     for (int i = 0; i < m; ++i) {
+      maxLabel = std::max(maxLabel, static_cast<unsigned>(labels[base + i]));
       word |= static_cast<std::uint64_t>(labels[base + i]) << (8 * i);
     }
     out[w] = word;
   }
+  return maxLabel;
 }
 
 /// dst lane x = src lane (x + 1 mod n) / (x - 1 mod n): the byte-lane
@@ -712,7 +722,7 @@ NibbleRowFn selectNibbleRowFn(int n) {
 template <bool StopAtFirst>
 std::int64_t nibbleViolations(const bitslice::NibbleLut& lut, int n,
                               int nRows, const int* labels, int yBegin,
-                              int yEnd) {
+                              int yEnd, unsigned& maxLabel) {
   const std::array<std::uint8_t, 256>& byW = lut.byWest;
   const NibbleRowFn rowFn = selectNibbleRowFn(n);
   std::array<std::uint32_t, 256> lut32{};
@@ -731,11 +741,11 @@ std::int64_t nibbleViolations(const bitslice::NibbleLut& lut, int n,
     const int wrapped = y < 0 ? y + nRows : (y >= nRows ? y - nRows : y);
     return labels + static_cast<std::size_t>(wrapped) * n;
   };
-  packByteRow(rowAt(yBegin - 1), n, south);
-  packByteRow(rowAt(yBegin), n, cur);
+  maxLabel = std::max(packByteRow(rowAt(yBegin - 1), n, south),
+                      packByteRow(rowAt(yBegin), n, cur));
   std::int64_t bad = 0;
   for (int y = yBegin; y < yEnd; ++y) {
-    packByteRow(rowAt(y + 1), n, north);
+    maxLabel = std::max(maxLabel, packByteRow(rowAt(y + 1), n, north));
     shiftByteUp(cur, east, n);
     shiftByteDown(cur, west, n);
     if (rowFn != nullptr) {
@@ -771,16 +781,18 @@ std::int64_t nibbleViolations(const bitslice::NibbleLut& lut, int n,
   return bad;
 }
 
+/// Every shape reports the largest label it read through maxLabel; an
+/// early exit leaves it covering only the rows read so far.
 template <bool StopAtFirst>
 std::int64_t bitsliceViolations(const bitslice::BitslicePlan& plan, int n,
                                 int nRows, const int* labels, int yBegin,
-                                int yEnd) {
+                                int yEnd, unsigned& maxLabel) {
   if (plan.kind == bitslice::BitslicePlan::Kind::kPairPlanes) {
     return pairPlanesViolations<StopAtFirst>(plan, n, nRows, labels, yBegin,
-                                             yEnd);
+                                             yEnd, maxLabel);
   }
   return nibbleViolations<StopAtFirst>(plan.nibble, n, nRows, labels, yBegin,
-                                       yEnd);
+                                       yEnd, maxLabel);
 }
 
 /// Fallback for uncompiled problems or out-of-alphabet labels, over nodes
@@ -820,15 +832,25 @@ std::int64_t violationsKernel(const Torus2D& torus, const GridLcl& lcl,
     throw std::invalid_argument("verifier: labelling size mismatch");
   }
   using verify_probes::Tier;
-  if (lcl.hasTable() &&
-      verifier_detail::allLabelsInRange(lcl.sigma(), labels)) {
-    if (verifier_detail::bitsliceSelected(lcl, torus.size())) {
-      verify_probes::recordCall(Tier::kBitsliced, torus.size());
+  if (verifier_detail::bitsliceSelected(lcl, torus.size())) {
+    // No up-front alphabet scan: the kernel's row transpose reports the
+    // largest label it read (verifier_detail::resolveBitslicePass).
+    unsigned maxLabel = 0;
+    std::int64_t bad = 0;
+    {
       telemetry::ScopedSpan span(verify_probes::spanName(Tier::kBitsliced));
-      return bitsliceViolations<StopAtFirst>(*lcl.table().bitslicePlan(),
-                                             torus.n(), torus.n(),
-                                             labels.data(), 0, torus.n());
+      bad = bitsliceViolations<StopAtFirst>(*lcl.table().bitslicePlan(),
+                                            torus.n(), torus.n(),
+                                            labels.data(), 0, torus.n(),
+                                            maxLabel);
     }
+    if (const std::optional<std::int64_t> answer =
+            verifier_detail::resolveBitslicePass(bad, maxLabel, lcl.sigma(),
+                                                 StopAtFirst, torus.size())) {
+      return *answer;
+    }
+  } else if (lcl.hasTable() &&
+             verifier_detail::allLabelsInRange(lcl.sigma(), labels)) {
     verify_probes::recordCall(Tier::kTable, torus.size());
     telemetry::ScopedSpan span(verify_probes::spanName(Tier::kTable));
     return tableViolations<StopAtFirst>(lcl.table(), torus.n(), labels.data(),
@@ -932,12 +954,33 @@ std::vector<std::uint8_t> verifyBatch(
 namespace verifier_detail {
 
 bool allLabelsInRange(int sigma, std::span<const int> labels) {
-  for (int label : labels) {
-    if (static_cast<unsigned>(label) >= static_cast<unsigned>(sigma)) {
-      return false;
+  // An unsigned max per block of labels: the inner loop has no exit, so it
+  // vectorises; an out-of-range label ends the scan at its block's end.
+  constexpr std::size_t kBlock = 1024;
+  for (std::size_t begin = 0; begin < labels.size(); begin += kBlock) {
+    const std::size_t end = std::min(labels.size(), begin + kBlock);
+    unsigned maxLabel = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      maxLabel = std::max(maxLabel, static_cast<unsigned>(labels[i]));
     }
+    if (maxLabel >= static_cast<unsigned>(sigma)) return false;
   }
   return true;
+}
+
+std::optional<std::int64_t> resolveBitslicePass(std::int64_t violations,
+                                                unsigned maxLabel, int sigma,
+                                                bool stopAtFirst,
+                                                long long nodes) {
+  const bool inRange = maxLabel < static_cast<unsigned>(sigma);
+  if (!inRange && !stopAtFirst) {
+    static const telemetry::Counter fallbacks =
+        telemetry::counter("verify.range_fallbacks");
+    fallbacks.increment();
+    return std::nullopt;
+  }
+  verify_probes::recordCall(verify_probes::Tier::kBitsliced, nodes);
+  return inRange ? violations : 1;
 }
 
 std::size_t batchCount(const Torus2D& torus,
@@ -965,12 +1008,17 @@ bool bitsliceSelected(const GridLcl& lcl, long long nodes) {
 
 std::int64_t bitsliceViolationRows(const LclTable& table, int n, int nRows,
                                    const int* labels, int yBegin, int yEnd,
-                                   bool stopAtFirst) {
+                                   bool stopAtFirst, unsigned* maxLabel) {
   const bitslice::BitslicePlan& plan = *table.bitslicePlan();
-  return stopAtFirst ? bitsliceViolations<true>(plan, n, nRows, labels,
-                                                yBegin, yEnd)
-                     : bitsliceViolations<false>(plan, n, nRows, labels,
-                                                 yBegin, yEnd);
+  unsigned read = 0;
+  const std::int64_t bad =
+      stopAtFirst
+          ? bitsliceViolations<true>(plan, n, nRows, labels, yBegin, yEnd,
+                                     read)
+          : bitsliceViolations<false>(plan, n, nRows, labels, yBegin, yEnd,
+                                      read);
+  if (maxLabel != nullptr) *maxLabel = std::max(*maxLabel, read);
+  return bad;
 }
 
 std::int64_t functionalViolationRange(const Torus2D& torus, const GridLcl& lcl,

@@ -18,7 +18,10 @@
 //  * row-pointer -- one compiled-table row load and a bit test per node;
 //  * bit-sliced -- for small alphabets the labelling is transposed into
 //    bit-planes (lcl/label_planes.hpp) and one uint64_t operation decides
-//    64 nodes, via the plan the table synthesised at compile time.
+//    64 nodes, via the plan the table synthesised at compile time. The
+//    transpose also checks the alphabet, so this tier runs without a
+//    separate range scan; a count that meets an out-of-alphabet label
+//    reruns on the functional tier (verifier_detail::resolveBitslicePass).
 //    LCLGRID_BITSLICE=0 (or bitslice::setEnabled(false)) falls back to the
 //    row-pointer kernel; every tier produces identical counts.
 //
@@ -48,6 +51,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -183,8 +187,26 @@ std::vector<std::int64_t> countViolationsBatch(
 namespace verifier_detail {
 
 /// True iff every label lies in [0, sigma) -- the precondition of the
-/// table kernel.
+/// table kernel, checked up front by the table tier, tier pins and the
+/// streaming validation frontier (the bit-sliced tier checks it inside its
+/// transpose instead, see resolveBitslicePass).
 bool allLabelsInRange(int sigma, std::span<const int> labels);
+
+/// Turns a bit-sliced pass that ran without an up-front alphabet scan into
+/// the answer. `violations` is the kernel's result and `maxLabel` the
+/// largest label it read, as unsigned. No bit-sliced kernel indexes memory
+/// by a label value, so a pass over garbage labels is safe, only wrong:
+///  * stopAtFirst: an early exit and a label outside [0, sigma) both make
+///    the labelling infeasible (an out-of-alphabet centre is a violation),
+///    so the answer is 1 unless the full pass was clean and in range;
+///  * count: a pass that read a label outside [0, sigma) is discarded --
+///    std::nullopt tells the caller to rerun on the functional tier, and
+///    bumps verify.range_fallbacks.
+/// An answered pass is recorded as a bitsliced call (verify.calls.*).
+std::optional<std::int64_t> resolveBitslicePass(std::int64_t violations,
+                                                unsigned maxLabel, int sigma,
+                                                bool stopAtFirst,
+                                                long long nodes);
 
 /// Number of labellings in a back-to-back batch; throws the verifier's
 /// std::invalid_argument when the batch is not a whole number of tori.
@@ -206,14 +228,18 @@ std::int64_t tableViolationRows(const LclTable& table, int n,
 bool bitsliceSelected(const GridLcl& lcl, long long nodes);
 
 /// Violations of the bit-sliced kernel on grid rows [yBegin, yEnd) of an
-/// nRows x n row-major labelling (rows wrap cyclically); labels must all
-/// be in range and the table must carry a plan. Rows are transposed into
-/// rolling bit-plane (or packed-nibble) buffers internally, so a shard is
-/// self-contained. stopAtFirst returns at most 1, deciding per 64-node
-/// word. Counts are bit-identical to tableViolationRows.
+/// nRows x n row-major labelling (rows wrap cyclically); the table must
+/// carry a plan. Rows are transposed into rolling bit-plane (or
+/// packed-nibble) buffers internally, so a shard is self-contained.
+/// stopAtFirst returns at most 1, deciding per 64-node word. When every
+/// label is in range, counts are bit-identical to tableViolationRows; any
+/// label is safe to read, and `maxLabel` (when non-null) is raised to the
+/// largest label the call read, as unsigned, so the caller can tell
+/// whether the result stands (resolveBitslicePass).
 std::int64_t bitsliceViolationRows(const LclTable& table, int n, int nRows,
                                    const int* labels, int yBegin, int yEnd,
-                                   bool stopAtFirst);
+                                   bool stopAtFirst,
+                                   unsigned* maxLabel = nullptr);
 
 /// Violations of the functional fallback on nodes [vBegin, vEnd).
 std::int64_t functionalViolationRange(const Torus2D& torus, const GridLcl& lcl,
@@ -258,13 +284,16 @@ void bitsliceStageLinesD(const TorusD& torus, std::span<const int> labels,
 
 /// Violations of the bit-sliced kernel on lines [lineBegin, lineEnd).
 /// d = 2 tables route through bitsliceViolationRows on the raw labels
-/// (planes unused); d >= 3 reads the staged planes. Counts are
-/// bit-identical to tableViolationLinesD.
+/// (planes unused) and raise `maxLabel` like it; d >= 3 reads only the
+/// staged planes (LabelPlanes::setRows reports their labels' maximum) and
+/// leaves `maxLabel` alone. Counts are bit-identical to
+/// tableViolationLinesD when every label is in range.
 std::int64_t bitsliceViolationLinesD(const LclTableD& table,
                                      const TorusD& torus,
                                      const LabelPlanes& planes,
                                      const int* labels, long long lineBegin,
-                                     long long lineEnd, bool stopAtFirst);
+                                     long long lineEnd, bool stopAtFirst,
+                                     unsigned* maxLabel = nullptr);
 
 /// Violations of the functional fallback on nodes [vBegin, vEnd).
 std::int64_t functionalViolationRangeD(const TorusD& torus,

@@ -9,6 +9,7 @@
 // src/engine/parallel_verifier.cpp.
 #include <algorithm>
 #include <bit>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -180,6 +181,56 @@ void checkDims(const TorusD& torus, const GridLclD& lcl) {
   }
 }
 
+/// The serial bit-sliced pass over a whole labelling; raises maxLabel to
+/// the largest label it read. A staged (d >= 3) pass stops as soon as the
+/// staging sees a label outside [0, sigma): the pass is discarded or
+/// answers "infeasible" either way, so the kernel need not run.
+template <bool StopAtFirst>
+std::int64_t bitslicePassD(const GridLclD& lcl, const TorusD& torus,
+                           std::span<const int> labels, long long lines,
+                           unsigned& maxLabel) {
+  const LclTableD& table = lcl.table();
+  if (const LclTable* table2d = table.as2d()) {
+    // One 2D bit-sliced code path: the delegated table's plan runs the
+    // rolling row kernel straight off the labels, no staging.
+    return verifier_detail::bitsliceViolationRows(
+        *table2d, torus.n(), static_cast<int>(lines), labels.data(), 0,
+        static_cast<int>(lines), StopAtFirst, &maxLabel);
+  }
+  const unsigned sigma = static_cast<unsigned>(lcl.sigma());
+  LabelPlanes planes = verifier_detail::bitsliceMakePlanesD(torus, table);
+  if constexpr (!StopAtFirst) {
+    maxLabel = planes.setRows(labels, 0, lines);
+    if (maxLabel >= sigma) return 0;
+    return planesLineViolations<false>(*table.bitslicePlanD(), torus, planes,
+                                       0, lines);
+  } else {
+    // Early-exit contract: stage progressively, one outermost-axis block
+    // (lines / n lines) ahead of the scan, so a violation in the first
+    // block costs O(block) transposition, not O(N). Every outer-axis
+    // neighbour of a line lies within +-1 block, so the scan of block i
+    // only needs blocks i-1, i, i+1 (cyclically): the wrap block is staged
+    // up front, the rest one block ahead.
+    const long long blockLines = std::max(1LL, lines / torus.n());
+    maxLabel = planes.setRows(labels, lines - blockLines, lines);
+    long long stagedEnd = 0;
+    for (long long begin = 0; begin < lines; begin += blockLines) {
+      const long long end = std::min(begin + blockLines, lines);
+      const long long need = std::min(end + blockLines, lines - blockLines);
+      if (need > stagedEnd) {
+        maxLabel = std::max(maxLabel, planes.setRows(labels, stagedEnd, need));
+        stagedEnd = need;
+      }
+      if (maxLabel >= sigma ||
+          planesLineViolations<true>(*table.bitslicePlanD(), torus, planes,
+                                     begin, end) > 0) {
+        return 1;
+      }
+    }
+    return 0;
+  }
+}
+
 template <bool StopAtFirst>
 std::int64_t violationsKernel(const TorusD& torus, const GridLclD& lcl,
                               std::span<const int> labels) {
@@ -188,56 +239,27 @@ std::int64_t violationsKernel(const TorusD& torus, const GridLclD& lcl,
     throw std::invalid_argument("verifier: labelling size mismatch");
   }
   using verify_probes::Tier;
-  if (lcl.hasTable() &&
-      verifier_detail::allLabelsInRange(lcl.sigma(), labels)) {
-    const LclTableD& table = lcl.table();
-    const long long lines = verifier_detail::lineCountD(torus);
-    if (verifier_detail::bitsliceSelectedD(lcl, torus.size())) {
-      verify_probes::recordCall(Tier::kBitsliced, torus.size());
+  const long long lines = verifier_detail::lineCountD(torus);
+  if (verifier_detail::bitsliceSelectedD(lcl, torus.size())) {
+    // No up-front alphabet scan: the transpose reports the largest label
+    // it read (verifier_detail::resolveBitslicePass).
+    unsigned maxLabel = 0;
+    std::int64_t bad = 0;
+    {
       telemetry::ScopedSpan span(verify_probes::spanName(Tier::kBitsliced));
-      if (const LclTable* table2d = table.as2d()) {
-        // One 2D bit-sliced code path: the delegated table's plan runs the
-        // rolling row kernel straight off the labels, no staging.
-        return verifier_detail::bitsliceViolationRows(
-            *table2d, torus.n(), static_cast<int>(lines), labels.data(), 0,
-            static_cast<int>(lines), StopAtFirst);
-      }
-      LabelPlanes planes =
-          verifier_detail::bitsliceMakePlanesD(torus, table);
-      if constexpr (!StopAtFirst) {
-        planes.setRows(labels, 0, lines);
-        return planesLineViolations<false>(*table.bitslicePlanD(), torus,
-                                           planes, 0, lines);
-      } else {
-        // Early-exit contract: stage progressively, one outermost-axis
-        // block (lines / n lines) ahead of the scan, so a violation in
-        // the first block costs O(block) transposition, not O(N). Every
-        // outer-axis neighbour of a line lies within +-1 block, so the
-        // scan of block i only needs blocks i-1, i, i+1 (cyclically):
-        // the wrap block is staged up front, the rest one block ahead.
-        const long long blockLines = std::max(1LL, lines / torus.n());
-        planes.setRows(labels, lines - blockLines, lines);  // wrap block
-        long long stagedEnd = 0;
-        for (long long begin = 0; begin < lines; begin += blockLines) {
-          const long long end = std::min(begin + blockLines, lines);
-          const long long need =
-              std::min(end + blockLines, lines - blockLines);
-          if (need > stagedEnd) {
-            planes.setRows(labels, stagedEnd, need);
-            stagedEnd = need;
-          }
-          if (planesLineViolations<true>(*table.bitslicePlanD(), torus,
-                                         planes, begin, end) > 0) {
-            return 1;
-          }
-        }
-        return 0;
-      }
+      bad = bitslicePassD<StopAtFirst>(lcl, torus, labels, lines, maxLabel);
     }
+    if (const std::optional<std::int64_t> answer =
+            verifier_detail::resolveBitslicePass(bad, maxLabel, lcl.sigma(),
+                                                 StopAtFirst, torus.size())) {
+      return *answer;
+    }
+  } else if (lcl.hasTable() &&
+             verifier_detail::allLabelsInRange(lcl.sigma(), labels)) {
     verify_probes::recordCall(Tier::kTable, torus.size());
     telemetry::ScopedSpan span(verify_probes::spanName(Tier::kTable));
-    return tableViolationLines<StopAtFirst>(table, torus, labels.data(), 0,
-                                            lines);
+    return tableViolationLines<StopAtFirst>(lcl.table(), torus,
+                                            labels.data(), 0, lines);
   }
   verify_probes::recordCall(Tier::kFunctional, torus.size());
   telemetry::ScopedSpan span(verify_probes::spanName(Tier::kFunctional));
@@ -383,11 +405,13 @@ std::int64_t bitsliceViolationLinesD(const LclTableD& table,
                                      const TorusD& torus,
                                      const LabelPlanes& planes,
                                      const int* labels, long long lineBegin,
-                                     long long lineEnd, bool stopAtFirst) {
+                                     long long lineEnd, bool stopAtFirst,
+                                     unsigned* maxLabel) {
   if (const LclTable* table2d = table.as2d()) {
     return bitsliceViolationRows(
         *table2d, torus.n(), static_cast<int>(lineCountD(torus)), labels,
-        static_cast<int>(lineBegin), static_cast<int>(lineEnd), stopAtFirst);
+        static_cast<int>(lineBegin), static_cast<int>(lineEnd), stopAtFirst,
+        maxLabel);
   }
   const bitslice::BitslicePlanD& plan = *table.bitslicePlanD();
   return stopAtFirst ? planesLineViolations<true>(plan, torus, planes,

@@ -113,10 +113,11 @@ struct VerifyResult {
   /// aggregate fields alone, keeping the hot path allocation-free.
   std::vector<std::uint8_t> feasiblePerLabelling;
   std::vector<std::int64_t> violationsPerLabelling;  // count mode only
-  /// The tier the request dispatched to. Batches select per labelling --
-  /// exactly like the batch overloads -- and report the first labelling's
-  /// selection (an out-of-range labelling later in the batch still falls
-  /// back functionally on its own).
+  /// The tier that produced the answer. A count whose bit-sliced pass read
+  /// an out-of-alphabet label reruns on (and reports) kFunctional; a
+  /// verify-mode request answers "infeasible" from that pass and reports
+  /// kBitsliced. Batches select per labelling -- exactly like the batch
+  /// overloads -- and report the tier that answered the first labelling.
   VerifyTier tier = VerifyTier::kFunctional;
   /// Fingerprint of the problem's compiled table (0 when uncompiled).
   std::uint64_t fingerprint = 0;

@@ -32,7 +32,7 @@ inline const char* spanName(Tier tier) {
   return "verify/unknown";
 }
 
-/// Attributes one verify/count call to the kernel tier it dispatched to:
+/// Attributes one verify/count call to the kernel tier that answered it:
 /// bumps verify.calls.<tier> and verify.nodes.<tier>, and on the bit-sliced
 /// tier also verify.simd.<rung> for the SimdTier ladder rung in effect
 /// (individual rows below the width floors still run scalar -- the counter

@@ -5,6 +5,8 @@
 // headline contract -- bit-sliced counts are bit-for-bit identical to the
 // row-pointer kernel over the whole problem registry, on odd and even
 // torus sides (word-tail handling) and at 1/2/8 engine threads.
+#include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -528,4 +530,41 @@ TEST(SimdTier, GenericPairPlanesUnaffectedByTierCap) {
   const std::int64_t reference = countViolations(torus, lcl, labels);
   bitslice::setSimdTier(bitslice::SimdTier::kAvx512);
   EXPECT_EQ(countViolations(torus, lcl, labels), reference);
+}
+
+TEST(SimdTier, TransposeReportsTheRowsUnsignedMaxAtEveryTier) {
+  // The reported max is the bit-sliced tier's alphabet check, so it must
+  // be exact wherever the largest label sits: in an AVX2 word, an SSE2
+  // step or the scalar tail. A label outside the planes leaves every
+  // other label's plane bits intact.
+  TierGuard guard;
+  for (auto tier : {bitslice::SimdTier::kScalar, bitslice::SimdTier::kAvx2,
+                    bitslice::SimdTier::kAvx512}) {
+    bitslice::setSimdTier(tier);
+    for (int n : {1, 15, 16, 63, 64, 65, 84, 130}) {
+      const std::vector<int> base =
+          randomLabels(n, 4, 17u * static_cast<std::uint32_t>(n));
+      const unsigned baseMax = static_cast<unsigned>(
+          *std::max_element(base.begin(), base.end()));
+      std::vector<std::uint64_t> planes(2 * bitslice::wordsPerRow(n), 0);
+      ASSERT_EQ(bitslice::transposeRow(base.data(), n, 2, planes.data()),
+                baseMax);
+      for (int bad : {-1, 4, 300, INT_MIN, INT_MAX}) {
+        for (int x = 0; x < n; ++x) {
+          std::vector<int> labels = base;
+          labels[static_cast<std::size_t>(x)] = bad;
+          ASSERT_EQ(
+              bitslice::transposeRow(labels.data(), n, 2, planes.data()),
+              std::max(baseMax, static_cast<unsigned>(bad)))
+              << "tier=" << static_cast<int>(tier) << " n=" << n
+              << " x=" << x << " bad=" << bad;
+          std::vector<int> back(static_cast<std::size_t>(n), -1);
+          bitslice::untransposeRow(planes.data(), n, 2, back.data());
+          back[static_cast<std::size_t>(x)] = bad;
+          ASSERT_EQ(back, labels) << "tier=" << static_cast<int>(tier)
+                                  << " n=" << n << " x=" << x;
+        }
+      }
+    }
+  }
 }

@@ -1,15 +1,18 @@
 // The unified verify(VerifyRequest) front door (lcl/verify_api.hpp): bit-
 // identity with every legacy overload it subsumes (serial and threaded,
 // single and batch, 2D and d-dimensional, in-core and streaming), tier
-// pinning incl. its error paths, the fingerprint-resolver idiom, the
+// pinning incl. its error paths, out-of-alphabet labels on every kernel
+// shape (the poison matrix), the fingerprint-resolver idiom, the
 // malformed-request diagnostics, and the classify() front door with its
 // cross-call ReportCache.
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +25,7 @@
 #include "lcl/verifier.hpp"
 #include "lcl/verify_api.hpp"
 #include "support/lru_cache.hpp"
+#include "support/telemetry.hpp"
 
 using namespace lclgrid;
 
@@ -149,6 +153,178 @@ TEST(VerifyApi, PinnedTableRejectsOutOfRangeLabels) {
   request.options.tier = TierPin::kFunctional;
   const VerifyResult functional = verify(request);
   EXPECT_EQ(functional.tier, VerifyTier::kFunctional);
+}
+
+namespace {
+
+// --- the poison matrix -------------------------------------------------------
+// The automatic bit-sliced tier checks the alphabet inside its row
+// transpose instead of scanning first. Every kernel shape must then match
+// the functional tier on labellings carrying one out-of-alphabet label,
+// whatever the label, wherever it sits, in either mode and at any thread
+// count.
+
+/// Shard items (rows / lines) per chunk of the threaded runs, so the
+/// matrix can plant labels on a shard's first and last row.
+constexpr std::int64_t kPoisonGrain = 4;
+
+template <typename Torus, typename Lcl>
+VerifyResult runPoisoned(const Torus& torus, const Lcl& lcl,
+                         std::span<const int> labels, bool count, int threads,
+                         TierPin pin) {
+  VerifyRequest request;
+  if constexpr (std::is_same_v<Lcl, GridLcl>) {
+    request.problem = &lcl;
+    request.torus = &torus;
+  } else {
+    request.problemD = &lcl;
+    request.torusD = &torus;
+  }
+  request.labels = labels;
+  request.options.countViolations = count;
+  request.options.engine.threads = threads;
+  request.options.engine.grain = kPoisonGrain;
+  request.options.tier = pin;
+  return verify(request);
+}
+
+/// A feasible colouring-style labelling: label = (sum of coordinates) mod
+/// modulus, proper whenever modulus divides the side and is at least 2.
+std::vector<int> diagonalLabels(long long nodes, int n, int dims,
+                                int modulus) {
+  std::vector<int> labels(static_cast<std::size_t>(nodes));
+  for (long long v = 0; v < nodes; ++v) {
+    long long rest = v;
+    int sum = 0;
+    for (int a = 0; a < dims; ++a) {
+      sum += static_cast<int>(rest % n);
+      rest /= n;
+    }
+    labels[static_cast<std::size_t>(v)] = sum % modulus;
+  }
+  return labels;
+}
+
+std::int64_t counterValue(const char* name) {
+  for (const auto& counter : telemetry::snapshotMetrics().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  return 0;
+}
+
+template <typename Torus, typename Lcl>
+void checkPoisonMatrix(const Torus& torus, const Lcl& lcl,
+                       const std::vector<int>& feasible) {
+  ASSERT_EQ(countViolations(torus, lcl, feasible), 0) << lcl.name();
+  const long long n = torus.n();
+  // Node 0, the first and last row of the second shard (x inside the AVX2
+  // word and inside the SSE2 tail when the row is long enough), the last
+  // node (the scalar tail).
+  const std::vector<long long> sites = {0, kPoisonGrain * n + 70 % n,
+                                        (2 * kPoisonGrain - 1) * n + 37 % n,
+                                        torus.size() - 1};
+  for (int bad : {-1, lcl.sigma(), INT_MIN, INT_MAX}) {
+    for (long long site : sites) {
+      std::vector<int> labels = feasible;
+      labels[static_cast<std::size_t>(site)] = bad;
+      for (bool count : {false, true}) {
+        const VerifyResult reference =
+            runPoisoned(torus, lcl, labels, count, 1, TierPin::kFunctional);
+        ASSERT_FALSE(reference.feasible);
+        for (int threads : {1, 2, 8}) {
+          const std::int64_t fallbacks =
+              counterValue("verify.range_fallbacks");
+          const std::int64_t sliced = counterValue("verify.calls.bitsliced");
+          const VerifyResult result =
+              runPoisoned(torus, lcl, labels, count, threads, TierPin::kAuto);
+          const auto where = [&] {
+            return lcl.name() + " bad=" + std::to_string(bad) +
+                   " site=" + std::to_string(site) +
+                   " count=" + std::to_string(count) +
+                   " threads=" + std::to_string(threads);
+          };
+          EXPECT_FALSE(result.feasible) << where();
+          if (!count) continue;
+          EXPECT_EQ(result.violations, reference.violations) << where();
+          // The discarded bit-sliced pass is counted; the answer is the
+          // functional tier's.
+          EXPECT_EQ(result.tier, VerifyTier::kFunctional) << where();
+          if (telemetry::kCompiledIn) {
+            EXPECT_EQ(counterValue("verify.range_fallbacks") - fallbacks, 1)
+                << where();
+            EXPECT_EQ(counterValue("verify.calls.bitsliced"), sliced)
+                << where();
+          }
+        }
+        // The serial overloads run the serial engine's own fused pass.
+        if (count) {
+          EXPECT_EQ(countViolations(torus, lcl, labels), reference.violations)
+              << lcl.name() << " bad=" << bad << " site=" << site;
+        } else {
+          EXPECT_FALSE(verify(torus, lcl, labels))
+              << lcl.name() << " bad=" << bad << " site=" << site;
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(VerifyPoison, OutOfAlphabetLabelsMatchFunctionalOnEveryKernelShape) {
+  // The matrix targets the bit-sliced tier whatever LCLGRID_BITSLICE says.
+  const bool gate = bitslice::enabled();
+  bitslice::setEnabled(true);
+  struct RestoreGate {
+    bool saved;
+    ~RestoreGate() { bitslice::setEnabled(saved); }
+  } restore{gate};
+  // 84 = one AVX2 word + an SSE2 step + a scalar tail per row, and a
+  // multiple of 2, 3 and 4 so the diagonal labellings wrap.
+  const Torus2D torus(84);
+  const GridLcl independent = problems::independentSet();
+  ASSERT_EQ(independent.table().bitslicePlan()->kind,
+            bitslice::BitslicePlan::Kind::kPairPlanes);
+  ASSERT_FALSE(independent.table().bitslicePlan()->h.notEqual);
+  const GridLcl weak = problems::weakColouring(3, 1);
+  ASSERT_EQ(weak.table().bitslicePlan()->kind,
+            bitslice::BitslicePlan::Kind::kNibbleLut);
+  // vc:3 keeps label 3 inside its two planes: only the max check sees it.
+  for (const GridLcl& lcl :
+       {problems::vertexColouring(3), problems::vertexColouring(4), weak,
+        independent}) {
+    ASSERT_TRUE(verifier_detail::bitsliceSelected(lcl, torus.size()))
+        << lcl.name();
+    checkPoisonMatrix(torus, lcl,
+                      diagonalLabels(torus.size(), torus.n(), 2, lcl.sigma()));
+  }
+  // d = 3 stages the labelling into planes before the line kernel.
+  const TorusD torusD(3, 21);
+  const GridLclD colouring = problems_d::vertexColouring(3, 3);
+  ASSERT_NE(colouring.table().bitslicePlanD(), nullptr);
+  checkPoisonMatrix(torusD, colouring,
+                    diagonalLabels(torusD.size(), torusD.n(), 3, 3));
+}
+
+TEST(VerifyPoison, PinsRejectOutOfRangeLabelsBehindARealViolation) {
+  // A pinned tier must throw on any out-of-range label, even in verify
+  // mode with a real violation ahead of it that an early exit would stop
+  // at.
+  const Torus2D torus(84);
+  const GridLcl problem = problems::vertexColouring(4);
+  std::vector<int> labels = diagonalLabels(torus.size(), torus.n(), 2, 4);
+  labels[1] = labels[0];
+  labels.back() = 4;
+  for (bool count : {false, true}) {
+    for (int threads : {1, 2, 8}) {
+      for (TierPin pin : {TierPin::kTable, TierPin::kBitsliced}) {
+        EXPECT_THROW(runPoisoned(torus, problem, labels, count, threads, pin),
+                     std::invalid_argument)
+            << "count=" << count << " threads=" << threads
+            << " pin=" << static_cast<int>(pin);
+      }
+    }
+  }
 }
 
 TEST(VerifyApi, BatchMatchesBatchOverloads) {
