@@ -8,10 +8,12 @@
 // p99_us columns are what scripts/check_bench_json.py gates and the perf
 // trajectory plots (docs/service.md).
 //
-// Soak mode additionally drives the overload path on purpose: each client
-// periodically bursts more kSleep requests than its admission budget, so
-// the daemon must answer the excess with explicit kBusy frames (never a
-// silent drop, never a crash) while the other clients' traffic continues.
+// Soak mode additionally drives the overload path on purpose: every request
+// is held on its worker a little (the service.dispatch fault point armed
+// with a delay), and each client periodically bursts more pipelined pings
+// than its admission budget, so the daemon must answer the excess with
+// explicit kBusy frames (never a silent drop, never a crash) while the
+// other clients' traffic continues.
 // CI runs the soak under AddressSanitizer; the run fails if any burst
 // response goes missing or the expected kBusy rejections never occur.
 //
@@ -25,23 +27,15 @@
 // known labelling) -- under chaos every failure must stay typed and
 // recoverable.
 //
-// Overload mode (--overload) A/Bs the graceful-degradation policy: each
-// client keeps 2x its admission budget of allowDegrade countViolations
-// requests pipelined against a small shed threshold, once with shedding
-// enabled and once without; the two rows' p99 latencies are the bounded-
-// degradation acceptance numbers quoted in docs/robustness.md.
-//
-// Usage: bench_service [--smoke] [--soak S] [--chaos] [--overload]
+// Usage: bench_service [--smoke] [--soak S] [--chaos]
 //                      [--seconds S] [--clients N]
 //                      [--service-threads N] [--engine-threads N]
 //                      [--trace-out F] [--metrics-out F]
 //   --smoke            CI sizes: 2 clients, ~0.3 s
-//   --soak S           run S seconds with overload bursts (implies
-//                      test-ops and a small admission budget)
+//   --soak S           run S seconds with overload bursts (implies a
+//                      dispatch delay and a small admission budget)
 //   --chaos            (with --soak) arm probabilistic faults + retrying
 //                      clients + random client kills
-//   --overload         run the shed on/off degradation A/B instead of the
-//                      throughput run
 //   --seconds S        measurement window (default 2.0)
 //   --clients N        concurrent client connections (default 4)
 //   --service-threads N  daemon worker threads (default 2)
@@ -149,13 +143,11 @@ void clientLoop(int port, double seconds, bool soak, int burstSize,
   while (Clock::now() < deadline) {
     ++iteration;
     if (soak && iteration % 8 == 0) {
-      // Deliberate overload: more sleeps than the admission budget,
+      // Deliberate overload: more pings than the admission budget,
       // back-to-back. Every frame must be answered -- kPong or kBusy.
       for (int i = 0; i < burstSize; ++i) {
-        std::vector<std::uint8_t> payload;
-        service::wire::appendU32(payload, 2);  // ms
-        client.sendFrame(service::wire::FrameType::kSleep,
-                         1000u + static_cast<std::uint32_t>(i), payload);
+        client.sendFrame(service::wire::FrameType::kPing,
+                         1000u + static_cast<std::uint32_t>(i), {});
       }
       out->burstRequests += burstSize;
       for (int i = 0; i < burstSize; ++i) {
@@ -200,7 +192,7 @@ void clientLoop(int port, double seconds, bool soak, int burstSize,
 }
 
 void emitOpRow(support::JsonWriter& json, const char* op, OpStats& stats,
-               double elapsedSeconds, std::int64_t busy, std::int64_t shed,
+               double elapsedSeconds, std::int64_t busy,
                std::int64_t timeouts, std::int64_t retries) {
   std::sort(stats.latenciesUs.begin(), stats.latenciesUs.end());
   json.beginObject();
@@ -210,9 +202,8 @@ void emitOpRow(support::JsonWriter& json, const char* op, OpStats& stats,
   json.key("qps").value(double(stats.requests) / elapsedSeconds);
   json.key("p50_us").value(percentile(stats.latenciesUs, 0.50));
   json.key("p99_us").value(percentile(stats.latenciesUs, 0.99));
-  // Robustness columns gated by scripts/check_bench_json.py: degradation
-  // downgrades, kTimeout answers and absorbed retryable failures.
-  json.key("shed").value(static_cast<long long>(shed));
+  // Robustness columns gated by scripts/check_bench_json.py: kTimeout
+  // answers and absorbed retryable failures.
   json.key("timeouts").value(static_cast<long long>(timeouts));
   json.key("retries").value(static_cast<long long>(retries));
   json.endObject();
@@ -267,11 +258,8 @@ void chaosClientLoop(int port, double seconds, int index, ClientStats* out) {
       // Simulated client kill: abandon the connection with a request in
       // flight. The daemon's worker must cope with the dead socket; the
       // client reconnects and carries on as a fresh connection.
-      std::vector<std::uint8_t> payload;
-      service::wire::appendU32(payload, 1);  // ms
       try {
-        client.client().sendFrame(service::wire::FrameType::kSleep, 4096u,
-                                  payload);
+        client.client().sendFrame(service::wire::FrameType::kPing, 4096u, {});
       } catch (const std::exception&) {
         // The kill is the point; a send failure just means it died earlier.
       }
@@ -326,188 +314,6 @@ void chaosClientLoop(int port, double seconds, int index, ClientStats* out) {
   out->retry = client.retryStats();
 }
 
-// --- overload mode -----------------------------------------------------------
-
-struct OverloadClient {
-  OpStats lat;
-  std::int64_t busy = 0;
-  std::int64_t timeouts = 0;
-  std::int64_t degraded = 0;
-  std::int64_t exact = 0;
-};
-
-/// Keeps 2x the admission budget of allowDegrade countViolations requests
-/// pipelined on one connection; classifies every response frame. Latency is
-/// measured from the start of each pipelined round to each response.
-void overloadClientLoop(int port, double seconds, int window,
-                        const std::vector<std::uint8_t>* payload,
-                        OverloadClient* out) {
-  ServiceClient client = ServiceClient::connectTcp(port);
-  client.setDeadlineMs(10000);
-  const auto deadline =
-      Clock::now() + std::chrono::duration<double>(seconds);
-  std::uint32_t id = 1;
-  try {
-    while (Clock::now() < deadline) {
-      const auto start = Clock::now();
-      for (int i = 0; i < window; ++i) {
-        client.sendFrame(service::wire::FrameType::kVerify, id++, *payload);
-      }
-      for (int i = 0; i < window; ++i) {
-        const auto reply = client.receive();
-        if (!reply) return;
-        if (reply->type == service::wire::FrameType::kBusy) {
-          ++out->busy;
-        } else if (reply->type == service::wire::FrameType::kTimeout) {
-          ++out->timeouts;
-        } else if (reply->type == service::wire::FrameType::kVerifyResult) {
-          out->lat.latenciesUs.push_back(microsSince(start));
-          ++out->lat.requests;
-          const auto result = service::decodeVerifyResult(reply->payload);
-          if (result.degraded) {
-            ++out->degraded;
-          } else {
-            ++out->exact;
-          }
-        }
-      }
-    }
-  } catch (const std::exception&) {
-    // A deadline or framing failure ends this client's contribution; the
-    // remaining clients keep the pass meaningful.
-  }
-}
-
-struct OverloadPass {
-  OpStats lat;
-  std::int64_t busy = 0;
-  std::int64_t timeouts = 0;
-  std::int64_t degraded = 0;
-  std::int64_t exact = 0;
-  std::int64_t shedDowngrades = 0;
-  std::int64_t daemonTimeouts = 0;
-  double elapsed = 0;
-};
-
-OverloadPass runOverloadPass(bool shedOn, double seconds, int clients,
-                             int serviceThreads, int engineThreads) {
-  service::ServiceConfig config;
-  config.serviceThreads = serviceThreads;
-  config.engineThreads = engineThreads;
-  config.maxQueuedPerClient = 8;
-  config.shedEnabled = shedOn;
-  config.shedQueueDepth = std::max(2, serviceThreads);
-  service::VerificationService daemon(config);
-  daemon.start();
-
-  // A labelling with an adjacent clash at the origin: early-exit verify
-  // (the degraded form) finds it almost immediately, while an exact count
-  // still scans all n^2 cells -- the asymmetry shedding exists to exploit.
-  const int n = 256;
-  std::vector<int> labels = fourColouring(n);
-  labels[1] = labels[0];
-  service::VerifyRequestFrame frame;
-  frame.spec = "vc:4";
-  frame.countViolations = true;
-  frame.allowDegrade = true;
-  frame.n = static_cast<std::uint32_t>(n);
-  frame.labels = labels;  // span: `labels` stays alive past the encode
-  const std::vector<std::uint8_t> payload =
-      service::encodeVerifyRequest(frame);
-
-  const int window = 2 * config.maxQueuedPerClient;  // 2x admission budget
-  std::vector<OverloadClient> perClient(static_cast<std::size_t>(clients));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(clients));
-  const auto started = Clock::now();
-  for (int i = 0; i < clients; ++i) {
-    threads.emplace_back(overloadClientLoop, daemon.port(), seconds, window,
-                         &payload, &perClient[static_cast<std::size_t>(i)]);
-  }
-  for (std::thread& thread : threads) thread.join();
-  OverloadPass pass;
-  pass.elapsed =
-      std::chrono::duration<double>(Clock::now() - started).count();
-  daemon.stop();
-  const service::ServiceCounters counters = daemon.counters();
-  pass.shedDowngrades = counters.shedDowngrades;
-  pass.daemonTimeouts = counters.timeouts;
-  for (OverloadClient& client : perClient) {
-    pass.lat.requests += client.lat.requests;
-    pass.lat.latenciesUs.insert(pass.lat.latenciesUs.end(),
-                                client.lat.latenciesUs.begin(),
-                                client.lat.latenciesUs.end());
-    pass.busy += client.busy;
-    pass.timeouts += client.timeouts;
-    pass.degraded += client.degraded;
-    pass.exact += client.exact;
-  }
-  return pass;
-}
-
-void emitOverloadRow(support::JsonWriter& json, const char* op,
-                     OverloadPass& pass) {
-  std::sort(pass.lat.latenciesUs.begin(), pass.lat.latenciesUs.end());
-  json.beginObject();
-  json.key("op").value(op);
-  json.key("requests").value(static_cast<long long>(pass.lat.requests));
-  json.key("busy").value(static_cast<long long>(pass.busy));
-  json.key("qps").value(double(pass.lat.requests) / pass.elapsed);
-  json.key("p50_us").value(percentile(pass.lat.latenciesUs, 0.50));
-  json.key("p99_us").value(percentile(pass.lat.latenciesUs, 0.99));
-  json.key("shed").value(static_cast<long long>(pass.shedDowngrades));
-  json.key("timeouts").value(static_cast<long long>(pass.daemonTimeouts));
-  json.key("retries").value(0LL);
-  json.key("degraded").value(static_cast<long long>(pass.degraded));
-  json.key("exact").value(static_cast<long long>(pass.exact));
-  json.endObject();
-}
-
-int runOverload(double seconds, int clients, int serviceThreads,
-                int engineThreads) {
-  OverloadPass shedOn =
-      runOverloadPass(true, seconds, clients, serviceThreads, engineThreads);
-  OverloadPass shedOff =
-      runOverloadPass(false, seconds, clients, serviceThreads, engineThreads);
-
-  support::JsonWriter json;
-  json.beginObject();
-  json.key("name").value("bench_service");
-  json.key("config").beginObject();
-  json.key("mode").value("overload");
-  json.key("clients").value(clients);
-  json.key("service_threads").value(serviceThreads);
-  json.key("engine_threads").value(engineThreads);
-  json.key("seconds").value(shedOn.elapsed + shedOff.elapsed);
-  json.key("window_per_client").value(2 * 8);
-  json.endObject();
-  json.key("results").beginArray();
-  emitOverloadRow(json, "overload_shed_on", shedOn);
-  emitOverloadRow(json, "overload_shed_off", shedOff);
-  json.endArray();
-  json.endObject();
-  std::printf("%s\n", json.str().c_str());
-
-  // Acceptance: the shed-on pass must actually have downgraded work
-  // (otherwise the A/B measured nothing), the shed-off pass must stay
-  // exact, and both passes must have completed requests.
-  if (shedOn.lat.requests == 0 || shedOff.lat.requests == 0) {
-    std::fprintf(stderr, "bench_service: an overload pass saw no results\n");
-    return 1;
-  }
-  if (shedOn.shedDowngrades == 0 || shedOn.degraded == 0) {
-    std::fprintf(stderr,
-                 "bench_service: overload never engaged degradation\n");
-    return 1;
-  }
-  if (shedOff.degraded != 0) {
-    std::fprintf(stderr,
-                 "bench_service: shed-off pass produced degraded results\n");
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -518,7 +324,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   bool soak = false;
   bool chaos = false;
-  bool overload = false;
   std::string traceOut;
   std::string metricsOut;
   for (int i = 1; i < argc; ++i) {
@@ -529,8 +334,6 @@ int main(int argc, char** argv) {
       seconds = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--chaos") == 0) {
       chaos = true;
-    } else if (std::strcmp(argv[i], "--overload") == 0) {
-      overload = true;
     } else if (std::strcmp(argv[i], "--seconds") == 0 && i + 1 < argc) {
       seconds = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--clients") == 0 && i + 1 < argc) {
@@ -546,8 +349,7 @@ int main(int argc, char** argv) {
       metricsOut = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--smoke] [--soak S] [--chaos] [--overload] "
-                   "[--seconds S] "
+                   "usage: %s [--smoke] [--soak S] [--chaos] [--seconds S] "
                    "[--clients N] [--service-threads N] [--engine-threads N] "
                    "[--trace-out F] [--metrics-out F]\n",
                    argv[0]);
@@ -566,17 +368,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bench_service: --chaos requires --soak\n");
     return 2;
   }
-  if (overload) {
-    return runOverload(seconds, clients, serviceThreads, engineThreads);
-  }
   if (!traceOut.empty()) telemetry::setTraceEnabled(true);
 
   service::ServiceConfig config;
   config.serviceThreads = serviceThreads;
   config.engineThreads = engineThreads;
   if (soak) {
-    config.enableTestOps = true;
     config.maxQueuedPerClient = 2;  // small budget: bursts must draw kBusy
+  }
+  if (soak && !chaos) {
+    // Hold every request on its worker for 2 ms, so a pipelined burst
+    // outruns the budget (chaos arms its own dispatch jitter below).
+    fp::armEntry("service.dispatch:delay=2");
   }
   if (chaos) {
     // A modest queue-wait deadline keeps the kTimeout path live under the
@@ -612,8 +415,8 @@ int main(int argc, char** argv) {
   std::int64_t faultsFired = 0;
   if (chaos) {
     for (const auto& point : fp::registeredPoints()) faultsFired += point.fired;
-    fp::disarmAll();
   }
+  if (soak) fp::disarmAll();
 
   OpStats verify;
   OpStats classify;
@@ -672,11 +475,11 @@ int main(int argc, char** argv) {
   json.key("faults_fired").value(static_cast<long long>(faultsFired));
   json.endObject();
   json.key("results").beginArray();
-  emitOpRow(json, "verify", verify, elapsed, 0, 0, 0, 0);
-  emitOpRow(json, "classify", classify, elapsed, 0, 0, 0, 0);
-  emitOpRow(json, "stats", stats, elapsed, 0, 0, 0, 0);
-  emitOpRow(json, "all", all, elapsed, busy, daemonCounters.shedDowngrades,
-            daemonCounters.timeouts, retries);
+  emitOpRow(json, "verify", verify, elapsed, 0, 0, 0);
+  emitOpRow(json, "classify", classify, elapsed, 0, 0, 0);
+  emitOpRow(json, "stats", stats, elapsed, 0, 0, 0);
+  emitOpRow(json, "all", all, elapsed, busy, daemonCounters.timeouts,
+            retries);
   json.endArray();
   json.endObject();
   std::printf("%s\n", json.str().c_str());

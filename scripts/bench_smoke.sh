@@ -93,10 +93,6 @@ run_json bench_sat --smoke
 # path (the run fails if any burst response goes missing).
 run_json -t smoke bench_service --smoke
 run_json -t soak bench_service --soak 1 --clients 2
-# Graceful degradation A/B (docs/robustness.md): shed on vs off under 2x
-# the admission budget of allowDegrade count requests; the run fails if
-# the shed-on pass never downgrades or the shed-off pass ever does.
-run_json -t overload bench_service --overload --seconds 0.4 --clients 2
 
 # Armed-but-never-firing fault points (LCLGRID_FAULTS, docs/robustness.md):
 # with any point armed, every FAULT_POINT site in the process takes its

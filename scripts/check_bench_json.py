@@ -119,10 +119,10 @@ def check_bench_service(doc, results, errors):
     trajectory plots, docs/service.md). A row that loses them means the
     bench stopped timing round-trips -- a zero-request op would emit qps 0
     and fail here, which is the point: the smoke run must actually drive
-    every op. Every row also carries the robustness columns shed /
-    timeouts / retries (docs/robustness.md) as non-negative integers --
-    dropping one would silently stop tracking degradation, deadline and
-    retry behaviour across the perf trajectory."""
+    every op. Every row also carries the robustness columns timeouts /
+    retries (docs/robustness.md) as non-negative integers -- dropping one
+    would silently stop tracking deadline and retry behaviour across the
+    perf trajectory."""
 
     def nonneg_int(value):
         return (
@@ -138,7 +138,7 @@ def check_bench_service(doc, results, errors):
         for key in ("qps", "p99_us"):
             if not positive_finite(entry.get(key)):
                 errors.append(f"{label}: missing/invalid {key}")
-        for key in ("shed", "timeouts", "retries"):
+        for key in ("timeouts", "retries"):
             if not nonneg_int(entry.get(key)):
                 errors.append(f"{label}: missing/invalid {key}")
 

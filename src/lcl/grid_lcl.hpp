@@ -19,7 +19,7 @@
 // Thread-safety contract: a constructed GridLcl is immutable apart from
 // setLabelNames, so const queries (allows, table, trivialLabel, the
 // projections) may run concurrently from engine pool threads -- the lazy
-// fallback projections are published atomically. The one obligation on
+// fallback projections are installed atomically. The one obligation on
 // callers is that constructor predicates must be re-entrant (pure functions
 // of their five arguments); every problem in problems.hpp is. setLabelNames
 // must happen-before sharing the object across threads.
@@ -62,7 +62,7 @@ class GridLcl {
   GridLcl(std::string name, LclTable table);
 
   /// Copying is safe concurrently with const queries on the source: the
-  /// lazily published projections are read through their atomic pointer (a
+  /// lazily built projections are read through their atomic pointer (a
   /// defaulted copy would race with projections()'s publication). Moving
   /// requires exclusive ownership of the source, like any mutation.
   GridLcl(const GridLcl& other);
@@ -121,7 +121,7 @@ class GridLcl {
   }
 
   /// Decomposability data for the fallback path (alphabets beyond the table
-  /// limits), computed on first use and published once.
+  /// limits), computed on first use and installed once.
   struct Projections {
     bool edgeDecomposable = false;
     std::vector<std::uint8_t> hPairs;  // sigma x sigma

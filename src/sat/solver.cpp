@@ -464,7 +464,7 @@ void Solver::compactDatabase() {
     purgedAny = true;
   }
   if (!purgedAny) return;
-  // Eagerly drop watchers of purged clauses (propagate() would only shed
+  // Eagerly drop watchers of purged clauses (propagate() would only unlink
   // them lazily on traversal) so the watch lists shrink with the database.
   scrubDeletedWatchers();
   learntIndices_.erase(

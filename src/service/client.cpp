@@ -319,57 +319,4 @@ void ServiceClient::requestShutdown() {
   (void)call(wire::FrameType::kShutdown, {}, wire::FrameType::kShutdownAck);
 }
 
-bool ServiceClient::sleepMs(std::uint32_t millis) {
-  std::vector<std::uint8_t> payload;
-  wire::appendU32(payload, millis);
-  return call(wire::FrameType::kSleep, payload, wire::FrameType::kPong)
-      .has_value();
-}
-
-// --- JsonDebugClient --------------------------------------------------------
-
-JsonDebugClient JsonDebugClient::connectTcp(int port) {
-  return JsonDebugClient(connectTcpFd(port));
-}
-
-JsonDebugClient::JsonDebugClient(JsonDebugClient&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)), buffer_(std::move(other.buffer_)) {}
-
-JsonDebugClient& JsonDebugClient::operator=(JsonDebugClient&& other) noexcept {
-  if (this != &other) {
-    close();
-    fd_ = std::exchange(other.fd_, -1);
-    buffer_ = std::move(other.buffer_);
-  }
-  return *this;
-}
-
-JsonDebugClient::~JsonDebugClient() { close(); }
-
-void JsonDebugClient::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-std::optional<std::string> JsonDebugClient::request(const std::string& line) {
-  std::string out = line;
-  out.push_back('\n');
-  writeFully(fd_, out.data(), out.size());
-  char chunk[4096];
-  while (true) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string response = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return response;
-    }
-    const ssize_t got = ::recv(fd_, chunk, sizeof(chunk), 0);
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) return std::nullopt;
-    buffer_.append(chunk, static_cast<std::size_t>(got));
-  }
-}
-
 }  // namespace lclgrid::service

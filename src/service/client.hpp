@@ -1,9 +1,8 @@
 // Client side of the verification service protocol: a blocking,
 // one-request-at-a-time connection speaking the binary framing of
-// service/protocol.hpp, plus a newline-JSON debug client. Used by the
-// service tests, bench_service and the lclgrid_serve --request mode; the
-// raw send/receive surface is public so protocol error-path tests can craft
-// malformed frames.
+// service/protocol.hpp. Used by the service tests, bench_service and the
+// benchmark driver; the raw send/receive surface is public so protocol
+// error-path tests can craft malformed frames.
 //
 // Overload surface: requests the daemon rejects with kBusy return
 // std::nullopt (callers decide between retrying and backing off); kError
@@ -81,9 +80,6 @@ class ServiceClient {
   /// Asks the daemon to shut down (it acks, then waitForShutdown() on the
   /// server side returns).
   void requestShutdown();
-  /// Test op (ServiceConfig::enableTestOps): occupy a worker for `millis`.
-  /// False when the daemon answered kBusy.
-  bool sleepMs(std::uint32_t millis);
 
   // --- raw frame access (protocol tests) -----------------------------------
 
@@ -118,29 +114,6 @@ class ServiceClient {
   /// non-empty.
   int port_ = -1;
   std::string unixPath_;
-};
-
-/// Newline-JSON debug-mode client (the "telnet" framing): one JSON request
-/// line out, one JSON response line back.
-class JsonDebugClient {
- public:
-  static JsonDebugClient connectTcp(int port);
-  JsonDebugClient(JsonDebugClient&& other) noexcept;
-  JsonDebugClient& operator=(JsonDebugClient&& other) noexcept;
-  JsonDebugClient(const JsonDebugClient&) = delete;
-  JsonDebugClient& operator=(const JsonDebugClient&) = delete;
-  ~JsonDebugClient();
-
-  void close();
-  /// Sends `line` (newline appended) and returns the daemon's response
-  /// line; nullopt when the daemon closed the connection.
-  std::optional<std::string> request(const std::string& line);
-
- private:
-  explicit JsonDebugClient(int fd) : fd_(fd) {}
-
-  int fd_ = -1;
-  std::string buffer_;
 };
 
 }  // namespace lclgrid::service

@@ -132,7 +132,7 @@ std::vector<std::uint8_t> encodeVerifyRequest(const VerifyRequestFrame& frame) {
   wire::appendU32(out, frame.batch);
   wire::appendU32(out, static_cast<std::uint32_t>(frame.spec.size()));
   wire::appendU32(out, static_cast<std::uint32_t>(frame.path.size()));
-  wire::appendU32(out, frame.allowDegrade ? 1u : 0u);  // flags
+  wire::appendU32(out, 0);  // flags (reserved)
   out.insert(out.end(), frame.spec.begin(), frame.spec.end());
   out.insert(out.end(), frame.path.begin(), frame.path.end());
   while (out.size() % 4 != 0) out.push_back(0);
@@ -157,7 +157,7 @@ VerifyRequestFrame decodeVerifyRequest(std::span<const std::uint8_t> payload) {
   frame.batch = wire::readU32(payload, offset);
   const std::uint32_t specLen = wire::readU32(payload, offset);
   const std::uint32_t pathLen = wire::readU32(payload, offset);
-  frame.allowDegrade = (wire::readU32(payload, offset) & 1u) != 0;  // flags
+  (void)wire::readU32(payload, offset);  // flags (reserved, ignored)
   if (offset + specLen + pathLen > payload.size()) {
     throw ProtocolError("protocol: verify spec/path overruns the payload");
   }
@@ -201,7 +201,7 @@ std::vector<std::uint8_t> encodeVerifyResult(const VerifyResultFrame& frame) {
                                         ? 2
                                         : 0;
   out.push_back(perLabelling);
-  out.push_back(frame.degraded ? 1 : 0);  // flags
+  out.push_back(0);  // flags (reserved)
   wire::appendU32(out, static_cast<std::uint32_t>(frame.labellings));
   wire::appendI64(out, frame.violations);
   wire::appendU64(out, frame.fingerprint);
@@ -223,7 +223,7 @@ VerifyResultFrame decodeVerifyResult(std::span<const std::uint8_t> payload) {
   frame.feasible = wire::readU8(payload, offset) != 0;
   frame.tier = wire::readU8(payload, offset);
   const std::uint8_t perLabelling = wire::readU8(payload, offset);
-  frame.degraded = (wire::readU8(payload, offset) & 1u) != 0;  // flags
+  (void)wire::readU8(payload, offset);  // flags (reserved, ignored)
   const std::uint32_t labellings = wire::readU32(payload, offset);
   frame.labellings = labellings;
   frame.violations = wire::readI64(payload, offset);

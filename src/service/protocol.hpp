@@ -1,25 +1,19 @@
-// Wire protocol of the verification service (docs/service.md). Two framings
-// share one connection port:
-//
-//  * Binary (the default): length-prefixed frames with a 16-byte header --
-//    4 magic bytes "LGS1", a type byte, a flags byte (reserved, zero), a
-//    reserved u16, a u32 request id (echoed verbatim in the response) and a
-//    u32 payload length -- followed by `payload length` bytes. All scalars
-//    little-endian. The verify payload keeps its label array 4-byte
-//    aligned, so the daemon streams inline batches zero-copy into the
-//    engine (a span over the receive buffer, no unpack).
-//
-//  * Newline JSON (debug): when the first bytes of a connection are not the
-//    magic, every line is one JSON request object and every response one
-//    JSON line -- telnet/netcat-friendly; parsed with support::parseJson.
+// Wire protocol of the verification service (docs/service.md):
+// length-prefixed frames with a 16-byte header -- 4 magic bytes "LGS1", a
+// type byte, a flags byte (reserved, zero), a reserved u16, a u32 request
+// id (echoed verbatim in the response) and a u32 payload length --
+// followed by `payload length` bytes. All scalars little-endian. The verify
+// payload keeps its label array 4-byte aligned, so the daemon streams
+// inline batches zero-copy into the engine (a span over the receive
+// buffer, no unpack).
 //
 // Overload policy: a request arriving while the client already has
 // maxQueuedPerClient requests admitted is answered with an explicit kBusy
 // frame (same request id) and NOT executed -- never a silent drop, never a
 // disconnect. Malformed payloads yield kError with a message; malformed
-// *framing* (bad magic mid-stream, oversized payload) closes the
-// connection after a best-effort kError, since the stream can no longer be
-// re-synchronised.
+// *framing* (a connection that does not open with the magic, bad magic
+// mid-stream, oversized payload) closes the connection after a best-effort
+// kError, since the stream can no longer be re-synchronised.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +41,6 @@ enum class FrameType : std::uint8_t {
   kClassify = 0x03,
   kStats = 0x04,
   kShutdown = 0x05,
-  /// Test-only (ServiceConfig::enableTestOps): hold a worker for the given
-  /// milliseconds -- the deterministic way to drive the BUSY path.
-  kSleep = 0x06,
   // Responses.
   kPong = 0x81,
   kVerifyResult = 0x82,
@@ -60,8 +51,9 @@ enum class FrameType : std::uint8_t {
   kShutdownAck = 0x87,
   /// Deadline outcome, distinct from kBusy (back-pressure: retry later)
   /// and kError (the request itself is bad): the request was admitted but
-  /// its deadline expired before a worker could run it, or the daemon shed
-  /// it while draining. The request was NOT executed. Payload: empty.
+  /// its deadline expired before a worker could run it, or it was still
+  /// queued when the shutdown drain window closed. The request was NOT
+  /// executed. Payload: empty.
   kTimeout = 0x88,
 };
 
@@ -76,7 +68,7 @@ void appendHeader(std::vector<std::uint8_t>& out, FrameType type,
                   std::uint32_t requestId, std::uint32_t payloadBytes);
 
 /// Decodes the 16 bytes at `bytes`; returns false iff the magic mismatches
-/// (the caller decides between JSON debug mode and a framing error).
+/// (a framing error).
 bool decodeHeader(const std::uint8_t* bytes, FrameHeader* header);
 
 }  // namespace wire
@@ -88,11 +80,10 @@ enum class LabellingKind : std::uint8_t { kInline = 0, kPath = 1 };
 
 /// Fixed prefix: 40 bytes -- u8 problemRef, u8 countViolations, u8
 /// labelling, u8 tierPin, u32 threads, u64 fingerprint, u32 dims, u32 n,
-/// u32 batch, u32 specLen, u32 pathLen, u32 flags -- then the spec
-/// bytes, the path bytes, zero padding to a 4-byte boundary, and batch *
-/// n^dims little-endian int32 labels (inline labellings only). The flags
-/// word was reserved-zero before the degradation protocol, so old encoders
-/// interoperate (bit 0 = allowDegrade).
+/// u32 batch, u32 specLen, u32 pathLen, u32 flags (reserved: written 0,
+/// ignored on decode) -- then the spec bytes, the path bytes, zero padding
+/// to a 4-byte boundary, and batch * n^dims little-endian int32 labels
+/// (inline labellings only).
 struct VerifyRequestFrame {
   ProblemRefKind problemRef = ProblemRefKind::kSpec;
   bool countViolations = false;
@@ -103,10 +94,6 @@ struct VerifyRequestFrame {
   std::uint32_t dims = 2;
   std::uint32_t n = 0;
   std::uint32_t batch = 1;
-  /// Under shed pressure the daemon may downgrade this countViolations
-  /// request to early-exit verify (docs/robustness.md); the result then
-  /// carries degraded = true and `violations` is only a lower bound.
-  bool allowDegrade = false;
   std::string spec;
   std::string path;
   /// Decoded frames: a view into the receive buffer (zero-copy); valid
@@ -121,16 +108,12 @@ VerifyRequestFrame decodeVerifyRequest(std::span<const std::uint8_t> payload);
 
 /// Fixed prefix: 32 bytes -- u8 feasible, u8 tier (lclgrid::VerifyTier
 /// order), u8 perLabelling (0 none / 1 feasible bytes / 2 violation i64s),
-/// u8 flags (was reserved-zero; bit 0 = degraded), u32 labellings, i64
+/// u8 flags (reserved: written 0, ignored on decode), u32 labellings, i64
 /// violations, u64 fingerprint, i64 nanos -- then the per-labelling array
 /// when perLabelling != 0.
 struct VerifyResultFrame {
   bool feasible = false;
   std::uint8_t tier = 0;
-  /// True when the daemon downgraded a countViolations request to
-  /// early-exit verify under shed pressure (the request allowed it);
-  /// `violations` is then 0 or a lower bound, not an exact count.
-  bool degraded = false;
   std::int64_t violations = 0;
   std::int64_t labellings = 1;
   std::uint64_t fingerprint = 0;

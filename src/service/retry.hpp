@@ -9,7 +9,7 @@
 //
 //  * kBusy       -- back-pressure; the daemon promised it did not run the
 //                   request (retryBusy);
-//  * kTimeout    -- the daemon shed the request from its queue, or the
+//  * kTimeout    -- the daemon dropped the request from its queue, or the
 //                   client's own deadline expired awaiting a response. A
 //                   client-side expiry forces a reconnect first: the
 //                   abandoned byte stream cannot be re-synchronised

@@ -19,6 +19,7 @@
 #include "lcl/verify_api.hpp"
 #include "service/problem_registry.hpp"
 #include "support/faultpoint.hpp"
+#include "support/json.hpp"
 
 namespace lclgrid::service {
 
@@ -27,7 +28,6 @@ namespace {
 namespace fp = support::faultpoint;
 
 using support::JsonWriter;
-using support::JsonValue;
 
 [[noreturn]] void throwErrno(const std::string& what) {
   throw std::runtime_error("service: " + what + ": " + std::strerror(errno));
@@ -100,23 +100,6 @@ void writeFully(int fd, const void* data, std::size_t bytes) {
   }
 }
 
-std::uint8_t tierPinOf(const std::string& name) {
-  if (name == "auto") return 0;
-  if (name == "functional") return 1;
-  if (name == "table") return 2;
-  if (name == "bitsliced") return 3;
-  throw std::invalid_argument("service: unknown tier pin \"" + name + "\"");
-}
-
-std::string jsonErrorLine(std::uint32_t requestId, std::string_view message) {
-  JsonWriter json;
-  json.beginObject();
-  json.key("id").value(static_cast<long long>(requestId));
-  json.key("error").value(message);
-  json.endObject();
-  return json.str();
-}
-
 }  // namespace
 
 // --- ProblemCache -----------------------------------------------------------
@@ -183,14 +166,11 @@ VerificationService::VerificationService(ServiceConfig config)
       busyCounter_(telemetry::counter("service.busy")),
       errorCounter_(telemetry::counter("service.errors")),
       timeoutCounter_(telemetry::counter("service.timeouts")),
-      shedCounter_(telemetry::counter("service.shed")),
       queueGauge_(telemetry::gauge("service.queue_depth")) {
   config_.serviceThreads = std::max(1, config_.serviceThreads);
   config_.engineThreads = std::max(1, config_.engineThreads);
   config_.maxQueuedPerClient = std::max(1, config_.maxQueuedPerClient);
   config_.maxConnections = std::max(1, config_.maxConnections);
-  shedThreshold_ = config_.shedQueueDepth > 0 ? config_.shedQueueDepth
-                                              : 4 * config_.serviceThreads;
 }
 
 VerificationService::~VerificationService() { stop(); }
@@ -414,51 +394,33 @@ void VerificationService::acceptLoop() {
 }
 
 void VerificationService::connectionLoop(std::shared_ptr<Connection> conn) {
-  // Framing detection: peek the first 4 bytes -- the binary magic selects
-  // length-prefixed frames, anything else the newline-JSON debug mode.
-  std::uint8_t probe[4];
-  ssize_t got;
-  do {
-    got = ::recv(conn->fd, probe, sizeof(probe), MSG_PEEK | MSG_WAITALL);
-  } while (got < 0 && errno == EINTR);
-  if (got == static_cast<ssize_t>(sizeof(probe))) {
-    conn->jsonMode = std::memcmp(probe, wire::kMagic, sizeof(probe)) != 0;
-    if (conn->jsonMode) {
-      jsonLoop(conn);
-    } else {
-      binaryLoop(conn);
-    }
-  }
-  liveConnections_.fetch_sub(1);
-  // Close now unless a worker still owes this client responses; the last
-  // such worker closes instead (both sides re-check, so the close cannot
-  // be lost between the two).
-  conn->closeRequested.store(true, std::memory_order_release);
-  if (conn->inflight.load(std::memory_order_acquire) == 0) {
-    closeConnection(*conn);
-  }
-}
-
-void VerificationService::binaryLoop(const std::shared_ptr<Connection>& conn) {
   std::uint8_t header[wire::kHeaderBytes];
   while (running_.load()) {
-    if (!readFully(conn->fd, header, sizeof(header))) return;
-    wire::FrameHeader frame;
-    if (!wire::decodeHeader(header, &frame)) {
+    // The magic is read (and checked) on its own: a peer speaking another
+    // protocol gets its kError without the daemon waiting for a full header
+    // it may never send.
+    if (!readFully(conn->fd, header, sizeof(wire::kMagic))) break;
+    if (std::memcmp(header, wire::kMagic, sizeof(wire::kMagic)) != 0) {
       // The stream cannot be re-synchronised after a framing error; report
       // and close (docs/service.md).
       sendError(*conn, 0, "service: bad frame magic");
-      return;
+      break;
     }
+    if (!readFully(conn->fd, header + sizeof(wire::kMagic),
+                   sizeof(header) - sizeof(wire::kMagic))) {
+      break;
+    }
+    wire::FrameHeader frame;
+    wire::decodeHeader(header, &frame);  // the magic matched above
     if (frame.payloadBytes > config_.maxPayloadBytes) {
       sendError(*conn, frame.requestId,
                 "service: frame payload exceeds the configured size limit");
-      return;
+      break;
     }
     Task task;
     task.payload.resize(frame.payloadBytes);
     if (!readFully(conn->fd, task.payload.data(), task.payload.size())) {
-      return;  // disconnect mid-frame
+      break;  // disconnect mid-frame
     }
     if (frame.type == wire::FrameType::kShutdown) {
       sendFrame(*conn, wire::FrameType::kShutdownAck, frame.requestId, {});
@@ -470,107 +432,33 @@ void VerificationService::binaryLoop(const std::shared_ptr<Connection>& conn) {
     task.requestId = frame.requestId;
     admit(std::move(task));
   }
-}
-
-void VerificationService::jsonLoop(const std::shared_ptr<Connection>& conn) {
-  std::string buffer;
-  char chunk[4096];
-  while (running_.load()) {
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      std::uint32_t requestId = 0;
-      try {
-        JsonValue request = support::parseJson(line);
-        if (const JsonValue* id = request.find("id")) {
-          requestId = static_cast<std::uint32_t>(id->asInt());
-        }
-        const std::string& op = request.at("op").asString();
-        if (op == "shutdown") {
-          JsonWriter ack;
-          ack.beginObject();
-          ack.key("id").value(static_cast<long long>(requestId));
-          ack.key("ok").value(true);
-          ack.key("shutdown").value(true);
-          ack.endObject();
-          sendJsonLine(*conn, ack.str());
-          requestShutdown();
-          continue;
-        }
-        Task task;
-        task.conn = conn;
-        task.json = true;
-        task.requestId = requestId;
-        if (op == "ping") {
-          task.type = wire::FrameType::kPing;
-        } else if (op == "verify") {
-          task.type = wire::FrameType::kVerify;
-        } else if (op == "classify") {
-          task.type = wire::FrameType::kClassify;
-        } else if (op == "stats") {
-          task.type = wire::FrameType::kStats;
-        } else if (op == "sleep") {
-          task.type = wire::FrameType::kSleep;
-        } else {
-          throw std::invalid_argument("service: unknown op \"" + op + "\"");
-        }
-        task.jsonRequest = std::move(request);
-        admit(std::move(task));
-      } catch (const std::exception& error) {
-        sendJsonLine(*conn, jsonErrorLine(requestId, error.what()));
-      }
-    }
-    if (buffer.size() > config_.maxPayloadBytes) {
-      sendJsonLine(*conn, jsonErrorLine(0, "service: request line too long"));
-      return;
-    }
-    ssize_t got = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) return;
-    buffer.append(chunk, static_cast<std::size_t>(got));
+  liveConnections_.fetch_sub(1);
+  // Close now unless a worker still owes this client responses; the last
+  // such worker closes instead (both sides re-check, so the close cannot
+  // be lost between the two).
+  conn->closeRequested.store(true, std::memory_order_release);
+  if (conn->inflight.load(std::memory_order_acquire) == 0) {
+    closeConnection(*conn);
   }
 }
 
-bool VerificationService::admit(Task task) {
+void VerificationService::admit(Task task) {
   Connection& conn = *task.conn;
-  // Shed mode halves the per-client budget: a client holding half its
-  // normal allotment already contributes its fair share of an overloaded
-  // queue. Draining means stop() is waiting for the queue to empty -- every
-  // new admission would extend the drain, so all of them answer kBusy.
-  const bool shedBudget = sheddingNow();
-  const int budget =
-      draining_.load(std::memory_order_acquire)
-          ? 0
-          : (shedBudget ? std::max(1, config_.maxQueuedPerClient / 2)
-                        : config_.maxQueuedPerClient);
+  // Draining means stop() is waiting for the queue to empty -- every new
+  // admission would extend the drain, so all of them answer kBusy.
+  const int budget = draining_.load(std::memory_order_acquire)
+                         ? 0
+                         : config_.maxQueuedPerClient;
   // Only this connection's reader increments, so load-then-add is not a
   // race against other admissions for the same client.
   if (conn.inflight.load(std::memory_order_acquire) >= budget) {
     {
       std::lock_guard lock(countersMutex_);
       ++counters_.busyRejections;
-      if (shedBudget &&
-          conn.inflight.load(std::memory_order_relaxed) <
-              config_.maxQueuedPerClient) {
-        // Would have been admitted under the full budget: this rejection
-        // is attributable to shedding, not the client's own backlog.
-        ++counters_.shedAdmission;
-      }
     }
     busyCounter_.increment();
-    if (task.json) {
-      JsonWriter busy;
-      busy.beginObject();
-      busy.key("id").value(static_cast<long long>(task.requestId));
-      busy.key("busy").value(true);
-      busy.endObject();
-      sendJsonLine(conn, busy.str());
-    } else {
-      sendFrame(conn, wire::FrameType::kBusy, task.requestId, {});
-    }
-    return true;
+    sendFrame(conn, wire::FrameType::kBusy, task.requestId, {});
+    return;
   }
   conn.inflight.fetch_add(1, std::memory_order_acq_rel);
   task.admitted = std::chrono::steady_clock::now();
@@ -588,7 +476,6 @@ bool VerificationService::admit(Task task) {
   counters_.queueDepth = static_cast<std::int64_t>(depth);
   counters_.queuePeakDepth =
       std::max(counters_.queuePeakDepth, counters_.queueDepth);
-  return true;
 }
 
 // --- worker side ------------------------------------------------------------
@@ -596,6 +483,7 @@ bool VerificationService::admit(Task task) {
 void VerificationService::workerLoop() {
   while (true) {
     Task task;
+    std::int64_t depth;
     {
       std::unique_lock lock(queueMutex_);
       queueCv_.wait(lock, [this] {
@@ -608,16 +496,20 @@ void VerificationService::workerLoop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      counters_.queueDepth = static_cast<std::int64_t>(queue_.size());
-      queueDepthAtomic_.store(counters_.queueDepth,
-                              std::memory_order_relaxed);
-      queueGauge_.set(counters_.queueDepth);
+      depth = static_cast<std::int64_t>(queue_.size());
+      queueDepthAtomic_.store(depth, std::memory_order_relaxed);
       // Incremented under the queue lock so stop()'s drain wait can never
       // observe queue == 0 && executing == 0 while a popped task is still
       // between the pop and its execution.
       executing_.fetch_add(1, std::memory_order_relaxed);
     }
-    // Typed shed paths: a task still queued when the drain deadline
+    queueGauge_.set(depth);
+    {
+      // counters_ is guarded by countersMutex_, as in admit().
+      std::lock_guard lock(countersMutex_);
+      counters_.queueDepth = depth;
+    }
+    // Typed refusals: a task still queued when the drain deadline
     // expired, or whose queue-wait deadline passed, is answered kTimeout --
     // the request was never executed, so a retry is always safe.
     const bool cancelled = cancelQueued_.load(std::memory_order_acquire);
@@ -629,11 +521,7 @@ void VerificationService::workerLoop() {
       sendTimeout(task);
     } else {
       (void)FAULT_POINT("service.dispatch");
-      if (task.json) {
-        executeJson(task);
-      } else {
-        execute(task);
-      }
+      execute(task);
     }
     executing_.fetch_sub(1, std::memory_order_relaxed);
     Connection& conn = *task.conn;
@@ -658,20 +546,9 @@ void VerificationService::execute(Task& task) {
       case wire::FrameType::kPing:
         sendFrame(conn, wire::FrameType::kPong, task.requestId, {});
         break;
-      case wire::FrameType::kSleep: {
-        if (!config_.enableTestOps) {
-          throw std::invalid_argument(
-              "service: sleep is a test-only operation");
-        }
-        std::size_t offset = 0;
-        const std::uint32_t millis = wire::readU32(task.payload, offset);
-        std::this_thread::sleep_for(std::chrono::milliseconds(millis));
-        sendFrame(conn, wire::FrameType::kPong, task.requestId, {});
-        break;
-      }
       case wire::FrameType::kVerify: {
         const VerifyRequestFrame request = decodeVerifyRequest(task.payload);
-        const VerifyResultFrame result = runVerify(request, sheddingNow());
+        const VerifyResultFrame result = runVerify(request);
         const std::vector<std::uint8_t> payload = encodeVerifyResult(result);
         sendFrame(conn, wire::FrameType::kVerifyResult, task.requestId,
                   payload);
@@ -706,160 +583,7 @@ void VerificationService::execute(Task& task) {
   }
 }
 
-void VerificationService::executeJson(Task& task) {
-  Connection& conn = *task.conn;
-  requestCounter_.increment();
-  {
-    std::lock_guard lock(countersMutex_);
-    ++counters_.requests;
-    if (task.type == wire::FrameType::kVerify) ++counters_.verifyRequests;
-    if (task.type == wire::FrameType::kClassify) ++counters_.classifyRequests;
-  }
-  const JsonValue& request = task.jsonRequest;
-  const long long id = task.requestId;
-  try {
-    switch (task.type) {
-      case wire::FrameType::kPing: {
-        JsonWriter json;
-        json.beginObject();
-        json.key("id").value(id);
-        json.key("ok").value(true);
-        json.key("pong").value(true);
-        json.endObject();
-        sendJsonLine(conn, json.str());
-        break;
-      }
-      case wire::FrameType::kSleep: {
-        if (!config_.enableTestOps) {
-          throw std::invalid_argument(
-              "service: sleep is a test-only operation");
-        }
-        const JsonValue* millis = request.find("ms");
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(millis ? millis->asInt() : 0));
-        JsonWriter json;
-        json.beginObject();
-        json.key("id").value(id);
-        json.key("ok").value(true);
-        json.key("pong").value(true);
-        json.endObject();
-        sendJsonLine(conn, json.str());
-        break;
-      }
-      case wire::FrameType::kVerify: {
-        VerifyRequestFrame frame;
-        std::vector<int> labels;  // owns what the frame's span views
-        if (const JsonValue* fingerprint = request.find("fingerprint")) {
-          frame.problemRef = ProblemRefKind::kFingerprint;
-          frame.fingerprint =
-              static_cast<std::uint64_t>(fingerprint->asInt());
-        } else {
-          frame.spec = request.at("problem").asString();
-        }
-        if (const JsonValue* count = request.find("count")) {
-          frame.countViolations = count->asBool();
-        }
-        if (const JsonValue* degrade = request.find("allow_degrade")) {
-          frame.allowDegrade = degrade->asBool();
-        }
-        if (const JsonValue* tier = request.find("tier")) {
-          frame.tierPin = tierPinOf(tier->asString());
-        }
-        if (const JsonValue* threads = request.find("threads")) {
-          frame.threads = static_cast<std::uint32_t>(threads->asInt());
-        }
-        if (const JsonValue* path = request.find("path")) {
-          frame.labelling = LabellingKind::kPath;
-          frame.path = path->asString();
-        } else {
-          const std::vector<JsonValue>& array = request.at("labels").asArray();
-          labels.reserve(array.size());
-          for (const JsonValue& label : array) {
-            labels.push_back(static_cast<int>(label.asInt()));
-          }
-          frame.labels = labels;
-          frame.n = static_cast<std::uint32_t>(request.at("n").asInt());
-          if (const JsonValue* dims = request.find("dims")) {
-            frame.dims = static_cast<std::uint32_t>(dims->asInt());
-          }
-          if (const JsonValue* batch = request.find("batch")) {
-            frame.batch = static_cast<std::uint32_t>(batch->asInt());
-          }
-        }
-        const VerifyResultFrame result = runVerify(frame, sheddingNow());
-        JsonWriter json;
-        json.beginObject();
-        json.key("id").value(id);
-        json.key("ok").value(true);
-        json.key("feasible").value(result.feasible);
-        if (result.degraded) {
-          json.key("degraded").value(true);
-        }
-        json.key("violations").value(
-            static_cast<long long>(result.violations));
-        json.key("labellings").value(
-            static_cast<long long>(result.labellings));
-        json.key("tier").value(
-            verifyTierName(static_cast<VerifyTier>(result.tier)));
-        json.key("fingerprint").value(JsonWriter::hex(result.fingerprint));
-        json.key("nanos").value(static_cast<long long>(result.nanos));
-        if (!result.feasiblePerLabelling.empty()) {
-          json.key("feasible_per_labelling").beginArray();
-          for (std::uint8_t feasible : result.feasiblePerLabelling) {
-            json.value(feasible != 0);
-          }
-          json.endArray();
-        }
-        if (!result.violationsPerLabelling.empty()) {
-          json.key("violations_per_labelling").beginArray();
-          for (std::int64_t violations : result.violationsPerLabelling) {
-            json.value(static_cast<long long>(violations));
-          }
-          json.endArray();
-        }
-        json.endObject();
-        sendJsonLine(conn, json.str());
-        break;
-      }
-      case wire::FrameType::kClassify: {
-        ClassifyRequestFrame frame;
-        if (const JsonValue* fingerprint = request.find("fingerprint")) {
-          frame.problemRef = ProblemRefKind::kFingerprint;
-          frame.fingerprint =
-              static_cast<std::uint64_t>(fingerprint->asInt());
-        } else {
-          frame.spec = request.at("problem").asString();
-        }
-        const std::string classification = runClassify(frame);
-        sendJsonLine(conn, "{\"id\":" + std::to_string(id) +
-                               ",\"ok\":true,\"classification\":" +
-                               classification + "}");
-        break;
-      }
-      case wire::FrameType::kStats:
-        sendJsonLine(conn, "{\"id\":" + std::to_string(id) +
-                               ",\"ok\":true,\"stats\":" + statsJson() + "}");
-        break;
-      default:
-        throw std::invalid_argument("service: unknown request type");
-    }
-  } catch (const std::exception& error) {
-    {
-      std::lock_guard lock(countersMutex_);
-      ++counters_.errors;
-    }
-    errorCounter_.increment();
-    sendJsonLine(conn, jsonErrorLine(task.requestId, error.what()));
-  }
-}
-
 // --- request execution ------------------------------------------------------
-
-bool VerificationService::sheddingNow() const {
-  return config_.shedEnabled &&
-         queueDepthAtomic_.load(std::memory_order_relaxed) >=
-             static_cast<std::int64_t>(shedThreshold_);
-}
 
 void VerificationService::sendTimeout(Task& task) {
   {
@@ -867,21 +591,11 @@ void VerificationService::sendTimeout(Task& task) {
     ++counters_.timeouts;
   }
   timeoutCounter_.increment();
-  Connection& conn = *task.conn;
-  if (task.json) {
-    JsonWriter json;
-    json.beginObject();
-    json.key("id").value(static_cast<long long>(task.requestId));
-    json.key("timeout").value(true);
-    json.endObject();
-    sendJsonLine(conn, json.str());
-  } else {
-    sendFrame(conn, wire::FrameType::kTimeout, task.requestId, {});
-  }
+  sendFrame(*task.conn, wire::FrameType::kTimeout, task.requestId, {});
 }
 
 VerifyResultFrame VerificationService::runVerify(
-    const VerifyRequestFrame& frame, bool shedActive) {
+    const VerifyRequestFrame& frame) {
   VerifyRequest request;
   // The shared_ptrs keep cached problems alive across a concurrent
   // eviction for the duration of the call.
@@ -910,19 +624,6 @@ VerifyResultFrame VerificationService::runVerify(
   }
   request.options.tier = static_cast<TierPin>(frame.tierPin);
   request.options.countViolations = frame.countViolations;
-  // Graceful degradation: under shed pressure a countViolations request
-  // that opted in runs as early-exit verify instead -- same feasibility
-  // verdict, but the count becomes a lower bound; the result says so.
-  bool degraded = false;
-  if (shedActive && frame.allowDegrade && frame.countViolations) {
-    request.options.countViolations = false;
-    degraded = true;
-    {
-      std::lock_guard lock(countersMutex_);
-      ++counters_.shedDowngrades;
-    }
-    shedCounter_.increment();
-  }
   // Per-request parallelism is capped by the daemon's engineThreads budget
   // (0 on the wire asks for the daemon default).
   const int askedThreads =
@@ -951,7 +652,6 @@ VerifyResultFrame VerificationService::runVerify(
 
   VerifyResult result = verify(request);
   VerifyResultFrame out;
-  out.degraded = degraded;
   out.feasible = result.feasible;
   out.tier = static_cast<std::uint8_t>(result.tier);
   out.violations = result.violations;
@@ -1040,10 +740,6 @@ std::string VerificationService::statsJson() const {
   service.key("queue_peak_depth")
       .value(static_cast<long long>(counters.queuePeakDepth));
   service.key("timeouts").value(static_cast<long long>(counters.timeouts));
-  service.key("shed_downgrades")
-      .value(static_cast<long long>(counters.shedDowngrades));
-  service.key("shed_admission")
-      .value(static_cast<long long>(counters.shedAdmission));
   const auto cacheObject = [&service](const char* name,
                                       const support::LruStats& stats) {
     service.key(name).beginObject();
@@ -1083,15 +779,6 @@ void VerificationService::sendError(Connection& conn, std::uint32_t requestId,
   sendFrame(conn, wire::FrameType::kError, requestId,
             {reinterpret_cast<const std::uint8_t*>(message.data()),
              message.size()});
-}
-
-void VerificationService::sendJsonLine(Connection& conn,
-                                       const std::string& line) {
-  std::string out = line;
-  out.push_back('\n');
-  std::lock_guard lock(conn.writeMutex);
-  if (conn.fd < 0) return;
-  writeFully(conn.fd, out.data(), out.size());
 }
 
 }  // namespace lclgrid::service

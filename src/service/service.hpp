@@ -10,11 +10,10 @@
 //
 //  * an acceptor thread listens on a Unix socket or TCP loopback and spawns
 //    one reader thread per connection (bounded by maxConnections);
-//  * readers parse frames (binary or newline-JSON debug mode, detected on
-//    the first bytes of the connection) and admit requests into a central
-//    queue, bounding each client to maxQueuedPerClient admitted requests --
-//    an over-limit request is answered with an explicit kBusy frame and not
-//    executed, never silently dropped;
+//  * readers parse length-prefixed frames and admit requests into a
+//    central queue, bounding each client to maxQueuedPerClient admitted
+//    requests -- an over-limit request is answered with an explicit kBusy
+//    frame and not executed, never silently dropped;
 //  * serviceThreads worker threads drain the queue and execute requests
 //    through the unified front doors -- verify(VerifyRequest) and
 //    engine::classify() -- never through the legacy overloads;
@@ -50,7 +49,6 @@
 #include "lcl/grid_lcl.hpp"
 #include "lcl/grid_lcl_d.hpp"
 #include "service/protocol.hpp"
-#include "support/json.hpp"
 #include "support/lru_cache.hpp"
 #include "support/telemetry.hpp"
 
@@ -76,8 +74,6 @@ struct ServiceConfig {
   std::size_t maxPayloadBytes = std::size_t{64} << 20;
   /// Concurrent connections; further accepts are closed immediately.
   int maxConnections = 64;
-  /// Enables wire::FrameType::kSleep (tests drive the BUSY path with it).
-  bool enableTestOps = false;
   /// Per-request deadline: a request still queued this many ms after
   /// admission is answered kTimeout instead of executed (0 = no deadline).
   /// Bounds queue-wait latency; an already-executing request is never
@@ -87,16 +83,9 @@ struct ServiceConfig {
   /// writing a response to a wedged peer (0 = no bound).
   int sendTimeoutMs = 5000;
   /// stop() drains admitted requests for this long, then answers the still
-  /// queued remainder with kTimeout -- a typed shed, never a silent drop.
+  /// queued remainder with kTimeout -- typed, never a silent drop.
   /// The request currently executing on each worker still completes.
   int drainTimeoutMs = 2000;
-  /// Load shedding engages while the queue is at least this deep
-  /// (0 = auto: 4 * serviceThreads). Under shed: countViolations requests
-  /// that set allowDegrade run as early-exit verify, and the per-client
-  /// admission budget halves.
-  int shedQueueDepth = 0;
-  /// Master switch for the shedding policy (the overload bench A/Bs it).
-  bool shedEnabled = true;
 };
 
 /// Point-in-time service counters (plain values, available regardless of
@@ -111,15 +100,10 @@ struct ServiceCounters {
   std::int64_t connectionsRejected = 0;
   std::int64_t queueDepth = 0;      // now
   std::int64_t queuePeakDepth = 0;  // high-water mark
-  /// kTimeout responses: queue-wait deadline expiries plus requests shed
-  /// while draining. Never silently dropped -- every one was answered.
+  /// kTimeout responses: queue-wait deadline expiries plus requests still
+  /// queued when the drain window closed. Never silently dropped -- every
+  /// one was answered.
   std::int64_t timeouts = 0;
-  /// countViolations requests downgraded to early-exit verify under shed
-  /// pressure (the request allowed it; the result carried degraded).
-  std::int64_t shedDowngrades = 0;
-  /// kBusy rejections attributable to the halved shed-mode admission
-  /// budget (also counted in busyRejections).
-  std::int64_t shedAdmission = 0;
 };
 
 class VerificationService {
@@ -162,15 +146,12 @@ class VerificationService {
     /// later -- responses to a disconnected client must not write a
     /// recycled descriptor).
     std::atomic<bool> closeRequested{false};
-    bool jsonMode = false;
   };
   struct Task {
     std::shared_ptr<Connection> conn;
     wire::FrameType type = wire::FrameType::kPing;
     std::uint32_t requestId = 0;
-    std::vector<std::uint8_t> payload;   // binary frames
-    support::JsonValue jsonRequest;      // debug-mode requests
-    bool json = false;
+    std::vector<std::uint8_t> payload;
     /// Admission time; the worker enforces requestDeadlineMs against it.
     std::chrono::steady_clock::time_point admitted;
   };
@@ -197,24 +178,17 @@ class VerificationService {
 
   void acceptLoop();
   void connectionLoop(std::shared_ptr<Connection> conn);
-  void binaryLoop(const std::shared_ptr<Connection>& conn);
-  void jsonLoop(const std::shared_ptr<Connection>& conn);
-  /// Admission control; sends kBusy / enqueues. Returns false when the
-  /// connection should close (shutdown request).
-  bool admit(Task task);
+  /// Admission control: answers kBusy over the client's budget, else
+  /// enqueues.
+  void admit(Task task);
   void workerLoop();
   void execute(Task& task);
-  void executeJson(Task& task);
   void requestShutdown();
   void closeConnection(Connection& conn);
-  /// True while the shedding policy is engaged (queue at/over threshold).
-  bool sheddingNow() const;
-  /// Answers a task kTimeout (binary) / {"timeout":true} (JSON) without
-  /// executing it; counts it.
+  /// Answers a task kTimeout without executing it; counts it.
   void sendTimeout(Task& task);
 
-  VerifyResultFrame runVerify(const VerifyRequestFrame& frame,
-                              bool shedActive);
+  VerifyResultFrame runVerify(const VerifyRequestFrame& frame);
   std::string runClassify(const ClassifyRequestFrame& frame);
 
   void sendFrame(Connection& conn, wire::FrameType type,
@@ -222,19 +196,17 @@ class VerificationService {
                  std::span<const std::uint8_t> payload);
   void sendError(Connection& conn, std::uint32_t requestId,
                  const std::string& message);
-  void sendJsonLine(Connection& conn, const std::string& line);
 
   ServiceConfig config_;
   int listenFd_ = -1;
   int port_ = -1;
-  int shedThreshold_ = 0;
   std::atomic<bool> running_{false};
   std::atomic<bool> shutdownRequested_{false};
   /// stop() is draining: admissions answer kBusy, keeping the drain bound.
   std::atomic<bool> draining_{false};
   /// The drain deadline expired: workers answer queued tasks kTimeout.
   std::atomic<bool> cancelQueued_{false};
-  /// Queue depth mirrored atomically for lock-free shed checks.
+  /// Queue depth mirrored atomically for stop()'s lock-free drain wait.
   std::atomic<std::int64_t> queueDepthAtomic_{0};
   /// Requests currently executing on workers (the drain wait's second
   /// condition next to an empty queue).
@@ -262,7 +234,6 @@ class VerificationService {
   support::telemetry::Counter busyCounter_;
   support::telemetry::Counter errorCounter_;
   support::telemetry::Counter timeoutCounter_;
-  support::telemetry::Counter shedCounter_;
   support::telemetry::Gauge queueGauge_;
 };
 

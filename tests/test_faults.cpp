@@ -6,8 +6,9 @@
 // crash, or a silently wrong answer), the streaming verifier's fault
 // behaviour, fork-based crash-resume of the checkpointed streaming count
 // at several distinct slab boundaries, queue-wait deadlines (kTimeout),
-// graceful degradation under shed pressure, the retry/backoff client, and
-// bounded-drain shutdown.
+// the retry/backoff client, and bounded-drain shutdown. Workers are held
+// busy with the service.dispatch fault point (a delay before a request
+// executes).
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -97,7 +98,6 @@ service::VerifyRequestFrame verifyFrame(const std::string& spec, int n,
 ServiceConfig testConfig(int serviceThreads) {
   ServiceConfig config;
   config.serviceThreads = serviceThreads;
-  config.enableTestOps = true;
   return config;
 }
 
@@ -519,6 +519,7 @@ TEST(StreamCrashResume, StaleFingerprintRestartsFromScratch) {
 // --- deadlines and kTimeout -------------------------------------------------
 
 TEST(ServiceDeadline, ExpiredQueueWaitAnswersTimeout) {
+  FaultGuard guard;
   ServiceConfig config = testConfig(1);
   config.requestDeadlineMs = 50;
   VerificationService daemon(config);
@@ -527,9 +528,8 @@ TEST(ServiceDeadline, ExpiredQueueWaitAnswersTimeout) {
   // Occupy the single worker, then queue a ping that will out-wait its
   // deadline. Raw frames: a blocking call() would serialise the client.
   ServiceClient client = ServiceClient::connectTcp(daemon.port());
-  std::vector<std::uint8_t> sleepPayload;
-  wire::appendU32(sleepPayload, 300);
-  client.sendFrame(wire::FrameType::kSleep, 1, sleepPayload);
+  fp::armEntry("service.dispatch:delay=300@once");
+  client.sendFrame(wire::FrameType::kPing, 1, {});
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   client.sendFrame(wire::FrameType::kPing, 2, {});
 
@@ -546,15 +546,15 @@ TEST(ServiceDeadline, ExpiredQueueWaitAnswersTimeout) {
 }
 
 TEST(ServiceDeadline, ClientSurfacesKTimeoutAsTimeoutError) {
+  FaultGuard guard;
   ServiceConfig config = testConfig(1);
   config.requestDeadlineMs = 30;
   VerificationService daemon(config);
   daemon.start();
 
   ServiceClient blocker = ServiceClient::connectTcp(daemon.port());
-  std::vector<std::uint8_t> sleepPayload;
-  wire::appendU32(sleepPayload, 250);
-  blocker.sendFrame(wire::FrameType::kSleep, 1, sleepPayload);
+  fp::armEntry("service.dispatch:delay=250@once");
+  blocker.sendFrame(wire::FrameType::kPing, 1, {});
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
   ServiceClient verifier = ServiceClient::connectTcp(daemon.port());
@@ -567,80 +567,6 @@ TEST(ServiceDeadline, ClientSurfacesKTimeoutAsTimeoutError) {
   ASSERT_TRUE(after.has_value());
   EXPECT_TRUE(after->feasible);
   daemon.stop();
-}
-
-// --- graceful degradation ---------------------------------------------------
-
-TEST(ServiceDegradation, ShedDowngradesOptedInCountsToVerify) {
-  ServiceConfig config = testConfig(1);
-  config.shedQueueDepth = 1;  // shed as soon as anything queues
-  VerificationService daemon(config);
-  daemon.start();
-
-  const int n = 6;
-  std::vector<int> broken = properFourColouring(n);
-  broken[0] = broken[1];
-  service::VerifyRequestFrame frame = verifyFrame("vc:4", n, broken);
-  frame.allowDegrade = true;
-
-  ServiceClient client = ServiceClient::connectTcp(daemon.port());
-  std::vector<std::uint8_t> sleepPayload;
-  wire::appendU32(sleepPayload, 200);
-  client.sendFrame(wire::FrameType::kSleep, 1, sleepPayload);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  // Two queued requests keep the depth at the threshold when the first
-  // verify dispatches, so it sees shed pressure.
-  const std::vector<std::uint8_t> payload =
-      service::encodeVerifyRequest(frame);
-  client.sendFrame(wire::FrameType::kVerify, 2, payload);
-  client.sendFrame(wire::FrameType::kVerify, 3, payload);
-
-  ASSERT_TRUE(client.receive().has_value());  // pong for the sleep
-  const auto first = client.receive();
-  ASSERT_TRUE(first.has_value());
-  ASSERT_EQ(first->type, wire::FrameType::kVerifyResult);
-  const auto result = service::decodeVerifyResult(first->payload);
-  EXPECT_TRUE(result.degraded);
-  EXPECT_FALSE(result.feasible);  // the downgrade keeps the verdict exact
-  ASSERT_TRUE(client.receive().has_value());
-  EXPECT_GE(daemon.counters().shedDowngrades, 1);
-  daemon.stop();
-}
-
-TEST(ServiceDegradation, NoDegradeWithoutOptInOrWhenDisabled) {
-  for (const bool shedEnabled : {true, false}) {
-    ServiceConfig config = testConfig(1);
-    config.shedQueueDepth = 1;
-    config.shedEnabled = shedEnabled;
-    VerificationService daemon(config);
-    daemon.start();
-
-    const int n = 6;
-    std::vector<int> broken = properFourColouring(n);
-    broken[0] = broken[1];
-    service::VerifyRequestFrame frame = verifyFrame("vc:4", n, broken);
-    frame.allowDegrade = !shedEnabled;  // opted in, but shedding is off
-
-    ServiceClient client = ServiceClient::connectTcp(daemon.port());
-    std::vector<std::uint8_t> sleepPayload;
-    wire::appendU32(sleepPayload, 150);
-    client.sendFrame(wire::FrameType::kSleep, 1, sleepPayload);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    const std::vector<std::uint8_t> payload =
-        service::encodeVerifyRequest(frame);
-    client.sendFrame(wire::FrameType::kVerify, 2, payload);
-    client.sendFrame(wire::FrameType::kVerify, 3, payload);
-
-    ASSERT_TRUE(client.receive().has_value());
-    const auto reply = client.receive();
-    ASSERT_TRUE(reply.has_value());
-    ASSERT_EQ(reply->type, wire::FrameType::kVerifyResult);
-    const auto result = service::decodeVerifyResult(reply->payload);
-    EXPECT_FALSE(result.degraded);
-    EXPECT_GT(result.violations, 0);  // the exact count survived
-    ASSERT_TRUE(client.receive().has_value());
-    daemon.stop();
-  }
 }
 
 // --- retry / backoff --------------------------------------------------------
@@ -733,8 +659,8 @@ TEST(Retry, DaemonErrorsNeverRetry) {
   daemon.start();
   RetryPolicy policy;
   RetryingClient client(ServiceClient::connectTcp(daemon.port()), policy);
-  service::VerifyRequestFrame bad =
-      verifyFrame("no-such-problem", 6, properFourColouring(6));
+  const std::vector<int> labels = properFourColouring(6);  // outlives `bad`
+  service::VerifyRequestFrame bad = verifyFrame("no-such-problem", 6, labels);
   EXPECT_THROW(client.verify(bad), RemoteError);
   EXPECT_EQ(client.retryStats().attempts, 1);  // one try, no retry storm
   daemon.stop();
@@ -743,23 +669,23 @@ TEST(Retry, DaemonErrorsNeverRetry) {
 // --- bounded-drain shutdown -------------------------------------------------
 
 TEST(ServiceDrain, QueuedRemainderAnswersTimeoutNotSilence) {
+  FaultGuard guard;
   ServiceConfig config = testConfig(1);
   config.drainTimeoutMs = 0;  // cancel the queue immediately on stop()
   VerificationService daemon(config);
   daemon.start();
 
   ServiceClient client = ServiceClient::connectTcp(daemon.port());
-  std::vector<std::uint8_t> sleepPayload;
-  wire::appendU32(sleepPayload, 200);
-  client.sendFrame(wire::FrameType::kSleep, 1, sleepPayload);
+  fp::armEntry("service.dispatch:delay=200@once");
+  client.sendFrame(wire::FrameType::kPing, 1, {});
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   client.sendFrame(wire::FrameType::kPing, 2, {});
   client.sendFrame(wire::FrameType::kPing, 3, {});
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
 
   std::thread stopper([&daemon] { daemon.stop(); });
-  // The executing sleep completes (never preempted); the queued pings are
-  // answered kTimeout -- typed, not dropped, not executed.
+  // The executing delayed ping completes (never preempted); the queued
+  // pings are answered kTimeout -- typed, not dropped, not executed.
   const auto first = client.receive();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->type, wire::FrameType::kPong);
@@ -774,15 +700,15 @@ TEST(ServiceDrain, QueuedRemainderAnswersTimeoutNotSilence) {
 }
 
 TEST(ServiceDrain, DrainWindowLetsQueuedWorkFinish) {
+  FaultGuard guard;
   ServiceConfig config = testConfig(1);
   config.drainTimeoutMs = 2000;
   VerificationService daemon(config);
   daemon.start();
 
   ServiceClient client = ServiceClient::connectTcp(daemon.port());
-  std::vector<std::uint8_t> sleepPayload;
-  wire::appendU32(sleepPayload, 50);
-  client.sendFrame(wire::FrameType::kSleep, 1, sleepPayload);
+  fp::armEntry("service.dispatch:delay=50@once");
+  client.sendFrame(wire::FrameType::kPing, 1, {});
   client.sendFrame(wire::FrameType::kPing, 2, {});
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
 

@@ -3,9 +3,10 @@
 // networked daemon -- the error paths: bad magic, oversized and truncated
 // frames, mid-request disconnects, unknown specs/fingerprints, the
 // explicit-BUSY admission policy, and concurrent-client determinism across
-// service thread counts. Every service here binds an ephemeral TCP
-// loopback port (or a throwaway Unix socket), so tests can run in
-// parallel.
+// service thread counts. Workers are held busy with the service.dispatch
+// fault point (a delay before a request executes). Every service here
+// binds an ephemeral TCP loopback port (or a throwaway Unix socket), so
+// tests can run in parallel.
 #include <unistd.h>
 
 #include <cstdio>
@@ -17,19 +18,20 @@
 #include <gtest/gtest.h>
 
 #include "grid/torus2d.hpp"
+#include "helpers/json_value.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
 #include "lcl/verifier.hpp"
 #include "service/client.hpp"
 #include "service/problem_registry.hpp"
 #include "service/service.hpp"
-#include "support/json.hpp"
+#include "support/faultpoint.hpp"
 
 using namespace lclgrid;
-using service::JsonDebugClient;
 using service::ServiceClient;
 using service::ServiceConfig;
 using service::VerificationService;
+namespace fp = support::faultpoint;
 namespace wire = service::wire;
 
 namespace {
@@ -37,9 +39,14 @@ namespace {
 ServiceConfig testConfig() {
   ServiceConfig config;
   config.serviceThreads = 2;
-  config.enableTestOps = true;
   return config;
 }
+
+/// Every test that arms faults scopes them: leaking an armed point into
+/// the next test would make the suite order-dependent.
+struct FaultGuard {
+  ~FaultGuard() { fp::disarmAll(); }
+};
 
 std::vector<int> properFourColouring(int n) {
   std::vector<int> labels(static_cast<std::size_t>(n) * n);
@@ -276,6 +283,7 @@ TEST(ServiceDaemon, ClassifyGridAndCycle) {
 }
 
 TEST(ServiceDaemon, ErrorPathsBadMagicOversizedTruncatedDisconnect) {
+  FaultGuard guard;
   ServiceConfig config = testConfig();
   config.maxPayloadBytes = 4096;
   VerificationService daemon(config);
@@ -315,13 +323,77 @@ TEST(ServiceDaemon, ErrorPathsBadMagicOversizedTruncatedDisconnect) {
   {  // Disconnect mid-request: the response hits a closed socket; the
      // daemon must shrug it off.
     ServiceClient client = ServiceClient::connectTcp(daemon.port());
-    std::vector<std::uint8_t> payload;
-    wire::appendU32(payload, 50);  // ms
-    client.sendFrame(wire::FrameType::kSleep, 12, payload);
+    fp::armEntry("service.dispatch:delay=50@once");
+    client.sendFrame(wire::FrameType::kPing, 12, {});
     client.close();
   }
   ServiceClient survivor = ServiceClient::connectTcp(daemon.port());
   EXPECT_TRUE(survivor.ping());
+  daemon.stop();
+}
+
+TEST(ServiceDaemon, NonProtocolFirstBytesAnswerErrorAndClose) {
+  VerificationService daemon(testConfig());
+  daemon.start();
+  {  // A line of JSON is not a frame: one kError, then the daemon closes,
+     // without waiting for the 16 header bytes the line never completes.
+    ServiceClient client = ServiceClient::connectTcp(daemon.port());
+    const std::string line = "{\"op\":\"ping\"}\n";
+    client.sendRaw({reinterpret_cast<const std::uint8_t*>(line.data()),
+                    line.size()});
+    const auto reply = client.receive();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, wire::FrameType::kError);
+    EXPECT_FALSE(client.receive().has_value());  // connection closed
+  }
+  ServiceClient second = ServiceClient::connectTcp(daemon.port());
+  EXPECT_TRUE(second.ping());
+  daemon.stop();
+}
+
+TEST(ServiceDaemon, UnassignedFrameTypeAnswersError) {
+  VerificationService daemon(testConfig());
+  daemon.start();
+  ServiceClient client = ServiceClient::connectTcp(daemon.port());
+  std::vector<std::uint8_t> payload;
+  wire::appendU32(payload, 50);
+  client.sendFrame(static_cast<wire::FrameType>(0x06), 21, payload);
+  const auto reply = client.receive();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, wire::FrameType::kError);
+  EXPECT_EQ(reply->requestId, 21u);
+  EXPECT_TRUE(client.ping());  // a payload-level error keeps the stream
+  daemon.stop();
+}
+
+TEST(ServiceDaemon, ReservedVerifyFlagsAreIgnored) {
+  VerificationService daemon(testConfig());
+  daemon.start();
+  ServiceClient client = ServiceClient::connectTcp(daemon.port());
+  const int n = 8;
+  const Torus2D torus(n);
+  const GridLcl local = problems::vertexColouring(4);
+  std::vector<int> broken = properFourColouring(n);
+  broken[1] = broken[0];
+  broken[20] = broken[28];
+  const std::int64_t planted = countViolations(torus, local, broken);
+  ASSERT_GT(planted, 0);
+
+  // Bit 0 of the request flags word (payload bytes 36..39) set: the word
+  // is reserved, so the daemon must still answer the exact count.
+  std::vector<std::uint8_t> payload =
+      service::encodeVerifyRequest(verifyFrame("vc:4", n, broken));
+  payload[36] |= 1u;
+  client.sendFrame(wire::FrameType::kVerify, 31, payload);
+  const auto reply = client.receive();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, wire::FrameType::kVerifyResult);
+  ASSERT_GE(reply->payload.size(), 4u);
+  EXPECT_EQ(reply->payload[3], 0u);  // result flags byte
+  const service::VerifyResultFrame result =
+      service::decodeVerifyResult(reply->payload);
+  EXPECT_FALSE(result.feasible);
+  EXPECT_EQ(result.violations, planted);
   daemon.stop();
 }
 
@@ -341,6 +413,7 @@ TEST(ServiceDaemon, UnknownSpecAndCycleVerifyRejected) {
 }
 
 TEST(ServiceDaemon, OverloadAnswersExplicitBusyNeverSilent) {
+  FaultGuard guard;
   ServiceConfig config = testConfig();
   config.serviceThreads = 1;
   config.maxQueuedPerClient = 1;
@@ -349,14 +422,14 @@ TEST(ServiceDaemon, OverloadAnswersExplicitBusyNeverSilent) {
   ServiceClient client = ServiceClient::connectTcp(daemon.port());
   ASSERT_TRUE(client.ping());
 
-  // 5 sleeps back-to-back against a budget of 1: every frame must be
-  // answered -- admitted ones with kPong, the excess with kBusy.
+  // 5 pings back-to-back, each held 30 ms on the worker, against a budget
+  // of 1: every frame must be answered -- admitted ones with kPong, the
+  // excess with kBusy.
+  fp::armEntry("service.dispatch:delay=30");
   const int frames = 5;
   for (int i = 0; i < frames; ++i) {
-    std::vector<std::uint8_t> payload;
-    wire::appendU32(payload, 30);
-    client.sendFrame(wire::FrameType::kSleep,
-                     static_cast<std::uint32_t>(100 + i), payload);
+    client.sendFrame(wire::FrameType::kPing,
+                     static_cast<std::uint32_t>(100 + i), {});
   }
   int pongs = 0;
   int busy = 0;
@@ -370,9 +443,10 @@ TEST(ServiceDaemon, OverloadAnswersExplicitBusyNeverSilent) {
   EXPECT_GE(busy, 1);
   EXPECT_GE(pongs, 1);
   EXPECT_GE(daemon.counters().busyRejections, 1);
+  fp::disarmAll();
 
   // After the backlog drains, the client is admitted again.
-  EXPECT_TRUE(client.sleepMs(1));
+  EXPECT_TRUE(client.ping());
   daemon.stop();
 }
 
@@ -409,52 +483,6 @@ TEST(ServiceDaemon, ConcurrentClientsDeterministicAcrossServiceThreads) {
     }
     daemon.stop();
   }
-}
-
-TEST(ServiceDaemon, JsonDebugMode) {
-  VerificationService daemon(testConfig());
-  daemon.start();
-  JsonDebugClient client = JsonDebugClient::connectTcp(daemon.port());
-
-  const auto pong = client.request(R"({"op":"ping","id":1})");
-  ASSERT_TRUE(pong.has_value());
-  EXPECT_TRUE(support::parseJson(*pong).at("pong").asBool());
-
-  const auto feasible = client.request(
-      R"({"op":"verify","id":2,"problem":"vc:4","count":true,"n":2,)"
-      R"("labels":[0,1,2,3]})");
-  ASSERT_TRUE(feasible.has_value());
-  const support::JsonValue doc = support::parseJson(*feasible);
-  EXPECT_TRUE(doc.at("ok").asBool());
-  EXPECT_TRUE(doc.at("feasible").asBool());
-  EXPECT_EQ(doc.at("violations").asInt(), 0);
-
-  const auto classified =
-      client.request(R"({"op":"classify","id":3,"problem":"cvc:3"})");
-  ASSERT_TRUE(classified.has_value());
-  EXPECT_EQ(support::parseJson(*classified)
-                .at("classification")
-                .at("engine")
-                .asString(),
-            "cycle");
-
-  const auto stats = client.request(R"({"op":"stats","id":4})");
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_GE(support::parseJson(*stats)
-                .at("stats")
-                .at("service")
-                .at("requests")
-                .asInt(),
-            3);
-
-  const auto unknownOp = client.request(R"({"op":"frobnicate","id":5})");
-  ASSERT_TRUE(unknownOp.has_value());
-  EXPECT_NE(support::parseJson(*unknownOp).find("error"), nullptr);
-
-  const auto parseError = client.request("this is not json");
-  ASSERT_TRUE(parseError.has_value());
-  EXPECT_NE(support::parseJson(*parseError).find("error"), nullptr);
-  daemon.stop();
 }
 
 TEST(ServiceDaemon, StatsFrameCarriesServiceAndCacheCounters) {

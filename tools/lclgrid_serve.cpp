@@ -1,18 +1,13 @@
 // The verification service daemon binary (docs/service.md): hosts
 // service::VerificationService on a Unix socket or TCP loopback and blocks
 // until a client sends a kShutdown frame (or the process receives SIGINT /
-// SIGTERM). Clients speak the binary framing of service/protocol.hpp, or
-// plain newline JSON for debugging:
-//
-//   printf '{"op":"stats","id":1}\n' | nc 127.0.0.1 <port>
+// SIGTERM). Clients speak the binary framing of service/protocol.hpp.
 //
 // Usage: lclgrid_serve [--unix PATH | --port N] [--threads N]
 //                      [--engine-threads N] [--max-queued N] [--cache N]
 //                      [--report-cache N] [--max-payload BYTES]
-//                      [--max-connections N] [--test-ops]
-//                      [--drain-timeout-ms N] [--deadline-ms N]
-//                      [--send-timeout-ms N] [--shed | --no-shed]
-//                      [--shed-depth N]
+//                      [--max-connections N] [--drain-timeout-ms N]
+//                      [--deadline-ms N] [--send-timeout-ms N]
 //   --unix PATH        listen on a Unix socket (default: TCP loopback)
 //   --port N           TCP port (default 0 = ephemeral; resolved port is
 //                      printed on stdout)
@@ -23,22 +18,25 @@
 //   --report-cache N   oracle-report LRU capacity (default 64)
 //   --max-payload B    frame payload size limit in bytes (default 64 MiB)
 //   --max-connections N  concurrent connections (default 64)
-//   --test-ops         enable the kSleep test operation
 //   --drain-timeout-ms N  shutdown drains admitted requests this long, then
 //                      answers the queued remainder kTimeout (default 2000)
 //   --deadline-ms N    per-request queue-wait deadline; expired requests
 //                      answer kTimeout, never execute (default 0 = none)
 //   --send-timeout-ms N  SO_SNDTIMEO per connection (default 5000)
-//   --shed / --no-shed enable / disable load shedding (default on)
-//   --shed-depth N     queue depth where shedding engages (default
-//                      4 * threads)
+//
+// Every numeric argument must be a whole non-negative integer in range
+// (--port at most 65535); anything else, like an unknown flag, exits 2.
 //
 // Fault injection (docs/robustness.md): set LCLGRID_FAULTS, e.g.
 //   LCLGRID_FAULTS='service.write_response:drop@nth=3' lclgrid_serve ...
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
+#include <string>
 
 #include "service/service.hpp"
 
@@ -54,43 +52,53 @@ void onSignal(int) {
   if (gService != nullptr) gService->noteSignalShutdown();
 }
 
+/// The whole of `text` as an integer in [0, max]; nullopt otherwise.
+template <class T>
+std::optional<T> parseCount(const char* text, T max) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (*text == '-' || ec != std::errc() || ptr != end || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   lclgrid::service::ServiceConfig config;
   for (int i = 1; i < argc; ++i) {
-    const auto intArg = [&](const char* flag, int* out) {
-      if (std::strcmp(argv[i], flag) == 0 && i + 1 < argc) {
-        *out = std::atoi(argv[++i]);
-        return true;
+    // Parses the flag's value into *out; false when argv[i] is not `flag`.
+    // A missing, malformed or out-of-range value exits 2.
+    const auto numericArg = [&]<class T>(const char* flag, T* out,
+                                         T max = std::numeric_limits<T>::max()) {
+      if (std::strcmp(argv[i], flag) != 0) return false;
+      const std::optional<T> value =
+          i + 1 < argc ? parseCount(argv[i + 1], max) : std::nullopt;
+      if (!value) {
+        std::fprintf(stderr, "lclgrid_serve: %s needs an integer in [0, %s]\n",
+                     flag, std::to_string(max).c_str());
+        std::exit(2);
       }
-      return false;
+      *out = *value;
+      ++i;
+      return true;
     };
-    int value = 0;
     if (std::strcmp(argv[i], "--unix") == 0 && i + 1 < argc) {
       config.unixSocketPath = argv[++i];
-    } else if (intArg("--port", &config.tcpPort) ||
-               intArg("--threads", &config.serviceThreads) ||
-               intArg("--engine-threads", &config.engineThreads) ||
-               intArg("--max-queued", &config.maxQueuedPerClient) ||
-               intArg("--max-connections", &config.maxConnections) ||
-               intArg("--drain-timeout-ms", &config.drainTimeoutMs) ||
-               intArg("--deadline-ms", &config.requestDeadlineMs) ||
-               intArg("--send-timeout-ms", &config.sendTimeoutMs) ||
-               intArg("--shed-depth", &config.shedQueueDepth)) {
+    } else if (numericArg("--port", &config.tcpPort, 65535) ||
+               numericArg("--threads", &config.serviceThreads) ||
+               numericArg("--engine-threads", &config.engineThreads) ||
+               numericArg("--max-queued", &config.maxQueuedPerClient) ||
+               numericArg("--max-connections", &config.maxConnections) ||
+               numericArg("--drain-timeout-ms", &config.drainTimeoutMs) ||
+               numericArg("--deadline-ms", &config.requestDeadlineMs) ||
+               numericArg("--send-timeout-ms", &config.sendTimeoutMs) ||
+               numericArg("--cache", &config.problemCacheCapacity) ||
+               numericArg("--report-cache", &config.reportCacheCapacity) ||
+               numericArg("--max-payload", &config.maxPayloadBytes)) {
       // parsed in place
-    } else if (std::strcmp(argv[i], "--shed") == 0) {
-      config.shedEnabled = true;
-    } else if (std::strcmp(argv[i], "--no-shed") == 0) {
-      config.shedEnabled = false;
-    } else if (intArg("--cache", &value)) {
-      config.problemCacheCapacity = static_cast<std::size_t>(value);
-    } else if (intArg("--report-cache", &value)) {
-      config.reportCacheCapacity = static_cast<std::size_t>(value);
-    } else if (intArg("--max-payload", &value)) {
-      config.maxPayloadBytes = static_cast<std::size_t>(value);
-    } else if (std::strcmp(argv[i], "--test-ops") == 0) {
-      config.enableTestOps = true;
     } else {
       std::fprintf(stderr, "lclgrid_serve: unknown argument %s\n", argv[i]);
       return 2;
