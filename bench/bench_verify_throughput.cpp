@@ -10,6 +10,13 @@
 // Reports verified nodes/sec per (dims, problem, path) and the speedup
 // ratios, as JSON in the repo-wide {name, config, results[]} schema.
 //
+// The SIMD ladder: every 2D serial "bitsliced" row is measured once per
+// bitslice::SimdTier rung up to the one this process runs (LCLGRID_SIMD and
+// the host decide it; config.simd_tier names it), each row carrying a
+// "simd" field -- scalar (the SSE2 baseline on x86-64), avx2, avx512. The
+// sweep covers the byte-lane colouring kernel (vertex colouring), the
+// generic pair-plane networks and the nibble LUT (weak-3-colouring-1).
+//
 // Timing hygiene: every problem's table is compiled once, at GridLcl
 // construction, before any timed region; the table fingerprint is recorded
 // up front and asserted unchanged after the sweep, so the JSON measures
@@ -134,7 +141,10 @@ struct PathResult {
   long long passes = 0;
   std::int64_t violations = 0;  // checksum: must match within a sweep
   long long peakRssKb = 0;      // recorded on the mmap paths only
+  const char* simd = nullptr;   // the SIMD rung of a ladder row
 };
+
+constexpr const char* kRungNames[] = {"scalar", "avx2", "avx512"};
 
 /// Process peak resident set in KiB (a high-water mark, so meaningful for
 /// the mmap paths only when the in-core sweep is skipped); 0 when the
@@ -257,6 +267,8 @@ int main(int argc, char** argv) {
   // What an unconfigured caller's auto-selection picks (LCLGRID_BITSLICE);
   // restored around the explicitly pinned table/bitsliced paths.
   const bool defaultBitslice = bitslice::enabled();
+  // The top of the SIMD ladder; restored after every ladder sweep.
+  const bitslice::SimdTier topRung = bitslice::simdTier();
 
   std::vector<PathResult> results;
   bool checksumOk = true;
@@ -267,14 +279,16 @@ int main(int argc, char** argv) {
       Torus2D torus(n);
       // The decomposable sigma <= 4 problems are the bit-sliced kernel's
       // headline case (>= 4x target); noHorizontalOnePair exercises the
-      // generic pair-network form on the same sweep. --mmap-only keeps a
-      // single problem: the sweep cost there is dominated by writing and
-      // re-reading the (potentially multi-GB) labelling file.
+      // generic pair-network form and weakColouring(3, 1) the nibble LUT
+      // on the same sweep. --mmap-only keeps a single problem: the sweep
+      // cost there is dominated by writing and re-reading the (potentially
+      // multi-GB) labelling file.
       std::vector<GridLcl> problems2d;
       problems2d.push_back(problems::vertexColouring(colours));
       if (!mmapOnly) {
         problems2d.push_back(problems::vertexColouring(3));
         problems2d.push_back(problems::noHorizontalOnePair());
+        problems2d.push_back(problems::weakColouring(3, 1));
       }
       for (const GridLcl& lcl : problems2d) {
         // Compiled once, here, outside every timed region.
@@ -307,10 +321,15 @@ int main(int argc, char** argv) {
           results.back().lanes = threads;
           bitslice::setEnabled(true);  // pin the bit-sliced kernel
           if (verifier_detail::bitsliceSelected(lcl, torus.size())) {
-            results.push_back(
-                measure(dims, n, "bitsliced", nodes, minSeconds, [&]() {
-                  return countViolations(torus, lcl, labels);
-                }));
+            for (int rung = 0; rung <= static_cast<int>(topRung); ++rung) {
+              bitslice::setSimdTier(static_cast<bitslice::SimdTier>(rung));
+              results.push_back(
+                  measure(dims, n, "bitsliced", nodes, minSeconds, [&]() {
+                    return countViolations(torus, lcl, labels);
+                  }));
+              results.back().simd = kRungNames[rung];
+            }
+            bitslice::setSimdTier(topRung);
             results.push_back(measure(
                 dims, n, "bitsliced_sharded", nodes, minSeconds, [&]() {
                   return countViolations(torus, lcl, labels, engineOptions);
@@ -457,6 +476,7 @@ int main(int argc, char** argv) {
   json.key("threads").value(threads);
   json.key("min_seconds").value(minSeconds);
   json.key("bitslice_default").value(defaultBitslice);
+  json.key("simd_tier").value(kRungNames[static_cast<int>(topRung)]);
   json.key("mmap").value(mmapMode);
   json.key("mmap_only").value(mmapOnly);
   json.key("dims").beginArray();
@@ -480,6 +500,7 @@ int main(int argc, char** argv) {
     if (result.path == "mmap_stream" || result.path == "mmap_stream_sharded") {
       json.key("peak_rss_kb").value(result.peakRssKb);
     }
+    if (result.simd != nullptr) json.key("simd").value(result.simd);
     const double functionalRate =
         rateOf(result.dims, result.problem, "functional");
     if (functionalRate > 0.0) {

@@ -81,6 +81,11 @@ run_json -t d4 bench_verify_throughput 32 0.02 --threads 2 --dims 4
 # labelling, verifies it from the mapping serial + sharded, and reports the
 # peak_rss_kb / nodes_per_sec_per_core columns check_bench_json.py gates.
 run_json -t mmap bench_verify_throughput --smoke --threads 2 --dims 2 --mmap
+# The SIMD ladder: the 2D serial bitsliced rows run once per rung up to the
+# process's tier (check_bench_json.py requires exactly that ladder, with a
+# simd field per row); capped runs must stop the ladder at their cap.
+LCLGRID_SIMD=0 run_json -t simd0 bench_verify_throughput --smoke --threads 2 --dims 2
+LCLGRID_SIMD=1 run_json -t simd1 bench_verify_throughput --smoke --threads 2 --dims 2
 # The LCLGRID_BITSLICE=0 escape hatch must keep the bench (and the auto-
 # selected batched paths) healthy; bash scopes the prefixed variable to
 # this one call.

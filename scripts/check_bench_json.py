@@ -46,7 +46,11 @@ def check_verify_throughput(doc, results, errors):
     normalised column the perf trajectory plots); a --mmap run must
     contain the mmap_stream rows with a positive finite peak_rss_kb (the
     bounded-memory claim's measurable form). A --mmap-only run skips the
-    in-core sweep, so the bitsliced requirement is waived there."""
+    in-core sweep, so the bitsliced requirement is waived there.
+
+    The SIMD ladder: every 2D serial "bitsliced" row carries a "simd" rung
+    name, and each 2D problem with such rows has exactly one per rung from
+    "scalar" up to the run's config.simd_tier."""
     config = doc.get("config") if isinstance(doc.get("config"), dict) else {}
     mmap_only = config.get("mmap_only") is True
     bitsliced = [
@@ -64,6 +68,27 @@ def check_verify_throughput(doc, results, errors):
             errors.append(f"{label}: missing speedup_vs_table")
         elif not math.isfinite(speedup) or speedup <= 0:
             errors.append(f"{label}: speedup_vs_table not a positive finite")
+    rungs = ["scalar", "avx2", "avx512"]
+    top = config.get("simd_tier")
+    if top not in rungs:
+        errors.append(f"verify_throughput config.simd_tier {top!r} is not a rung")
+    else:
+        ladders = {}
+        for entry in bitsliced:
+            if entry.get("dims") != 2 or entry.get("path") != "bitsliced":
+                continue
+            label = f"{entry.get('problem')}/bitsliced"
+            if entry.get("simd") not in rungs:
+                errors.append(f"{label}: missing/invalid simd rung")
+                continue
+            ladders.setdefault(entry.get("problem"), []).append(entry["simd"])
+        expected = rungs[: rungs.index(top) + 1]
+        for problem, ladder in ladders.items():
+            if sorted(ladder, key=rungs.index) != expected:
+                errors.append(
+                    f"{problem}/bitsliced: simd rungs {ladder}, expected "
+                    f"{expected}"
+                )
     for entry in results:
         if not isinstance(entry, dict):
             continue

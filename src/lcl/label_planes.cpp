@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "lcl/sse2_max.hpp"
+
 #if defined(__SSE2__)
 #include <immintrin.h>
 #if defined(__GNUC__) || defined(__clang__)
@@ -45,20 +47,6 @@ int readSimdEnv() {
   }
   return 2;
 }
-
-#if defined(__SSE2__)
-
-/// Lane-wise unsigned 32-bit max (pmaxud is SSE4.1): flip the sign bits so
-/// a signed compare orders the lanes as unsigned, then blend.
-inline __m128i maxEpu32(__m128i a, __m128i b) {
-  const __m128i sign = _mm_set1_epi32(INT32_MIN);
-  const __m128i aGreater =
-      _mm_cmpgt_epi32(_mm_xor_si128(a, sign), _mm_xor_si128(b, sign));
-  return _mm_or_si128(_mm_and_si128(aGreater, a),
-                      _mm_andnot_si128(aGreater, b));
-}
-
-#endif  // __SSE2__
 
 #if defined(LCLGRID_BITSLICE_AVX2)
 

@@ -122,7 +122,9 @@ struct PairNetwork {
   bool complement = false;  // terms enumerate the *forbidden* pairs
   /// Shape fast path: the predicate is exactly lo != hi on [0, sigma)^2
   /// (colouring-style constraints), so eval is one XOR + OR per plane
-  /// instead of the minterm loop. terms still hold the generic form.
+  /// instead of the minterm loop, and a 2D plan whose networks are both
+  /// notEqual runs the verifier's byte-lane kernel instead of planes.
+  /// terms still hold the generic form.
   bool notEqual = false;
   std::vector<Term> terms;
 

@@ -131,7 +131,7 @@ struct StreamWindow {
   /// from the recorded cursor; counts are bit-identical to an
   /// uninterrupted run because totals are exact int64 sums over disjoint
   /// row ranges (docs/robustness.md).
-  std::string checkpointPath;
+  std::string checkpointPath = {};
   /// Checkpoint cadence: write every this many slabs (>= 1).
   long long checkpointEverySlabs = 1;
 };

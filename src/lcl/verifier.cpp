@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "lcl/sse2_max.hpp"
 #include "lcl/verify_probes.hpp"
 
 // Runtime-dispatched wide clones of the bit-sliced word loops, following
@@ -60,358 +61,353 @@ std::int64_t tableViolations(const LclTable& table, int n, const int* labels,
   return bad;
 }
 
-// --- wide row workers for the fused notEqual kernel ------------------------
-// One call processes one grid row: pass 1 fills hE[w] (the horizontal
-// east-pair stream, wrap bit in the last word), pass 2 derives the west
-// stream from hE, fuses the vertical streams and counts, writing vUp for
-// reuse as the next row's down stream. The scalar single-pass loop in
-// notEqualPlanesViolations computes the same words in a different order;
-// the counts are identical bit for bit. Workers take a runtime plane count
-// B so one function pointer type covers every alphabet.
+// --- byte-lane colouring kernel --------------------------------------------
+// Tables whose pair networks are both `lo != hi` (vertex colouring) are edge
+// checkable: a node is valid iff its label differs from each neighbour's.
+// Each int32 row is narrowed to one byte per label, once, and neighbouring
+// byte lanes are compared directly, 64 nodes per mask word:
+//   eqE = cur[x] == cur[x + 1]  (the byte row carries its wrap byte at [n])
+//   eqN = cur[x] == next[x]     (row y + 1, compared as it is narrowed)
+//   eqW = eqE one lane up plus a carried lane;  eqS = the last row's eqN
+// and node x of row y is violated iff eqE | eqW | eqN | eqS. Each SimdTier
+// rung (SSE2, AVX2, AVX-512BW) has one word loop that narrows a row while
+// it decides the row before it, keeping the unsigned max of the raw labels
+// for the alphabet check; a row's partial last word runs the same loop on
+// a zero-padded copy of its labels. The nibble tier's packByteRow runs the
+// same loops with no row to decide. Every rung counts bit for bit alike.
 
-using NotEqualRowFn = std::int64_t (*)(const std::uint64_t* curP,
-                                       const std::uint64_t* nextP,
-                                       const std::uint64_t* vPrev,
-                                       std::uint64_t* vUp, std::uint64_t* hE,
-                                       int B, std::size_t W,
-                                       std::uint64_t tail, int topShift,
-                                       bool stopAtFirst);
+/// A rung's word loop over `words` 64-label words: narrows the labels into
+/// `next` and raises maxLabel to the largest of them, as unsigned. With
+/// `cur` set (the row before, wrap byte after its last label) it also
+/// decides `cur` against them, rolling `carry` (eqE of the lane before) and
+/// eqS, and returns the violations among `laneMask`'s lanes of each word
+/// (at most 1 with stopAtFirst). An out-of-range label narrows to some
+/// byte; the caller discards such a pass through maxLabel.
+using ByteRowFn = std::int64_t (*)(const int* labels, std::size_t words,
+                                   std::uint8_t* next, const std::uint8_t* cur,
+                                   std::uint64_t* eqS, std::uint64_t& carry,
+                                   bool stopAtFirst, unsigned& maxLabel,
+                                   std::uint64_t laneMask);
+
+/// One word's violated lanes from its east and north compares; rolls the
+/// west carry and the south stream.
+inline std::uint64_t colourWord(std::uint64_t eqE, std::uint64_t eqN,
+                                std::uint64_t& carry, std::uint64_t& eqS) {
+  const std::uint64_t violated = eqE | (eqE << 1) | carry | eqN | eqS;
+  carry = eqE >> 63;
+  eqS = eqN;
+  return violated;
+}
+
+#if !defined(__SSE2__)
+
+/// The portable rung, for builds without SSE2: the word loop lane by lane.
+std::int64_t byteRowPortable(const int* labels, std::size_t words,
+                             std::uint8_t* next, const std::uint8_t* cur,
+                             std::uint64_t* eqS, std::uint64_t& carry,
+                             bool stopAtFirst, unsigned& maxLabel,
+                             std::uint64_t laneMask) {
+  std::int64_t bad = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t eqE = 0;
+    std::uint64_t eqN = 0;
+    for (int i = 0; i < 64; ++i) {
+      const std::size_t x = w * 64 + static_cast<std::size_t>(i);
+      maxLabel = std::max(maxLabel, static_cast<unsigned>(labels[x]));
+      next[x] = static_cast<std::uint8_t>(labels[x]);
+      if (cur == nullptr) continue;
+      eqE |= static_cast<std::uint64_t>(cur[x] == cur[x + 1]) << i;
+      eqN |= static_cast<std::uint64_t>(cur[x] == next[x]) << i;
+    }
+    if (cur == nullptr) continue;
+    const std::uint64_t violated =
+        colourWord(eqE, eqN, carry, eqS[w]) & laneMask;
+    if (violated != 0) {
+      bad += std::popcount(violated);
+      if (stopAtFirst) break;
+    }
+  }
+  return stopAtFirst ? std::min<std::int64_t>(bad, 1) : bad;
+}
+
+#endif  // !__SSE2__
+
+#if defined(__SSE2__)
+
+using bitslice::maxEpu32;
+
+/// Asks for the 64-byte label line 4 KiB past `line` into L2. The word
+/// loops read one int32 row per kernel row, and on a torus beyond the L3
+/// the hardware prefetchers alone leave them waiting on DRAM: on a 9216^2
+/// vc:4 torus (4-vCPU AVX-512 Xeon) this lifts the per-CPU rate ~1.3x at
+/// 1 and 4 lanes. The address is formed as an integer because it may lie
+/// past the labelling's end, where a prefetch is harmless but pointer
+/// arithmetic is undefined.
+inline void prefetchAhead(const int* line) {
+  constexpr std::uintptr_t kAhead = 4096;
+  _mm_prefetch(reinterpret_cast<const char*>(
+                   reinterpret_cast<std::uintptr_t>(line) + kAhead),
+               _MM_HINT_T1);
+}
+
+/// Equal byte lanes of two 16-byte rows as a 16-bit mask.
+inline std::uint64_t eqMask16(__m128i a, __m128i b) {
+  return static_cast<std::uint16_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(a, b)));
+}
+
+/// SSE2 rung: four 16-label steps per word, each narrowed with two pack
+/// stages (signed then unsigned saturation, already in label order).
+std::int64_t byteRowSse2(const int* labels, std::size_t words,
+                         std::uint8_t* next, const std::uint8_t* cur,
+                         std::uint64_t* eqS, std::uint64_t& carry,
+                         bool stopAtFirst, unsigned& maxLabel,
+                         std::uint64_t laneMask) {
+  __m128i maxLabels = _mm_setzero_si128();
+  std::int64_t bad = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t eqE = 0;
+    std::uint64_t eqN = 0;
+    for (int k = 0; k < 64; k += 16) {
+      const std::size_t x = w * 64 + static_cast<std::size_t>(k);
+      prefetchAhead(labels + x);
+      const auto* p = reinterpret_cast<const __m128i*>(labels + x);
+      const __m128i a = _mm_loadu_si128(p);
+      const __m128i b = _mm_loadu_si128(p + 1);
+      const __m128i c = _mm_loadu_si128(p + 2);
+      const __m128i d = _mm_loadu_si128(p + 3);
+      maxLabels = maxEpu32(maxLabels,
+                           maxEpu32(maxEpu32(a, b), maxEpu32(c, d)));
+      const __m128i bytes =
+          _mm_packus_epi16(_mm_packs_epi32(a, b), _mm_packs_epi32(c, d));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(next + x), bytes);
+      if (cur == nullptr) continue;
+      const __m128i here =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cur + x));
+      const __m128i east =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(cur + x + 1));
+      eqE |= eqMask16(here, east) << k;
+      eqN |= eqMask16(here, bytes) << k;
+    }
+    if (cur == nullptr) continue;
+    const std::uint64_t violated =
+        colourWord(eqE, eqN, carry, eqS[w]) & laneMask;
+    if (violated != 0) {
+      bad += std::popcount(violated);
+      if (stopAtFirst) break;
+    }
+  }
+  alignas(16) std::uint32_t lanes[4];
+  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), maxLabels);
+  maxLabel = std::max(maxLabel, *std::max_element(lanes, lanes + 4));
+  return stopAtFirst ? std::min<std::int64_t>(bad, 1) : bad;
+}
+
+#endif  // __SSE2__
 
 #if defined(LCLGRID_VERIFY_AVX2)
 
 #if !defined(__AVX2__)
 __attribute__((target("avx2")))
 #endif
-std::int64_t notEqualRowAvx2(const std::uint64_t* curP,
-                             const std::uint64_t* nextP,
-                             const std::uint64_t* vPrev, std::uint64_t* vUp,
-                             std::uint64_t* hE, int B, std::size_t W,
-                             std::uint64_t tail, int topShift,
-                             bool stopAtFirst) {
-  // Pass 1: hE. The vector body reads plane[w + 1 .. w + 4], so it stops
-  // before the last word, whose east stream needs the wrap bit anyway.
-  std::size_t w = 0;
-  for (; w + 5 <= W; w += 4) {
-    __m256i h = _mm256_setzero_si256();
-    for (int b = 0; b < B; ++b) {
-      const std::uint64_t* plane = curP + static_cast<std::size_t>(b) * W;
-      const __m256i c =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plane + w));
-      const __m256i shifted =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(plane + w + 1));
-      const __m256i east = _mm256_or_si256(_mm256_srli_epi64(c, 1),
-                                           _mm256_slli_epi64(shifted, 63));
-      h = _mm256_or_si256(h, _mm256_xor_si256(c, east));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(hE + w), h);
-  }
-  for (; w < W; ++w) {
-    std::uint64_t h = 0;
-    for (int b = 0; b < B; ++b) {
-      const std::uint64_t* plane = curP + static_cast<std::size_t>(b) * W;
-      std::uint64_t east = plane[w] >> 1;
-      if (w + 1 < W) {
-        east |= plane[w + 1] << 63;
-      } else {
-        east |= (plane[0] & 1u) << topShift;
-      }
-      h |= plane[w] ^ east;
-    }
-    hE[w] = h;
-  }
-  // Pass 2: west from hE, vertical streams, count. Word 0 and the tail
-  // words run scalar (wrap carry / tail mask).
+inline std::uint64_t eqMask32(__m256i a, __m256i b) {
+  return static_cast<std::uint32_t>(
+      _mm256_movemask_epi8(_mm256_cmpeq_epi8(a, b)));
+}
+
+/// AVX2 rung: two 32-label steps per word. The 256-bit packs interleave
+/// their 128-bit lanes, so one dword permute restores label order.
+#if !defined(__AVX2__)
+__attribute__((target("avx2")))
+#endif
+std::int64_t byteRowAvx2(const int* labels, std::size_t words,
+                         std::uint8_t* next, const std::uint8_t* cur,
+                         std::uint64_t* eqS, std::uint64_t& carry,
+                         bool stopAtFirst, unsigned& maxLabel,
+                         std::uint64_t laneMask) {
+  const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  __m256i maxLabels = _mm256_setzero_si256();
   std::int64_t bad = 0;
-  {
-    const std::uint64_t hW = (hE[0] << 1) | ((hE[W - 1] >> topShift) & 1u);
-    std::uint64_t vU = 0;
-    for (int b = 0; b < B; ++b) {
-      vU |= curP[static_cast<std::size_t>(b) * W] ^
-            nextP[static_cast<std::size_t>(b) * W];
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t eqE = 0;
+    std::uint64_t eqN = 0;
+    for (int k = 0; k < 64; k += 32) {
+      const std::size_t x = w * 64 + static_cast<std::size_t>(k);
+      prefetchAhead(labels + x);
+      prefetchAhead(labels + x + 16);
+      const auto* p = reinterpret_cast<const __m256i*>(labels + x);
+      const __m256i a = _mm256_loadu_si256(p);
+      const __m256i b = _mm256_loadu_si256(p + 1);
+      const __m256i c = _mm256_loadu_si256(p + 2);
+      const __m256i d = _mm256_loadu_si256(p + 3);
+      maxLabels = _mm256_max_epu32(
+          maxLabels, _mm256_max_epu32(_mm256_max_epu32(a, b),
+                                      _mm256_max_epu32(c, d)));
+      const __m256i bytes = _mm256_permutevar8x32_epi32(
+          _mm256_packus_epi16(_mm256_packs_epi32(a, b),
+                              _mm256_packs_epi32(c, d)),
+          order);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(next + x), bytes);
+      if (cur == nullptr) continue;
+      const __m256i here =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cur + x));
+      const __m256i east =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cur + x + 1));
+      eqE |= eqMask32(here, east) << k;
+      eqN |= eqMask32(here, bytes) << k;
     }
-    vUp[0] = vU;
-    const std::uint64_t ok = hE[0] & hW & vU & vPrev[0];
-    const std::uint64_t violated = ~ok & (W == 1 ? tail : ~std::uint64_t{0});
-    if (violated != 0) {
-      if (stopAtFirst) return 1;
-      bad += std::popcount(violated);
-    }
-  }
-  std::size_t v = 1;
-  for (; v + 4 < W; v += 4) {
-    const __m256i he =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hE + v));
-    const __m256i hePrev =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hE + v - 1));
-    const __m256i hw = _mm256_or_si256(_mm256_slli_epi64(he, 1),
-                                       _mm256_srli_epi64(hePrev, 63));
-    __m256i vu = _mm256_setzero_si256();
-    for (int b = 0; b < B; ++b) {
-      const std::size_t off = static_cast<std::size_t>(b) * W + v;
-      vu = _mm256_or_si256(
-          vu, _mm256_xor_si256(_mm256_loadu_si256(
-                                   reinterpret_cast<const __m256i*>(curP + off)),
-                               _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-                                   nextP + off))));
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(vUp + v), vu);
-    const __m256i ok = _mm256_and_si256(
-        _mm256_and_si256(he, hw),
-        _mm256_and_si256(vu, _mm256_loadu_si256(
-                                 reinterpret_cast<const __m256i*>(vPrev + v))));
-    const __m256i violated = _mm256_andnot_si256(ok, _mm256_set1_epi64x(-1));
-    if (!_mm256_testz_si256(violated, violated)) {
-      if (stopAtFirst) return 1;
-      alignas(32) std::uint64_t lanes[4];
-      _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), violated);
-      bad += std::popcount(lanes[0]) + std::popcount(lanes[1]) +
-             std::popcount(lanes[2]) + std::popcount(lanes[3]);
-    }
-  }
-  for (; v < W; ++v) {
-    const std::uint64_t hW = (hE[v] << 1) | (hE[v - 1] >> 63);
-    std::uint64_t vU = 0;
-    for (int b = 0; b < B; ++b) {
-      vU |= curP[static_cast<std::size_t>(b) * W + v] ^
-            nextP[static_cast<std::size_t>(b) * W + v];
-    }
-    vUp[v] = vU;
-    const std::uint64_t ok = hE[v] & hW & vU & vPrev[v];
+    if (cur == nullptr) continue;
     const std::uint64_t violated =
-        ~ok & (v + 1 == W ? tail : ~std::uint64_t{0});
+        colourWord(eqE, eqN, carry, eqS[w]) & laneMask;
     if (violated != 0) {
-      if (stopAtFirst) return 1;
       bad += std::popcount(violated);
+      if (stopAtFirst) break;
     }
   }
-  return bad;
+  alignas(32) std::uint32_t lanes[8];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), maxLabels);
+  maxLabel = std::max(maxLabel, *std::max_element(lanes, lanes + 8));
+  return stopAtFirst ? std::min<std::int64_t>(bad, 1) : bad;
 }
 
 #endif  // LCLGRID_VERIFY_AVX2
 
 #if defined(LCLGRID_VERIFY_AVX512)
 
-#if !defined(__AVX512F__) || !defined(__AVX512VPOPCNTDQ__)
-__attribute__((target("avx512f,avx512vpopcntdq")))
+#if !defined(__AVX512F__)
+__attribute__((target("avx512f")))
 #endif
-std::int64_t notEqualRowAvx512(const std::uint64_t* curP,
-                               const std::uint64_t* nextP,
-                               const std::uint64_t* vPrev, std::uint64_t* vUp,
-                               std::uint64_t* hE, int B, std::size_t W,
-                               std::uint64_t tail, int topShift,
-                               bool stopAtFirst) {
-  std::size_t w = 0;
-  for (; w + 9 <= W; w += 8) {
-    __m512i h = _mm512_setzero_si512();
-    for (int b = 0; b < B; ++b) {
-      const std::uint64_t* plane = curP + static_cast<std::size_t>(b) * W;
-      const __m512i c = _mm512_loadu_si512(plane + w);
-      const __m512i shifted = _mm512_loadu_si512(plane + w + 1);
-      const __m512i east = _mm512_or_si512(_mm512_srli_epi64(c, 1),
-                                           _mm512_slli_epi64(shifted, 63));
-      h = _mm512_or_si512(h, _mm512_xor_si512(c, east));
-    }
-    _mm512_storeu_si512(hE + w, h);
-  }
-  for (; w < W; ++w) {
-    std::uint64_t h = 0;
-    for (int b = 0; b < B; ++b) {
-      const std::uint64_t* plane = curP + static_cast<std::size_t>(b) * W;
-      std::uint64_t east = plane[w] >> 1;
-      if (w + 1 < W) {
-        east |= plane[w + 1] << 63;
-      } else {
-        east |= (plane[0] & 1u) << topShift;
-      }
-      h |= plane[w] ^ east;
-    }
-    hE[w] = h;
-  }
+inline __m512i maxEpu32x16(__m512i a, __m512i b) {
+  return _mm512_maskz_max_epu32(0xFFFF, a, b);
+}
+
+/// AVX-512BW rung: one 64-label step per word, compares straight into mask
+/// registers. The packs interleave the four 128-bit lanes; one dword
+/// permute restores label order.
+#if !defined(__AVX512F__) || !defined(__AVX512BW__)
+__attribute__((target("avx512f,avx512bw")))
+#endif
+std::int64_t byteRowAvx512(const int* labels, std::size_t words,
+                           std::uint8_t* next, const std::uint8_t* cur,
+                           std::uint64_t* eqS, std::uint64_t& carry,
+                           bool stopAtFirst, unsigned& maxLabel,
+                           std::uint64_t laneMask) {
+  const __m512i order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10,
+                                          14, 3, 7, 11, 15);
+  // vpmaxud and vpermd in their zero-masked forms over all lanes: the
+  // unmasked intrinsics pass an undefined source operand, which GCC 12
+  // reports under -Wmaybe-uninitialized.
+  __m512i maxLabels = _mm512_setzero_si512();
   std::int64_t bad = 0;
-  {
-    const std::uint64_t hW = (hE[0] << 1) | ((hE[W - 1] >> topShift) & 1u);
-    std::uint64_t vU = 0;
-    for (int b = 0; b < B; ++b) {
-      vU |= curP[static_cast<std::size_t>(b) * W] ^
-            nextP[static_cast<std::size_t>(b) * W];
-    }
-    vUp[0] = vU;
-    const std::uint64_t ok = hE[0] & hW & vU & vPrev[0];
-    const std::uint64_t violated = ~ok & (W == 1 ? tail : ~std::uint64_t{0});
+  for (std::size_t w = 0; w < words; ++w) {
+    const int* p = labels + w * 64;
+    for (int line = 0; line < 64; line += 16) prefetchAhead(p + line);
+    const __m512i a = _mm512_loadu_si512(p);
+    const __m512i b = _mm512_loadu_si512(p + 16);
+    const __m512i c = _mm512_loadu_si512(p + 32);
+    const __m512i d = _mm512_loadu_si512(p + 48);
+    maxLabels = maxEpu32x16(maxLabels, maxEpu32x16(maxEpu32x16(a, b),
+                                                   maxEpu32x16(c, d)));
+    const __m512i bytes = _mm512_maskz_permutexvar_epi32(
+        0xFFFF, order,
+        _mm512_packus_epi16(_mm512_packs_epi32(a, b),
+                            _mm512_packs_epi32(c, d)));
+    _mm512_storeu_si512(next + w * 64, bytes);
+    if (cur == nullptr) continue;
+    const __m512i here = _mm512_loadu_si512(cur + w * 64);
+    const std::uint64_t violated = colourWord(
+        _mm512_cmpeq_epi8_mask(here, _mm512_loadu_si512(cur + w * 64 + 1)),
+        _mm512_cmpeq_epi8_mask(here, bytes), carry, eqS[w]) & laneMask;
     if (violated != 0) {
-      if (stopAtFirst) return 1;
       bad += std::popcount(violated);
+      if (stopAtFirst) break;
     }
   }
-  std::size_t v = 1;
-  for (; v + 8 < W; v += 8) {
-    const __m512i he = _mm512_loadu_si512(hE + v);
-    const __m512i hePrev = _mm512_loadu_si512(hE + v - 1);
-    const __m512i hw = _mm512_or_si512(_mm512_slli_epi64(he, 1),
-                                       _mm512_srli_epi64(hePrev, 63));
-    __m512i vu = _mm512_setzero_si512();
-    for (int b = 0; b < B; ++b) {
-      const std::size_t off = static_cast<std::size_t>(b) * W + v;
-      vu = _mm512_or_si512(vu,
-                           _mm512_xor_si512(_mm512_loadu_si512(curP + off),
-                                            _mm512_loadu_si512(nextP + off)));
-    }
-    _mm512_storeu_si512(vUp + v, vu);
-    const __m512i ok = _mm512_and_si512(
-        _mm512_and_si512(he, hw),
-        _mm512_and_si512(vu, _mm512_loadu_si512(vPrev + v)));
-    const __m512i violated =
-        _mm512_andnot_si512(ok, _mm512_set1_epi64(-1));
-    if (_mm512_test_epi64_mask(violated, violated) != 0) {
-      if (stopAtFirst) return 1;
-      bad += _mm512_reduce_add_epi64(_mm512_popcnt_epi64(violated));
-    }
-  }
-  for (; v < W; ++v) {
-    const std::uint64_t hW = (hE[v] << 1) | (hE[v - 1] >> 63);
-    std::uint64_t vU = 0;
-    for (int b = 0; b < B; ++b) {
-      vU |= curP[static_cast<std::size_t>(b) * W + v] ^
-            nextP[static_cast<std::size_t>(b) * W + v];
-    }
-    vUp[v] = vU;
-    const std::uint64_t ok = hE[v] & hW & vU & vPrev[v];
-    const std::uint64_t violated =
-        ~ok & (v + 1 == W ? tail : ~std::uint64_t{0});
-    if (violated != 0) {
-      if (stopAtFirst) return 1;
-      bad += std::popcount(violated);
-    }
-  }
-  return bad;
+  alignas(64) std::uint32_t lanes[16];
+  _mm512_store_si512(lanes, maxLabels);
+  maxLabel = std::max(maxLabel, *std::max_element(lanes, lanes + 16));
+  return stopAtFirst ? std::min<std::int64_t>(bad, 1) : bad;
 }
 
 #endif  // LCLGRID_VERIFY_AVX512
 
-/// The widest worker worth running at this row width (the vector bodies
-/// need enough words to engage; below the floor the scalar loop wins), or
-/// nullptr for the scalar path. simdTier() folds in the LCLGRID_SIMD cap
-/// and host support, so a capped process takes the exact fallback path a
-/// narrower machine would.
-NotEqualRowFn selectNotEqualRowFn(std::size_t W) {
+/// The word loop of the rung simdTier() allows (it folds in the
+/// LCLGRID_SIMD cap and the host).
+ByteRowFn selectByteRowFn() {
 #if defined(LCLGRID_VERIFY_AVX512)
-  if (W >= 12 && bitslice::simdTier() >= bitslice::SimdTier::kAvx512) {
-    return &notEqualRowAvx512;
+  if (bitslice::simdTier() >= bitslice::SimdTier::kAvx512) {
+    return &byteRowAvx512;
   }
 #endif
 #if defined(LCLGRID_VERIFY_AVX2)
-  if (W >= 6 && bitslice::simdTier() >= bitslice::SimdTier::kAvx2) {
-    return &notEqualRowAvx2;
-  }
+  if (bitslice::simdTier() >= bitslice::SimdTier::kAvx2) return &byteRowAvx2;
 #endif
-  (void)W;
-  return nullptr;
+#if defined(__SSE2__)
+  return &byteRowSse2;
+#else
+  return &byteRowPortable;
+#endif
 }
 
-/// Fused fast path of the pair-planes kernel for colouring-shaped tables:
-/// both networks are `lo != hi`, so a pair stream is one XOR + OR per
-/// plane and the whole row collapses into a single word pass -- the east
-/// stream is read from the pre-shifted planes, the west stream is derived
-/// from the east stream with a carried bit instead of a buffer pass, and
-/// the up stream is stored for reuse as the next row's down stream.
-/// Compile-time B keeps the plane loops unrolled. Wide rows dispatch each
-/// row to the AVX2/AVX-512 worker selected above instead.
-template <bool StopAtFirst, int B>
-std::int64_t notEqualPlanesViolations(int n, int nRows, const int* labels,
-                                      int yBegin, int yEnd,
-                                      unsigned& maxLabel) {
+/// One whole row of n labels through a ByteRowFn; lane 0's west carry is
+/// lane n - 1's eqE. `next` and `cur` hold whole 64-lane words plus one
+/// byte: a partial last word is narrowed from a zero-padded copy of its
+/// labels, and its lanes >= n read and write bytes past the row.
+std::int64_t byteRow(ByteRowFn fn, const int* labels, int n,
+                     std::uint8_t* next, const std::uint8_t* cur,
+                     std::uint64_t* eqS, bool stopAtFirst,
+                     unsigned& maxLabel) {
+  const std::size_t full = static_cast<std::size_t>(n) / 64;
+  std::uint64_t carry = cur != nullptr && cur[n - 1] == cur[n] ? 1 : 0;
+  const std::int64_t bad = fn(labels, full, next, cur, eqS, carry, stopAtFirst,
+                              maxLabel, ~std::uint64_t{0});
+  if (n % 64 == 0 || (stopAtFirst && bad != 0)) return bad;
+  alignas(64) int padded[64] = {};
+  std::copy(labels + full * 64, labels + n, padded);
+  const std::size_t x = full * 64;
+  return bad + fn(padded, 1, next + x, cur == nullptr ? nullptr : cur + x,
+                  cur == nullptr ? nullptr : eqS + full, carry, stopAtFirst,
+                  maxLabel, bitslice::rowTailMask(n));
+}
+
+/// Bit-sliced kernel, colouring shape, over grid rows [yBegin, yEnd) of an
+/// nRows x n row-major labelling (rows wrap cyclically, so a shard is
+/// self-contained): two rolling byte rows and the eqS stream, one read of
+/// every label row.
+template <bool StopAtFirst>
+std::int64_t colouringViolations(int n, int nRows, const int* labels,
+                                 int yBegin, int yEnd, unsigned& maxLabel) {
+  const ByteRowFn fn = selectByteRowFn();
+  // Whole words plus the wrap byte, in separate allocations, so a read past
+  // a row's buffer is a heap overflow the sanitizers see.
   const std::size_t W = bitslice::wordsPerRow(n);
-  const std::uint64_t tail = bitslice::rowTailMask(n);
-  const int topShift = (n - 1) & 63;
-  const NotEqualRowFn rowFn = selectNotEqualRowFn(W);
-  std::vector<std::uint64_t> store(
-      (static_cast<std::size_t>(B) * 3 + 3) * W);
-  std::uint64_t* prevP = store.data();
-  std::uint64_t* curP = prevP + static_cast<std::size_t>(B) * W;
-  std::uint64_t* nextP = curP + static_cast<std::size_t>(B) * W;
-  std::uint64_t* vUp = nextP + static_cast<std::size_t>(B) * W;
-  std::uint64_t* vPrev = vUp + W;
-  std::uint64_t* hBuf = vPrev + W;  // hE scratch of the wide workers
-  // East word w of plane b, in-sweep: the one-bit cyclic shift of the
-  // cur plane, with the wrap bit (x = n-1 <- x = 0) landing in the last
-  // word -- no shifted-plane buffer pass needed.
-  const auto eastWord = [&](const std::uint64_t* plane, std::size_t w) {
-    std::uint64_t word = plane[w] >> 1;
-    if (w + 1 < W) {
-      word |= plane[w + 1] << 63;
-    } else {
-      word |= (plane[0] & 1u) << topShift;
-    }
-    return word;
-  };
-  const auto rowAt = [&](int y) {
+  std::vector<std::uint8_t> rowA(64 * W + 1);
+  std::vector<std::uint8_t> rowB(64 * W + 1);
+  std::vector<std::uint64_t> eqS(W);
+  std::uint8_t* cur = rowA.data();
+  std::uint8_t* next = rowB.data();
+  // Narrows row y into `into`, deciding `against` (when set) on the way.
+  const auto narrow = [&](int y, std::uint8_t* into,
+                          const std::uint8_t* against, bool stopAtFirst) {
     const int wrapped = y < 0 ? y + nRows : (y >= nRows ? y - nRows : y);
-    return labels + static_cast<std::size_t>(wrapped) * n;
+    const std::int64_t bad =
+        byteRow(fn, labels + static_cast<std::size_t>(wrapped) * n, n, into,
+                against, eqS.data(), stopAtFirst, maxLabel);
+    into[n] = into[0];
+    return bad;
   };
-  maxLabel = std::max(bitslice::transposeRow(rowAt(yBegin - 1), n, B, prevP),
-                      bitslice::transposeRow(rowAt(yBegin), n, B, curP));
-  for (std::size_t w = 0; w < W; ++w) {
-    std::uint64_t diff = 0;
-    for (int b = 0; b < B; ++b) {
-      diff |= prevP[static_cast<std::size_t>(b) * W + w] ^
-              curP[static_cast<std::size_t>(b) * W + w];
-    }
-    vPrev[w] = diff;
-  }
+  // Priming: deciding row yBegin - 1 against row yBegin leaves eqS holding
+  // row yBegin's south compares; that row's own count is not in range.
+  maxLabel = 0;
+  narrow(yBegin - 1, cur, nullptr, false);
+  narrow(yBegin, next, cur, false);
   std::int64_t bad = 0;
   for (int y = yBegin; y < yEnd; ++y) {
-    maxLabel =
-        std::max(maxLabel, bitslice::transposeRow(rowAt(y + 1), n, B, nextP));
-    if (rowFn != nullptr) {
-      const std::int64_t rowBad = rowFn(curP, nextP, vPrev, vUp, hBuf, B, W,
-                                        tail, topShift, StopAtFirst);
-      if (rowBad != 0) {
-        if constexpr (StopAtFirst) return 1;
-        bad += rowBad;
-      }
-    } else {
-      // The west stream needs the east stream's wrap bit (x = n-1, always
-      // in the last word) before the forward sweep reaches it.
-      std::uint64_t hLast = 0;
-      for (int b = 0; b < B; ++b) {
-        const std::uint64_t* plane = curP + static_cast<std::size_t>(b) * W;
-        hLast |= plane[W - 1] ^ eastWord(plane, W - 1);
-      }
-      std::uint64_t carry = (hLast >> topShift) & 1u;
-      for (std::size_t w = 0; w < W; ++w) {
-        std::uint64_t hE;
-        if (w + 1 == W) {
-          hE = hLast;
-        } else {
-          hE = 0;
-          for (int b = 0; b < B; ++b) {
-            const std::uint64_t* plane =
-                curP + static_cast<std::size_t>(b) * W;
-            hE |= plane[w] ^ eastWord(plane, w);
-          }
-        }
-        const std::uint64_t hW = (hE << 1) | carry;
-        carry = hE >> 63;
-        std::uint64_t vU = 0;
-        for (int b = 0; b < B; ++b) {
-          vU |= curP[static_cast<std::size_t>(b) * W + w] ^
-                nextP[static_cast<std::size_t>(b) * W + w];
-        }
-        vUp[w] = vU;
-        const std::uint64_t ok = hE & hW & vU & vPrev[w];
-        const std::uint64_t violated =
-            ~ok & (w + 1 == W ? tail : ~std::uint64_t{0});
-        if (violated != 0) {
-          if constexpr (StopAtFirst) return 1;
-          bad += std::popcount(violated);
-        }
-      }
+    std::swap(cur, next);
+    const std::int64_t rowBad = narrow(y + 1, next, cur, StopAtFirst);
+    if (rowBad != 0) {
+      if constexpr (StopAtFirst) return 1;
+      bad += rowBad;
     }
-    std::uint64_t* spare = prevP;
-    prevP = curP;
-    curP = nextP;
-    nextP = spare;
-    std::swap(vPrev, vUp);
   }
   return bad;
 }
@@ -429,21 +425,6 @@ template <bool StopAtFirst>
 std::int64_t pairPlanesViolations(const bitslice::BitslicePlan& plan, int n,
                                   int nRows, const int* labels, int yBegin,
                                   int yEnd, unsigned& maxLabel) {
-  if (plan.h.notEqual && plan.v.notEqual) {
-    switch (plan.planes) {
-      case 1:
-        return notEqualPlanesViolations<StopAtFirst, 1>(
-            n, nRows, labels, yBegin, yEnd, maxLabel);
-      case 2:
-        return notEqualPlanesViolations<StopAtFirst, 2>(
-            n, nRows, labels, yBegin, yEnd, maxLabel);
-      case 3:
-        return notEqualPlanesViolations<StopAtFirst, 3>(
-            n, nRows, labels, yBegin, yEnd, maxLabel);
-      default:
-        break;  // unreachable for sigma <= 8; fall through to generic
-    }
-  }
   const int B = plan.planes;
   const std::size_t W = bitslice::wordsPerRow(n);
   const std::uint64_t tail = bitslice::rowTailMask(n);
@@ -505,24 +486,20 @@ std::uint64_t byteTailMask(int n) {
                   : (std::uint64_t{1} << (8 * rem)) - 1;
 }
 
-/// Packs one row of n labels into byte lanes, 8 per word; lanes >= n are
-/// zero. Returns the row's largest label as unsigned (transposeRow's
-/// contract): a label >= 4 spills into its neighbours' lanes, but the
-/// kernel masks every LUT key to 8 bits, so garbage never reads outside
-/// the table and the caller discards the pass.
-unsigned packByteRow(const int* labels, int n, std::uint64_t* out) {
-  const std::size_t W8 = byteWords(n);
+/// Packs one row of n labels into byte lanes, 8 per word, through the
+/// colouring kernel's byte loops: `out` holds whole 64-lane words, and the
+/// lanes >= n are zero (the padded last word). Returns the row's largest
+/// label as unsigned (transposeRow's contract): a label >= 4 narrows to a
+/// byte that spills into its neighbours' key fields, but the kernel masks
+/// every LUT key to 8 bits, so garbage never reads outside the table and
+/// the caller discards the pass.
+unsigned packByteRow(ByteRowFn fn, const int* labels, int n,
+                     std::uint64_t* out) {
+  static_assert(std::endian::native == std::endian::little,
+                "byte lane i of a word is its bits [8i, 8i + 8)");
   unsigned maxLabel = 0;
-  for (std::size_t w = 0; w < W8; ++w) {
-    const int base = static_cast<int>(w) * 8;
-    const int m = std::min(8, n - base);
-    std::uint64_t word = 0;
-    for (int i = 0; i < m; ++i) {
-      maxLabel = std::max(maxLabel, static_cast<unsigned>(labels[base + i]));
-      word |= static_cast<std::uint64_t>(labels[base + i]) << (8 * i);
-    }
-    out[w] = word;
-  }
+  byteRow(fn, labels, n, reinterpret_cast<std::uint8_t*>(out), nullptr,
+          nullptr, false, maxLabel);
   return maxLabel;
 }
 
@@ -566,8 +543,8 @@ using NibbleRowFn = std::int64_t (*)(const std::uint8_t* byWest,
                                      const std::uint64_t* west, int n,
                                      bool stopAtFirst);
 
-/// The scalar per-lane extraction over words [wBegin, byteWords(n)), shared
-/// by the wide workers' tails.
+/// The scalar per-lane extraction over words [wBegin, byteWords(n)): whole
+/// rows without a wide worker, and the wide workers' tails.
 std::int64_t nibbleLanesScalar(const std::uint8_t* byWest,
                                const std::uint64_t* south,
                                const std::uint64_t* cur,
@@ -670,9 +647,11 @@ std::int64_t nibbleRowAvx512(const std::uint8_t* byWest,
     const __m512i e = _mm512_loadu_si512(east + w);
     const __m512i s = _mm512_loadu_si512(south + w);
     const __m512i wst = _mm512_loadu_si512(west + w);
+    // 16-bit shifts: the two-bit fields stay inside their bytes either way,
+    // and the AVX-512BW shift has a defined (zero) pass-through operand.
     const __m512i key = _mm512_or_si512(
-        _mm512_or_si512(c, _mm512_slli_epi64(nrt, 2)),
-        _mm512_or_si512(_mm512_slli_epi64(e, 4), _mm512_slli_epi64(s, 6)));
+        _mm512_or_si512(c, _mm512_slli_epi16(nrt, 2)),
+        _mm512_or_si512(_mm512_slli_epi16(e, 4), _mm512_slli_epi16(s, 6)));
     const __mmask64 high = _mm512_movepi8_mask(key);
     const __m512i lowVal = _mm512_permutex2var_epi8(z0, key, z1);
     const __m512i highVal = _mm512_permutex2var_epi8(z2, key, z3);
@@ -724,54 +703,42 @@ std::int64_t nibbleViolations(const bitslice::NibbleLut& lut, int n,
                               int nRows, const int* labels, int yBegin,
                               int yEnd, unsigned& maxLabel) {
   const std::array<std::uint8_t, 256>& byW = lut.byWest;
+  const ByteRowFn packFn = selectByteRowFn();
   const NibbleRowFn rowFn = selectNibbleRowFn(n);
   std::array<std::uint32_t, 256> lut32{};
   if (rowFn != nullptr) {
     // The AVX2 gather reads 32-bit entries; widen the byte table once.
     for (std::size_t i = 0; i < byW.size(); ++i) lut32[i] = byW[i];
   }
-  const std::size_t W8 = byteWords(n);
-  std::vector<std::uint64_t> store(5 * W8);
+  // Buffers of whole 64-lane words: packByteRow stores whole words.
+  const std::size_t stride = 8 * bitslice::wordsPerRow(n);
+  std::vector<std::uint64_t> store(5 * stride);
   std::uint64_t* south = store.data();
-  std::uint64_t* cur = south + W8;
-  std::uint64_t* north = cur + W8;
-  std::uint64_t* east = north + W8;
-  std::uint64_t* west = east + W8;
+  std::uint64_t* cur = south + stride;
+  std::uint64_t* north = cur + stride;
+  std::uint64_t* east = north + stride;
+  std::uint64_t* west = east + stride;
   const auto rowAt = [&](int y) {
     const int wrapped = y < 0 ? y + nRows : (y >= nRows ? y - nRows : y);
     return labels + static_cast<std::size_t>(wrapped) * n;
   };
-  maxLabel = std::max(packByteRow(rowAt(yBegin - 1), n, south),
-                      packByteRow(rowAt(yBegin), n, cur));
+  maxLabel = std::max(packByteRow(packFn, rowAt(yBegin - 1), n, south),
+                      packByteRow(packFn, rowAt(yBegin), n, cur));
   std::int64_t bad = 0;
   for (int y = yBegin; y < yEnd; ++y) {
-    maxLabel = std::max(maxLabel, packByteRow(rowAt(y + 1), n, north));
+    maxLabel =
+        std::max(maxLabel, packByteRow(packFn, rowAt(y + 1), n, north));
     shiftByteUp(cur, east, n);
     shiftByteDown(cur, west, n);
-    if (rowFn != nullptr) {
-      const std::int64_t rowBad = rowFn(byW.data(), lut32.data(), south, cur,
-                                        north, east, west, n, StopAtFirst);
-      if (rowBad != 0) {
-        if constexpr (StopAtFirst) return 1;
-        bad += rowBad;
-      }
-    } else {
-      for (std::size_t w = 0; w < W8; ++w) {
-        // Disjoint two-bit fields, so the lane-parallel ORs cannot carry.
-        std::uint64_t key =
-            cur[w] | (north[w] << 2) | (east[w] << 4) | (south[w] << 6);
-        std::uint64_t wv = west[w];
-        const int m = std::min(8, n - static_cast<int>(w) * 8);
-        for (int i = 0; i < m; ++i) {
-          if (!((byW[static_cast<std::size_t>(key & 0xFFu)] >> (wv & 3u)) &
-                1u)) {
-            if constexpr (StopAtFirst) return 1;
-            ++bad;
-          }
-          key >>= 8;
-          wv >>= 8;
-        }
-      }
+    const std::int64_t rowBad =
+        rowFn != nullptr
+            ? rowFn(byW.data(), lut32.data(), south, cur, north, east, west,
+                    n, StopAtFirst)
+            : nibbleLanesScalar(byW.data(), south, cur, north, east, west, n,
+                                0, StopAtFirst);
+    if (rowBad != 0) {
+      if constexpr (StopAtFirst) return 1;
+      bad += rowBad;
     }
     std::uint64_t* spare = south;
     south = cur;
@@ -788,6 +755,10 @@ std::int64_t bitsliceViolations(const bitslice::BitslicePlan& plan, int n,
                                 int nRows, const int* labels, int yBegin,
                                 int yEnd, unsigned& maxLabel) {
   if (plan.kind == bitslice::BitslicePlan::Kind::kPairPlanes) {
+    if (plan.h.notEqual && plan.v.notEqual) {
+      return colouringViolations<StopAtFirst>(n, nRows, labels, yBegin, yEnd,
+                                              maxLabel);
+    }
     return pairPlanesViolations<StopAtFirst>(plan, n, nRows, labels, yBegin,
                                              yEnd, maxLabel);
   }

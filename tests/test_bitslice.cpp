@@ -4,11 +4,20 @@
 // predicate, plan synthesis expectations over the registry, and the
 // headline contract -- bit-sliced counts are bit-for-bit identical to the
 // row-pointer kernel over the whole problem registry, on odd and even
-// torus sides (word-tail handling) and at 1/2/8 engine threads.
+// torus sides (word-tail handling) and at 1/2/8 engine threads -- and the
+// byte-lane colouring kernel against the functional tier on every SIMD
+// rung, with clashes on the seams and shard boundaries, in core and
+// streamed.
+#include <unistd.h>
+
 #include <algorithm>
 #include <climits>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +27,9 @@
 #include "lcl/grid_lcl_d.hpp"
 #include "lcl/label_planes.hpp"
 #include "lcl/problems.hpp"
+#include "lcl/stream_verify.hpp"
 #include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 
 using namespace lclgrid;
 
@@ -564,6 +575,209 @@ TEST(SimdTier, TransposeReportsTheRowsUnsignedMaxAtEveryTier) {
           ASSERT_EQ(back, labels) << "tier=" << static_cast<int>(tier)
                                   << " n=" << n << " x=" << x;
         }
+      }
+    }
+  }
+}
+
+// --- the byte-lane colouring kernel ------------------------------------------
+// vc:2..vc:8 (one to three planes) run the byte-lane kernel. A pinned
+// bit-sliced request must answer exactly like the functional tier on every
+// SimdTier rung, at 1/2/8 lanes, in count and verify mode. The widths sit
+// on and around the 16/32/64-label steps of the rungs; 781 adds twelve full
+// words and a 13-lane tail.
+
+namespace {
+
+constexpr int kColouringWidths[] = {1,  2,  3,   15,  16,  17,  31,  32,
+                                    33, 63, 64,  65,  127, 128, 129, 781};
+constexpr bitslice::SimdTier kRungs[] = {bitslice::SimdTier::kScalar,
+                                         bitslice::SimdTier::kAvx2,
+                                         bitslice::SimdTier::kAvx512};
+/// Rows per shard of the threaded runs, so clashes can sit on the rows
+/// either side of a shard boundary.
+constexpr std::int64_t kColouringGrain = 4;
+
+VerifyResult runColouring(const Torus2D& torus, const GridLcl& lcl,
+                          std::span<const int> labels, bool count,
+                          int threads, TierPin pin) {
+  VerifyRequest request;
+  request.problem = &lcl;
+  request.torus = &torus;
+  request.labels = labels;
+  request.options.countViolations = count;
+  request.options.engine.threads = threads;
+  request.options.engine.grain = kColouringGrain;
+  request.options.tier = pin;
+  return verify(request);
+}
+
+/// label = (x + y) mod k: a proper k-colouring unless n = 1 (mod k), where
+/// the x and y seams clash.
+std::vector<int> diagonalColouring(int n, int k) {
+  std::vector<int> labels(static_cast<std::size_t>(n) * n);
+  for (int y = 0; y < n; ++y) {
+    for (int x = 0; x < n; ++x) {
+      labels[static_cast<std::size_t>(y) * n + x] = (x + y) % k;
+    }
+  }
+  return labels;
+}
+
+/// Runs the pinned bit-sliced tier on every rung and lane count against
+/// the functional tier, in both modes.
+void expectColouringMatchesFunctional(const Torus2D& torus, const GridLcl& lcl,
+                                      const std::vector<int>& labels,
+                                      const std::string& what) {
+  TierGuard guard;
+  for (bool count : {false, true}) {
+    const VerifyResult reference =
+        runColouring(torus, lcl, labels, count, 1, TierPin::kFunctional);
+    for (bitslice::SimdTier rung : kRungs) {
+      bitslice::setSimdTier(rung);
+      for (int threads : {1, 2, 8}) {
+        const VerifyResult result = runColouring(torus, lcl, labels, count,
+                                                 threads, TierPin::kBitsliced);
+        ASSERT_EQ(result.feasible, reference.feasible)
+            << what << " count=" << count << " rung="
+            << static_cast<int>(rung) << " threads=" << threads;
+        if (count) {
+          ASSERT_EQ(result.violations, reference.violations)
+              << what << " rung=" << static_cast<int>(rung)
+              << " threads=" << threads;
+        }
+      }
+    }
+  }
+}
+
+/// Sites of planted clashes on an n x n torus: the x seam (n - 1 <-> 0) on
+/// the first, a middle and the last row, the y seam (row n - 1 <-> row 0),
+/// and the rows either side of the first two shard boundaries. Each pair
+/// is (node, node whose label it copies).
+std::vector<std::pair<int, int>> seamClashes(int n) {
+  const auto at = [n](int x, int y) { return y * n + x; };
+  std::vector<std::pair<int, int>> sites = {
+      {at(n - 1, 0), at(0, 0)},
+      {at(n - 1, n / 2), at(0, n / 2)},
+      {at(n - 1, n - 1), at(0, n - 1)},
+      {at(n / 3, n - 1), at(n / 3, 0)},
+      {at(0, n - 1), at(0, 0)}};
+  for (int boundary = static_cast<int>(kColouringGrain);
+       boundary < n && boundary <= 2 * kColouringGrain;
+       boundary += static_cast<int>(kColouringGrain)) {
+    sites.push_back({at(n - 1, boundary), at(n - 1, boundary - 1)});
+    sites.push_back({at(n / 2, boundary - 1), at(n / 2, boundary)});
+  }
+  return sites;
+}
+
+std::string tempLabellingPath(int n, int k) {
+  const char* dir = std::getenv("TMPDIR");
+  return std::string(dir != nullptr && *dir != '\0' ? dir : "/tmp") +
+         "/lclgrid_colouring_" + std::to_string(::getpid()) + "_" +
+         std::to_string(n) + "_" + std::to_string(k) + ".lcllab";
+}
+
+}  // namespace
+
+TEST(ColouringKernel, PinnedMatchesFunctionalOnEveryWidthRungAndLaneCount) {
+  for (int k = 2; k <= 8; ++k) {
+    const GridLcl lcl = problems::vertexColouring(k);
+    const bitslice::BitslicePlan& plan = *lcl.table().bitslicePlan();
+    ASSERT_TRUE(plan.h.notEqual && plan.v.notEqual) << lcl.name();
+    ASSERT_EQ(plan.planes, bitslice::planeCount(k));
+    for (int n : kColouringWidths) {
+      const Torus2D torus(n);
+      std::vector<int> planted = diagonalColouring(n, k);
+      planted[static_cast<std::size_t>(n) * (n / 2) + n / 3] =
+          planted[static_cast<std::size_t>(n) * (n / 2) + (n / 3 + 1) % n];
+      const std::vector<std::vector<int>> labellings = {
+          diagonalColouring(n, k), planted,
+          randomLabels(torus.size(), k,
+                       static_cast<std::uint32_t>(k * 1000 + n))};
+      for (std::size_t i = 0; i < labellings.size(); ++i) {
+        expectColouringMatchesFunctional(
+            torus, lcl, labellings[i],
+            lcl.name() + " n=" + std::to_string(n) +
+                " labelling=" + std::to_string(i));
+      }
+    }
+  }
+}
+
+TEST(ColouringKernel, SeamAndShardBoundaryClashesMatchFunctional) {
+  const GridLcl lcl = problems::vertexColouring(4);
+  // n != 1 (mod 4), so the diagonal colouring is proper before planting.
+  for (int n : {15, 64, 66, 127, 130}) {
+    const Torus2D torus(n);
+    const std::vector<int> proper = diagonalColouring(n, 4);
+    ASSERT_EQ(countViolations(torus, lcl, proper), 0) << n;
+    std::vector<int> all = proper;
+    for (const auto& [node, copied] : seamClashes(n)) {
+      std::vector<int> labels = proper;
+      labels[static_cast<std::size_t>(node)] =
+          labels[static_cast<std::size_t>(copied)];
+      all[static_cast<std::size_t>(node)] =
+          all[static_cast<std::size_t>(copied)];
+      ASSERT_GE(countViolations(torus, lcl, labels), 2)
+          << "n=" << n << " node=" << node;
+      expectColouringMatchesFunctional(
+          torus, lcl, labels,
+          "n=" + std::to_string(n) + " node=" + std::to_string(node));
+    }
+    expectColouringMatchesFunctional(torus, lcl, all,
+                                     "n=" + std::to_string(n) + " all");
+  }
+}
+
+TEST(ColouringKernel, StreamedLabellingsMatchFunctional) {
+  // The same labellings from LCLLABv1 files, in slabs of three rows so the
+  // passes cross slab boundaries, at 1 and 4 lanes on every rung.
+  GateGuard gate;
+  TierGuard guard;
+  bitslice::setEnabled(true);
+  for (int k : {2, 4, 8}) {
+    const GridLcl lcl = problems::vertexColouring(k);
+    for (int n : {16, 33, 65, 129}) {
+      const Torus2D torus(n);
+      ASSERT_TRUE(verifier_detail::bitsliceSelected(lcl, torus.size()));
+      std::vector<int> planted = diagonalColouring(n, k);
+      for (const auto& [node, copied] : seamClashes(n)) {
+        planted[static_cast<std::size_t>(node)] =
+            planted[static_cast<std::size_t>(copied)];
+      }
+      for (const std::vector<int>& labels :
+           {diagonalColouring(n, k), planted}) {
+        const std::string path = tempLabellingPath(n, k);
+        writeLabellingFile(path, k, 2, n, labels);
+        for (bool count : {false, true}) {
+          const VerifyResult reference =
+              runColouring(torus, lcl, labels, count, 1, TierPin::kFunctional);
+          for (bitslice::SimdTier rung : kRungs) {
+            bitslice::setSimdTier(rung);
+            for (int threads : {1, 4}) {
+              VerifyRequest request;
+              request.problem = &lcl;
+              request.labellingPath = path;
+              request.options.countViolations = count;
+              request.options.engine.threads = threads;
+              request.options.window.rows = 3;
+              const VerifyResult result = verify(request);
+              EXPECT_EQ(result.feasible, reference.feasible)
+                  << lcl.name() << " n=" << n << " count=" << count
+                  << " rung=" << static_cast<int>(rung)
+                  << " threads=" << threads;
+              if (count) {
+                EXPECT_EQ(result.violations, reference.violations)
+                    << lcl.name() << " n=" << n
+                    << " rung=" << static_cast<int>(rung)
+                    << " threads=" << threads;
+              }
+            }
+          }
+        }
+        std::remove(path.c_str());
       }
     }
   }

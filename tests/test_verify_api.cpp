@@ -223,7 +223,10 @@ void checkPoisonMatrix(const Torus& torus, const Lcl& lcl,
   const std::vector<long long> sites = {0, kPoisonGrain * n + 70 % n,
                                         (2 * kPoisonGrain - 1) * n + 37 % n,
                                         torus.size() - 1};
-  for (int bad : {-1, lcl.sigma(), INT_MIN, INT_MAX}) {
+  // The second row aliases a valid byte (or saturates to 0) when narrowed
+  // to byte lanes: only the unsigned max of the raw labels tells them apart.
+  for (int bad : {-1, lcl.sigma(), INT_MIN, INT_MAX, 256, 257, 259, -253,
+                  0x10003, INT_MIN + 1}) {
     for (long long site : sites) {
       std::vector<int> labels = feasible;
       labels[static_cast<std::size_t>(site)] = bad;
