@@ -29,8 +29,8 @@
 // The --mmap mode adds the fourth tier (docs/perf.md): each 2D sweep also
 // writes its labelling to the on-disk LCLLABv1 format (row by row -- no
 // full-grid staging buffer beyond the labels the sweep already holds) and
-// measures streamCountViolations on the memory-mapped file, serial and
-// sharded. Those rows additionally report peak_rss_kb (getrusage high-water
+// measures a streaming request (VerifyRequest::file) on the memory-mapped
+// file, serial and sharded. Those rows additionally report peak_rss_kb (getrusage high-water
 // mark), the bounded-memory claim's measurable form: with --mmap-only the
 // resident peak stays at the rolling window, independent of grid size.
 //
@@ -60,6 +60,7 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "engine/thread_pool.hpp"
@@ -70,6 +71,7 @@
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
 #include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "support/json.hpp"
 #include "support/telemetry.hpp"
 #include "support/timing.hpp"
@@ -77,6 +79,35 @@
 using namespace lclgrid;
 
 namespace {
+
+/// A count-mode request for `lcl` over `instance` (a Torus2D or TorusD
+/// carrying `labels`, or a mapped StreamLabelling): serial, or sharded on
+/// `pool` when given. Every timed path sends one of these.
+template <typename Instance, typename Lcl>
+VerifyRequest countRequest(const Instance& instance, const Lcl& lcl,
+                           std::span<const int> labels,
+                           engine::ThreadPool* pool) {
+  VerifyRequest request;
+  if constexpr (std::is_same_v<Lcl, GridLcl>) {
+    request.problem = &lcl;
+  } else {
+    request.problemD = &lcl;
+  }
+  if constexpr (std::is_same_v<Instance, StreamLabelling>) {
+    request.file = &instance;
+  } else if constexpr (std::is_same_v<Instance, Torus2D>) {
+    request.torus = &instance;
+  } else {
+    request.torusD = &instance;
+  }
+  request.labels = labels;
+  request.options.countViolations = true;
+  if (pool != nullptr) {
+    request.options.engine.threads = pool->lanes();
+    request.options.engine.pool = pool;
+  }
+  return request;
+}
 
 /// The seed's per-node verification loop on Torus2D, kept as the 2D
 /// measurement baseline: four Torus2D::step calls and one std::function
@@ -261,7 +292,6 @@ int main(int argc, char** argv) {
   if (!traceOut.empty()) telemetry::setTraceEnabled(true);
 
   engine::ThreadPool pool(threads);
-  engine::EngineOptions engineOptions{.threads = threads, .pool = &pool};
   const int batchSize = 8;
   const int colours = 4;
   // What an unconfigured caller's auto-selection picks (LCLGRID_BITSLICE);
@@ -304,6 +334,9 @@ int main(int argc, char** argv) {
             labels[static_cast<std::size_t>(v)] =
                 (torus.xOf(v) + torus.yOf(v)) % lcl.sigma();
           }
+          const VerifyRequest serial =
+              countRequest(torus, lcl, labels, nullptr);
+          const VerifyRequest sharded = countRequest(torus, lcl, labels, &pool);
           results.push_back(
               measure(dims, n, "functional", nodes, minSeconds, [&]() {
                 return functionalCountViolations(torus, lcl.predicate(),
@@ -312,11 +345,11 @@ int main(int argc, char** argv) {
           bitslice::setEnabled(false);  // pin the row-pointer kernel
           results.push_back(
               measure(dims, n, "table", nodes, minSeconds, [&]() {
-                return countViolations(torus, lcl, labels);
+                return verify(serial).violations;
               }));
           results.push_back(
               measure(dims, n, "table_sharded", nodes, minSeconds, [&]() {
-                return countViolations(torus, lcl, labels, engineOptions);
+                return verify(sharded).violations;
               }));
           results.back().lanes = threads;
           bitslice::setEnabled(true);  // pin the bit-sliced kernel
@@ -325,14 +358,14 @@ int main(int argc, char** argv) {
               bitslice::setSimdTier(static_cast<bitslice::SimdTier>(rung));
               results.push_back(
                   measure(dims, n, "bitsliced", nodes, minSeconds, [&]() {
-                    return countViolations(torus, lcl, labels);
+                    return verify(serial).violations;
                   }));
               results.back().simd = kRungNames[rung];
             }
             bitslice::setSimdTier(topRung);
             results.push_back(measure(
                 dims, n, "bitsliced_sharded", nodes, minSeconds, [&]() {
-                  return countViolations(torus, lcl, labels, engineOptions);
+                  return verify(sharded).violations;
                 }));
             results.back().lanes = threads;
           }
@@ -345,20 +378,19 @@ int main(int argc, char** argv) {
           for (int i = 0; i < batchSize; ++i) {
             batch.insert(batch.end(), labels.begin(), labels.end());
           }
-          auto sumCounts = [&](const std::vector<std::int64_t>& counts) {
-            std::int64_t total = 0;
-            for (auto count : counts) total += count;
-            return total / batchSize;
-          };
+          // The per-labelling mean, comparable with the single passes.
+          const VerifyRequest serialBatch =
+              countRequest(torus, lcl, batch, nullptr);
+          const VerifyRequest shardedBatch =
+              countRequest(torus, lcl, batch, &pool);
           results.push_back(measure(
               dims, n, "batched", nodes * batchSize, minSeconds, [&]() {
-                return sumCounts(countViolationsBatch(torus, lcl, batch));
+                return verify(serialBatch).violations / batchSize;
               }));
           results.push_back(measure(
               dims, n, "batched_sharded", nodes * batchSize, minSeconds,
               [&]() {
-                return sumCounts(
-                    countViolationsBatch(torus, lcl, batch, engineOptions));
+                return verify(shardedBatch).violations / batchSize;
               }));
           results.back().lanes = threads;
         }
@@ -381,14 +413,18 @@ int main(int argc, char** argv) {
             writer.close();
           }
           StreamLabelling mapped(path);
+          const VerifyRequest streamSerial =
+              countRequest(mapped, lcl, {}, nullptr);
+          const VerifyRequest streamSharded =
+              countRequest(mapped, lcl, {}, &pool);
           results.push_back(
               measure(dims, n, "mmap_stream", nodes, minSeconds, [&]() {
-                return streamCountViolations(mapped, lcl);
+                return verify(streamSerial).violations;
               }));
           results.back().peakRssKb = peakRssKb();
           results.push_back(measure(
               dims, n, "mmap_stream_sharded", nodes, minSeconds, [&]() {
-                return streamCountViolations(mapped, lcl, engineOptions);
+                return verify(streamSharded).violations;
               }));
           results.back().lanes = threads;
           results.back().peakRssKb = peakRssKb();
@@ -420,24 +456,26 @@ int main(int argc, char** argv) {
             return functionalCountViolationsD(torus, lcl.predicate(),
                                               lcl.sigma(), labels);
           }));
+      const VerifyRequest serial = countRequest(torus, lcl, labels, nullptr);
+      const VerifyRequest sharded = countRequest(torus, lcl, labels, &pool);
       bitslice::setEnabled(false);
       results.push_back(measure(dims, side, "table", nodes, minSeconds, [&]() {
-        return countViolations(torus, lcl, labels);
+        return verify(serial).violations;
       }));
       results.push_back(
           measure(dims, side, "table_sharded", nodes, minSeconds, [&]() {
-            return countViolations(torus, lcl, labels, engineOptions);
+            return verify(sharded).violations;
           }));
       results.back().lanes = threads;
       bitslice::setEnabled(true);
       if (verifier_detail::bitsliceSelectedD(lcl, torus.size())) {
         results.push_back(
             measure(dims, side, "bitsliced", nodes, minSeconds, [&]() {
-              return countViolations(torus, lcl, labels);
+              return verify(serial).violations;
             }));
         results.push_back(
             measure(dims, side, "bitsliced_sharded", nodes, minSeconds, [&]() {
-              return countViolations(torus, lcl, labels, engineOptions);
+              return verify(sharded).violations;
             }));
         results.back().lanes = threads;
       }

@@ -9,7 +9,7 @@
 #include "algorithms/four_colouring.hpp"
 #include "lcl/global_solver.hpp"
 #include "lcl/problems.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "local/ids.hpp"
 #include "support/numeric.hpp"
 #include "support/table.hpp"

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "lcl/problems.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "local/graph_view.hpp"
 #include "local/ids.hpp"
 #include "local/mis.hpp"

@@ -7,9 +7,9 @@
 #include <set>
 
 #include "algorithms/orientations.hpp"
-#include "lcl/problems.hpp"
 #include "lcl/global_solver.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/problems.hpp"
+#include "lcl/verify_api.hpp"
 #include "local/ids.hpp"
 #include "support/table.hpp"
 #include "synthesis/oracle.hpp"

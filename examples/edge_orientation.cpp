@@ -6,7 +6,7 @@
 #include "algorithms/edge_colouring.hpp"
 #include "algorithms/orientations.hpp"
 #include "lcl/problems.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "local/ids.hpp"
 
 using namespace lclgrid;

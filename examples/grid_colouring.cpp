@@ -6,6 +6,7 @@
 #include "algorithms/global_baseline.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "local/ids.hpp"
 #include "synthesis/normal_form.hpp"
 #include "synthesis/synthesizer.hpp"

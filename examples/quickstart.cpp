@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "lcl/problems.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "local/ids.hpp"
 #include "synthesis/normal_form.hpp"
 #include "synthesis/oracle.hpp"

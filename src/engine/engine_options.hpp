@@ -1,10 +1,8 @@
-// The knob struct shared by every threaded entry point in the library.
-// Deliberately free of <thread>-family includes: lcl/verifier.hpp includes
-// this (not the pool itself) to declare its threaded overloads, so the lcl
-// translation units stay lean and the engine -> lcl library dependency has
-// no include cycle back. The overload *definitions* live in lclgrid_engine
-// (src/engine/parallel_verifier.cpp); link that library (or the umbrella
-// `lclgrid` target) to call them.
+// The knob struct shared by every threaded entry point in the library
+// (VerifyOptions::engine, the family sweep, classify). Deliberately free of
+// <thread>-family includes, so headers that only carry the options --
+// lcl/verify_api.hpp among them -- stay lean; the pool itself is
+// engine/thread_pool.hpp.
 #pragma once
 
 #include <cstdint>

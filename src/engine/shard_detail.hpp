@@ -1,20 +1,19 @@
-// Internal sharding machinery of the parallel verifier: the unified front
-// door (engine/verify_api.cpp) runs every in-core pass through it, and the
-// streaming overloads (engine/parallel_verifier.cpp) shard their slabs
-// with it; the in-core overloads there borrow only its shape checks. One
-// labelling is sharded into contiguous ranges of "shard items" -- grid rows
-// on Torus2D, axis-0 lines on TorusD (a chunk of the line space is a slab
-// along the outermost axes) -- each shard runs the exact serial kernel
-// slice (lcl/verifier.hpp verifier_detail), and per-shard violation counts
-// are combined in chunk order, so every result is bit-identical to the
-// serial engine; the determinism tests pin this down for 1/2/8 threads.
+// Internal sharding machinery of verify(VerifyRequest): the front door
+// (engine/verify_api.cpp) runs every in-core and streaming pass through
+// it. One labelling is split into contiguous ranges of "shard items" --
+// grid rows on Torus2D, axis-0 lines on TorusD (a chunk of the line space
+// is a slab along the outermost axes) -- and every range runs the exact
+// kernel slice of lcl/verifier.hpp verifier_detail. With a null pool a
+// pass is one inline call over all items; with a pool, per-chunk counts
+// are combined in chunk order, so every result is bit-identical at every
+// lane count (the determinism tests pin this for 1/2/8 lanes).
 //
-// Both torus families share one set of sharding templates; the per-family
+// Both torus families share one set of templates; the per-family
 // differences (item count, kernel slice, size validation) are small
-// overloaded shims, so the sharding scheme itself cannot diverge between
-// 2D and d dimensions. The d = 2 TorusD case additionally delegates to the
-// 2D row kernel inside tableViolationLinesD, so the sharded 2D fast path
-// is one code path however it is reached.
+// overloaded shims, so the scheme cannot diverge between 2D and d
+// dimensions. The d = 2 TorusD case additionally delegates to the 2D row
+// kernel inside tableViolationLinesD, so the 2D fast path is one code path
+// however it is reached.
 //
 // NOT a stable API: this header exists so the engine's translation units
 // share one implementation; include it only from src/engine.
@@ -33,6 +32,58 @@
 #include "lcl/verify_probes.hpp"
 
 namespace lclgrid::engine::shard_detail {
+
+// --- the pool-or-null runners ----------------------------------------------
+
+/// Sum of slice(begin, end) over [begin, end): one inline call when `pool`
+/// is null, otherwise chunks of `grain` items combined in chunk order.
+template <typename Slice>
+std::int64_t countItems(ThreadPool* pool, std::int64_t begin,
+                        std::int64_t end, std::int64_t grain,
+                        const Slice& slice) {
+  if (pool == nullptr) return slice(begin, end);
+  return pool->parallelReduce(
+      begin, end, grain, std::int64_t{0}, slice,
+      [](std::int64_t a, std::int64_t b) { return a + b; });
+}
+
+/// True iff hit(begin, end) holds on some chunk of [begin, end): one inline
+/// call when `pool` is null, otherwise chunks of `grain` items, each
+/// returning at once after any chunk hit (a cooperative early exit).
+template <typename Hit>
+bool anyItem(ThreadPool* pool, std::int64_t begin, std::int64_t end,
+             std::int64_t grain, const Hit& hit) {
+  if (pool == nullptr) return hit(begin, end);
+  std::atomic<bool> found{false};
+  pool->parallelFor(begin, end, grain,
+                    [&](std::int64_t chunkBegin, std::int64_t chunkEnd) {
+                      if (found.load(std::memory_order_relaxed)) return;
+                      if (hit(chunkBegin, chunkEnd)) {
+                        found.store(true, std::memory_order_relaxed);
+                      }
+                    });
+  return found.load();
+}
+
+/// Violations of slice(begin, end, stopAtFirst) over [begin, end): the
+/// exact total, or -- stopAtFirst -- 1 at the first violating chunk, else 0.
+template <typename Slice>
+std::int64_t violationsOver(ThreadPool* pool, std::int64_t begin,
+                            std::int64_t end, std::int64_t grain,
+                            bool stopAtFirst, const Slice& slice) {
+  if (stopAtFirst) {
+    return anyItem(pool, begin, end, grain,
+                   [&](std::int64_t s, std::int64_t t) {
+                     return slice(s, t, true) > 0;
+                   })
+               ? 1
+               : 0;
+  }
+  return countItems(pool, begin, end, grain,
+                    [&](std::int64_t s, std::int64_t t) {
+                      return slice(s, t, false);
+                    });
+}
 
 // --- per-torus shims -------------------------------------------------------
 
@@ -59,7 +110,7 @@ inline void checkLabelling(const TorusD& torus, const GridLclD& lcl,
   }
 }
 
-/// The serial compiled-table kernel slice over shard items [begin, end).
+/// The compiled-table kernel slice over shard items [begin, end).
 inline std::int64_t tableSlice(const Torus2D& torus, const GridLcl& lcl,
                                const int* labels, std::int64_t begin,
                                std::int64_t end, bool stopAtFirst) {
@@ -74,7 +125,7 @@ inline std::int64_t tableSlice(const TorusD& torus, const GridLclD& lcl,
                                                begin, end, stopAtFirst);
 }
 
-/// The serial functional-fallback slice over nodes [begin, end).
+/// The functional-fallback slice over nodes [begin, end).
 inline std::int64_t functionalSlice(const Torus2D& torus, const GridLcl& lcl,
                                     std::span<const int> labels,
                                     std::int64_t begin, std::int64_t end,
@@ -91,17 +142,7 @@ inline std::int64_t functionalSlice(const TorusD& torus, const GridLclD& lcl,
                                                     end, stopAtFirst);
 }
 
-inline std::size_t batchCountOf(const Torus2D& torus,
-                                std::span<const int> labelsBatch) {
-  return verifier_detail::batchCount(torus, labelsBatch);
-}
-inline std::size_t batchCountOf(const TorusD& torus,
-                                std::span<const int> labelsBatch) {
-  return verifier_detail::batchCountD(torus, labelsBatch);
-}
-
-/// The engine's bit-slice selection shims (mirror the serial engine's, so
-/// every thread count runs the same kernel tier).
+/// The engine's bit-slice selection, per torus family.
 inline bool bitsliceSelectedFor(const GridLcl& lcl, long long nodes) {
   return verifier_detail::bitsliceSelected(lcl, nodes);
 }
@@ -148,119 +189,125 @@ inline std::int64_t bitsliceSlice(const TorusD& torus, const GridLclD& lcl,
       lcl.table(), torus, planes, labels, begin, end, stopAtFirst, maxLabel);
 }
 
-/// One bit-sliced pass over a labelling with the alphabet check fused into
-/// the row transpose: serial on the caller when `pool` is null, otherwise
-/// sharded by shard items. A d >= 3 labelling is first staged by its own
-/// pass (sharded over disjoint line ranges, so the writes are race-free),
-/// and the kernel is skipped when the staging already read a label outside
-/// [0, sigma). Count shards combine in shard order, so counts are
-/// bit-identical at every thread count; verify shards exit cooperatively,
-/// each treating an out-of-range label it read as a violation. Returns the
-/// answer of verifier_detail::resolveBitslicePass: std::nullopt when a
-/// count must rerun on the functional tier.
+/// The serial verify-mode pass of the staged d >= 3 kernel: transposes one
+/// outermost-axis block (items / n lines) ahead of the scan, so a violation
+/// in the first block costs O(block) staging, not O(N). Every outer-axis
+/// neighbour of a line lies within +-1 block, so the scan of block i needs
+/// only blocks i-1, i, i+1 (cyclically): the wrap block is staged up
+/// front, the rest one block ahead. True iff the labelling is infeasible
+/// (a violation, or a staged label outside [0, sigma)).
 template <typename Torus, typename Lcl>
-std::optional<std::int64_t> bitslicePass(engine::ThreadPool* pool,
-                                         std::int64_t grain,
+bool stagedAheadViolates(const Torus& torus, const Lcl& lcl,
+                         LabelPlanes& planes, std::span<const int> labels) {
+  const unsigned sigma = static_cast<unsigned>(lcl.sigma());
+  const std::int64_t items = shardItems(torus);
+  const std::int64_t blockLines = std::max<std::int64_t>(1, items / torus.n());
+  if (planes.setRows(labels, items - blockLines, items) >= sigma) return true;
+  std::int64_t stagedEnd = 0;
+  for (std::int64_t begin = 0; begin < items; begin += blockLines) {
+    const std::int64_t end = std::min(begin + blockLines, items);
+    const std::int64_t need = std::min(end + blockLines, items - blockLines);
+    if (need > stagedEnd) {
+      if (planes.setRows(labels, stagedEnd, need) >= sigma) return true;
+      stagedEnd = need;
+    }
+    if (bitsliceSlice(torus, lcl, planes, labels.data(), begin, end,
+                      /*stopAtFirst=*/true, nullptr) > 0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// One bit-sliced pass over a labelling with the alphabet check fused into
+/// the row transpose, serial when `pool` is null and sharded by shard items
+/// otherwise. A d >= 3 labelling is first staged by its own pass (sharded
+/// over disjoint line ranges, so the writes are race-free; serial verify
+/// mode stages progressively instead, see stagedAheadViolates), and the
+/// kernel is skipped when the staging read a label outside [0, sigma).
+/// Count chunks combine in chunk order, so counts are bit-identical at
+/// every lane count; verify chunks exit cooperatively, each treating an
+/// out-of-range label it read as a violation. Returns the answer of
+/// verifier_detail::resolveBitslicePass: std::nullopt when a count must
+/// rerun on the functional tier.
+template <typename Torus, typename Lcl>
+std::optional<std::int64_t> bitslicePass(ThreadPool* pool, std::int64_t grain,
                                          const Torus& torus, const Lcl& lcl,
                                          std::span<const int> labels,
                                          bool stopAtFirst) {
   const unsigned sigma = static_cast<unsigned>(lcl.sigma());
   const std::int64_t items = shardItems(torus);
-  const auto maxOf = [](unsigned a, unsigned b) { return std::max(a, b); };
-  unsigned maxLabel = 0;
+  bool readOutside = false;
   std::int64_t violations = 0;
   {
     telemetry::ScopedSpan span(
         verify_probes::spanName(verify_probes::Tier::kBitsliced));
     LabelPlanes planes = slicedPlanes(torus, lcl);
-    if (planes.rows() > 0) {
-      const auto stage = [&](std::int64_t begin, std::int64_t end) {
-        return planes.setRows(labels, begin, end);
-      };
-      maxLabel = pool == nullptr
-                     ? stage(0, items)
-                     : pool->parallelReduce(0, items, grain, 0u, stage, maxOf);
-    }
-    if (maxLabel >= sigma) {
-      // The staging read a label outside the alphabet: nothing to run.
-    } else if (pool == nullptr) {
-      violations = bitsliceSlice(torus, lcl, planes, labels.data(), 0, items,
-                                 stopAtFirst, &maxLabel);
+    const bool staged = planes.rows() > 0;
+    if (staged && pool == nullptr && stopAtFirst) {
+      violations = stagedAheadViolates(torus, lcl, planes, labels) ? 1 : 0;
+    } else if (staged &&
+               anyItem(pool, 0, items, grain,
+                       [&](std::int64_t begin, std::int64_t end) {
+                         return planes.setRows(labels, begin, end) >= sigma;
+                       })) {
+      readOutside = true;  // nothing to run
     } else if (stopAtFirst) {
-      std::atomic<bool> violated{false};
-      pool->parallelFor(0, items, grain,
-                        [&](std::int64_t begin, std::int64_t end) {
-                          if (violated.load(std::memory_order_relaxed)) return;
-                          unsigned chunkMax = 0;
-                          if (bitsliceSlice(torus, lcl, planes, labels.data(),
-                                            begin, end, /*stopAtFirst=*/true,
-                                            &chunkMax) > 0 ||
-                              chunkMax >= sigma) {
-                            violated.store(true, std::memory_order_relaxed);
-                          }
-                        });
-      violations = violated.load() ? 1 : 0;
+      violations = anyItem(pool, 0, items, grain,
+                           [&](std::int64_t begin, std::int64_t end) {
+                             unsigned read = 0;
+                             return bitsliceSlice(torus, lcl, planes,
+                                                  labels.data(), begin, end,
+                                                  /*stopAtFirst=*/true,
+                                                  &read) > 0 ||
+                                    read >= sigma;
+                           })
+                       ? 1
+                       : 0;
     } else {
-      struct Partial {
-        std::int64_t violations = 0;
-        unsigned maxLabel = 0;
-      };
-      const Partial total = pool->parallelReduce(
-          0, items, grain, Partial{},
-          [&](std::int64_t begin, std::int64_t end) {
-            Partial partial;
-            partial.violations =
+      std::atomic<bool> outside{false};
+      violations = countItems(
+          pool, 0, items, grain, [&](std::int64_t begin, std::int64_t end) {
+            unsigned read = 0;
+            const std::int64_t bad =
                 bitsliceSlice(torus, lcl, planes, labels.data(), begin, end,
-                              /*stopAtFirst=*/false, &partial.maxLabel);
-            return partial;
-          },
-          [&](Partial a, Partial b) {
-            return Partial{a.violations + b.violations,
-                           maxOf(a.maxLabel, b.maxLabel)};
+                              /*stopAtFirst=*/false, &read);
+            if (read >= sigma) outside.store(true, std::memory_order_relaxed);
+            return bad;
           });
-      violations = total.violations;
-      maxLabel = maxOf(maxLabel, total.maxLabel);
+      readOutside = outside.load();
     }
   }
   return verifier_detail::resolveBitslicePass(
-      violations, maxLabel, lcl.sigma(), stopAtFirst,
+      violations, readOutside, stopAtFirst,
       static_cast<long long>(labels.size()));
 }
 
-// --- the sharded alphabet scan ---------------------------------------------
+// --- the alphabet scan -----------------------------------------------------
 
-/// Sharded alphabet check of the table tier, tier pins and the streaming
-/// frontier. The serial allLabelsInRange scan would sit in front of the
-/// parallel kernel as a serial O(N) pass (a material Amdahl fraction --
-/// the kernel itself is only a few loads per node), so the scan is sharded
-/// too, with chunks after the first out-of-range find returning
-/// immediately.
+/// Alphabet check of the table tier, tier pins and the streaming frontier.
+/// A serial scan in front of the sharded kernel would be a material Amdahl
+/// fraction (the kernel itself is only a few loads per node), so with a
+/// pool the scan is sharded too, chunks after the first out-of-range find
+/// returning at once.
 template <typename Torus>
-bool shardedAllInRange(engine::ThreadPool& pool, std::int64_t grain,
-                       const Torus& torus, int sigma,
-                       std::span<const int> labels) {
-  std::atomic<bool> outOfRange{false};
-  pool.parallelFor(
-      0, static_cast<std::int64_t>(labels.size()), nodeGrain(grain, torus),
-      [&](std::int64_t begin, std::int64_t end) {
-        if (outOfRange.load(std::memory_order_relaxed)) return;
-        if (!verifier_detail::allLabelsInRange(
-                sigma, labels.subspan(static_cast<std::size_t>(begin),
-                                      static_cast<std::size_t>(end - begin)))) {
-          outOfRange.store(true, std::memory_order_relaxed);
-        }
+bool allInRange(ThreadPool* pool, std::int64_t grain, const Torus& torus,
+                int sigma, std::span<const int> labels) {
+  return !anyItem(
+      pool, 0, static_cast<std::int64_t>(labels.size()),
+      nodeGrain(grain, torus), [&](std::int64_t begin, std::int64_t end) {
+        return !verifier_detail::allLabelsInRange(
+            sigma, labels.subspan(static_cast<std::size_t>(begin),
+                                  static_cast<std::size_t>(end - begin)));
       });
-  return !outOfRange.load();
 }
 
-// --- streaming (out-of-core) sharding --------------------------------------
-// The sharded halves of the lcl/stream_verify.hpp overloads: the slab walk
-// itself (window geometry, validation frontier, drop-behind, functional
-// restart) is stream_verify_detail::runStreamPass -- the exact code the
-// serial streaming entry points run -- and only the per-slab callbacks
-// differ: each slab shards across the pool with the chunk-ordered combine
-// of the in-core sharded verifier, so counts stay bit-identical to the
-// serial pass at every thread count.
+// --- streaming (out-of-core) -----------------------------------------------
+// The slab walk itself (window geometry, validation frontier, drop-behind,
+// functional restart) is stream_verify_detail::runStreamPass; each slab
+// runs through the runners above, serially or sharded across the pool with
+// the in-core chunk-ordered combine, so counts are bit-identical to the
+// in-core engine at every lane count.
 
 /// The compiled-kernel slice of one streaming chunk; `sliced` is the
 /// pass-wide tier choice (stream_verify_detail::streamUsesBitslice*).
@@ -286,83 +333,48 @@ inline bool streamSliced(const StreamLabelling& file, const GridLclD& lcl) {
   return stream_verify_detail::streamUsesBitsliceD(file, lcl);
 }
 
+/// One streaming pass over `file` (already validated against `lcl`),
+/// serial when `pool` is null and sharded per slab otherwise.
 template <typename Torus, typename Lcl>
-std::int64_t shardedStream(engine::ThreadPool& pool, std::int64_t grain,
-                           const StreamLabelling& file, const Lcl& lcl,
-                           const Torus& torus, const StreamWindow& window,
-                           bool stopAtFirst) {
+std::int64_t streamPass(ThreadPool* pool, std::int64_t grain,
+                        const StreamLabelling& file, const Lcl& lcl,
+                        const Torus& torus, const StreamWindow& window,
+                        bool stopAtFirst) {
   const int n = file.n();
-  const long long lines = file.lines();
   const int* labels = file.labels();
   const std::span<const int> all(labels,
                                  static_cast<std::size_t>(file.size()));
   stream_verify_detail::StreamPass pass;
   pass.file = &file;
-  pass.window = stream_verify_detail::resolveWindowRows(n, lines, window.rows);
+  pass.window =
+      stream_verify_detail::resolveWindowRows(n, file.lines(), window.rows);
   pass.wrapKeep = stream_verify_detail::wrapWindowRows(file.dims(), n);
   pass.dropBehind = window.dropBehind;
   pass.tablePath = lcl.hasTable();
   stream_verify_detail::applyCheckpointConfig(
       pass, file, window, lcl.hasTable() ? lcl.table().fingerprint() : 0);
   const bool sliced = streamSliced(file, lcl);
-  const auto sum = [](std::int64_t a, std::int64_t b) { return a + b; };
   if (pass.tablePath) {
     pass.rowsInRange = [&, n](long long begin, long long end) {
-      return shardedAllInRange(
-          pool, grain, torus, lcl.sigma(),
-          all.subspan(static_cast<std::size_t>(begin * n),
-                      static_cast<std::size_t>((end - begin) * n)));
+      return allInRange(pool, grain, torus, lcl.sigma(),
+                        all.subspan(static_cast<std::size_t>(begin * n),
+                                    static_cast<std::size_t>((end - begin) * n)));
     };
-    pass.kernelRows = [&, sliced](long long begin, long long end,
-                                  bool stop) -> std::int64_t {
-      if (stop) {
-        std::atomic<bool> violated{false};
-        pool.parallelFor(begin, end, grain,
-                         [&](std::int64_t s, std::int64_t t) {
-                           if (violated.load(std::memory_order_relaxed)) {
-                             return;
-                           }
-                           if (streamKernelSlice(torus, lcl, labels, sliced,
-                                                 s, t,
-                                                 /*stopAtFirst=*/true) > 0) {
-                             violated.store(true, std::memory_order_relaxed);
-                           }
-                         });
-        return violated.load() ? 1 : 0;
-      }
-      return pool.parallelReduce(begin, end, grain, std::int64_t{0},
-                                 [&](std::int64_t s, std::int64_t t) {
-                                   return streamKernelSlice(
-                                       torus, lcl, labels, sliced, s, t,
-                                       /*stopAtFirst=*/false);
-                                 },
-                                 sum);
+    pass.kernelRows = [&, sliced](long long begin, long long end, bool stop) {
+      return violationsOver(
+          pool, begin, end, grain, stop,
+          [&](std::int64_t s, std::int64_t t, bool sliceStop) {
+            return streamKernelSlice(torus, lcl, labels, sliced, s, t,
+                                     sliceStop);
+          });
     };
   }
-  pass.functionalRows = [&, n](long long begin, long long end,
-                               bool stop) -> std::int64_t {
-    const std::int64_t nodeBegin = begin * n;
-    const std::int64_t nodeEnd = end * n;
-    if (stop) {
-      std::atomic<bool> violated{false};
-      pool.parallelFor(nodeBegin, nodeEnd, nodeGrain(grain, torus),
-                       [&](std::int64_t s, std::int64_t t) {
-                         if (violated.load(std::memory_order_relaxed)) return;
-                         if (functionalSlice(torus, lcl, all, s, t,
-                                             /*stopAtFirst=*/true) > 0) {
-                           violated.store(true, std::memory_order_relaxed);
-                         }
-                       });
-      return violated.load() ? 1 : 0;
-    }
-    return pool.parallelReduce(nodeBegin, nodeEnd, nodeGrain(grain, torus),
-                               std::int64_t{0},
-                               [&](std::int64_t s, std::int64_t t) {
-                                 return functionalSlice(
-                                     torus, lcl, all, s, t,
-                                     /*stopAtFirst=*/false);
-                               },
-                               sum);
+  pass.functionalRows = [&, n](long long begin, long long end, bool stop) {
+    return violationsOver(
+        pool, begin * n, end * n, nodeGrain(grain, torus), stop,
+        [&](std::int64_t s, std::int64_t t, bool sliceStop) {
+          return functionalSlice(torus, lcl, all, s, t, sliceStop);
+        });
   };
   return stream_verify_detail::runStreamPass(pass, stopAtFirst);
 }

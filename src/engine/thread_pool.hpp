@@ -1,8 +1,7 @@
 // The parallel execution runtime: a work-stealing thread pool plus
 // deterministic data-parallel loops on top of it. This is the substrate for
-// the sharded verifier (lcl/verifier.hpp overloads taking EngineOptions,
-// implemented in engine/parallel_verifier.cpp) and the concurrent family
-// sweep driver (engine/family_sweep.hpp).
+// the sharded verifier (verify(VerifyRequest), engine/shard_detail.hpp) and
+// the concurrent family sweep driver (engine/family_sweep.hpp).
 //
 // Design:
 //  * every worker owns a deque; submitted tasks are dealt round-robin,

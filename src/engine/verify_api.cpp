@@ -1,17 +1,20 @@
-// The unified verification front door (lcl/verify_api.hpp). This is where
-// the engine's tier selection lives once: a direct dispatch onto the exact
-// serial kernel slices / sharded runners the per-tier overloads run -- the
-// overloads in parallel_verifier.cpp forward here, and the bit-identity
-// tests pin the API against the serial entry points at 1/2/8 threads. The
-// automatic bit-sliced tier checks the alphabet inside its own pass; the
-// table tier and tier pins scan it up front (sharded when a pool is
-// attached).
+// The verification front door (lcl/verify_api.hpp): the one place the
+// engine selects a kernel tier. Every request -- serial or sharded, single
+// labelling or batch, in-core or streamed, 2D or d-dimensional -- runs the
+// kernel slices of verifier_detail through the pool-or-null runners of
+// engine/shard_detail.hpp, and the bit-identity tests pin each tier
+// against the functional tier at 1/2/8 lanes. The automatic bit-sliced
+// tier checks the alphabet inside its own pass; the table tier and tier
+// pins scan it up front (sharded when a pool is attached).
 #include "lcl/verify_api.hpp"
 
 #include <chrono>
 #include <cstddef>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "engine/shard_detail.hpp"
 #include "grid/torus2d.hpp"
@@ -62,10 +65,7 @@ Kernel selectKernel(engine::ThreadPool* pool, std::int64_t grain,
                     const Torus& torus, const Lcl& lcl,
                     std::span<const int> labels, TierPin pin) {
   const auto labelsInRange = [&] {
-    return pool != nullptr
-               ? sd::shardedAllInRange(*pool, grain, torus, lcl.sigma(),
-                                       labels)
-               : verifier_detail::allLabelsInRange(lcl.sigma(), labels);
+    return sd::allInRange(pool, grain, torus, lcl.sigma(), labels);
   };
   switch (pin) {
     case TierPin::kAuto:
@@ -101,106 +101,41 @@ Kernel selectKernel(engine::ThreadPool* pool, std::int64_t grain,
   throw std::invalid_argument("verify: unknown tier pin");
 }
 
-/// Exact violation count of one labelling on the resolved kernel. A
-/// bit-sliced pass that read a label outside [0, sigma) is discarded and
-/// the count reruns on the functional tier; `kernel` is updated to the
-/// tier that produced the answer.
+/// Violations of one labelling on the resolved kernel: the exact total, or
+/// -- stopAtFirst -- 1 at the first violation (cooperatively across chunks
+/// when pooled), else 0. A bit-sliced count that read a label outside
+/// [0, sigma) is discarded and reruns on the functional tier; `kernel` is
+/// updated to the tier that produced the answer. Verify mode always has a
+/// bit-sliced answer: an out-of-range label is a violation.
 template <typename Torus, typename Lcl>
-std::int64_t runCount(engine::ThreadPool* pool, std::int64_t grain,
-                      const Torus& torus, const Lcl& lcl,
-                      std::span<const int> labels, Kernel& kernel) {
-  const auto sum = [](std::int64_t a, std::int64_t b) { return a + b; };
-  switch (kernel) {
-    case Kernel::kBitsliced: {
-      if (const std::optional<std::int64_t> count = sd::bitslicePass(
-              pool, grain, torus, lcl, labels, /*stopAtFirst=*/false)) {
-        return *count;
-      }
-      kernel = Kernel::kFunctional;
-      break;
-    }
-    case Kernel::kTable: {
-      verify_probes::recordCall(Tier::kTable,
-                                static_cast<std::int64_t>(labels.size()));
-      telemetry::ScopedSpan span(verify_probes::spanName(Tier::kTable));
-      if (pool != nullptr) {
-        return pool->parallelReduce(
-            0, sd::shardItems(torus), grain, std::int64_t{0},
-            [&](std::int64_t begin, std::int64_t end) {
-              return sd::tableSlice(torus, lcl, labels.data(), begin, end,
-                                    /*stopAtFirst=*/false);
-            },
-            sum);
-      }
-      return sd::tableSlice(torus, lcl, labels.data(), 0,
-                            sd::shardItems(torus), /*stopAtFirst=*/false);
-    }
-    case Kernel::kFunctional:
-      break;
-  }
-  verify_probes::recordCall(Tier::kFunctional,
-                            static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(verify_probes::spanName(Tier::kFunctional));
-  const std::int64_t nodes = static_cast<std::int64_t>(labels.size());
-  if (pool != nullptr) {
-    return pool->parallelReduce(0, nodes, sd::nodeGrain(grain, torus),
-                                std::int64_t{0},
-                                [&](std::int64_t begin, std::int64_t end) {
-                                  return sd::functionalSlice(
-                                      torus, lcl, labels, begin, end,
-                                      /*stopAtFirst=*/false);
-                                },
-                                sum);
-  }
-  return sd::functionalSlice(torus, lcl, labels, 0, nodes,
-                             /*stopAtFirst=*/false);
-}
-
-/// Feasibility of one labelling on the resolved kernel, early-exiting at
-/// the first violation (cooperatively across shards when pooled).
-template <typename Torus, typename Lcl>
-bool runVerify(engine::ThreadPool* pool, std::int64_t grain,
-               const Torus& torus, const Lcl& lcl,
-               std::span<const int> labels, Kernel kernel) {
+std::int64_t runKernel(engine::ThreadPool* pool, std::int64_t grain,
+                       const Torus& torus, const Lcl& lcl,
+                       std::span<const int> labels, bool stopAtFirst,
+                       Kernel& kernel) {
   if (kernel == Kernel::kBitsliced) {
-    // Verify mode always has an answer: an out-of-range label is a
-    // violation, so the pass never reruns.
-    return *sd::bitslicePass(pool, grain, torus, lcl, labels,
-                             /*stopAtFirst=*/true) == 0;
+    if (const std::optional<std::int64_t> answer = sd::bitslicePass(
+            pool, grain, torus, lcl, labels, stopAtFirst)) {
+      return *answer;
+    }
+    kernel = Kernel::kFunctional;
   }
   const bool tablePath = kernel == Kernel::kTable;
   const Tier tier = tablePath ? Tier::kTable : Tier::kFunctional;
   verify_probes::recordCall(tier, static_cast<std::int64_t>(labels.size()));
   telemetry::ScopedSpan span(verify_probes::spanName(tier));
-  if (pool == nullptr) {
-    const std::int64_t bad =
-        tablePath ? sd::tableSlice(torus, lcl, labels.data(), 0,
-                                   sd::shardItems(torus), /*stopAtFirst=*/true)
-                  : sd::functionalSlice(torus, lcl, labels, 0,
-                                        static_cast<std::int64_t>(
-                                            labels.size()),
-                                        /*stopAtFirst=*/true);
-    return bad == 0;
+  if (tablePath) {
+    return sd::violationsOver(
+        pool, 0, sd::shardItems(torus), grain, stopAtFirst,
+        [&](std::int64_t begin, std::int64_t end, bool stop) {
+          return sd::tableSlice(torus, lcl, labels.data(), begin, end, stop);
+        });
   }
-  std::atomic<bool> violated{false};
-  const std::int64_t items = tablePath
-                                 ? sd::shardItems(torus)
-                                 : static_cast<std::int64_t>(labels.size());
-  pool->parallelFor(0, items, tablePath ? grain : sd::nodeGrain(grain, torus),
-                    [&](std::int64_t begin, std::int64_t end) {
-                      if (violated.load(std::memory_order_relaxed)) return;
-                      const std::int64_t bad =
-                          tablePath
-                              ? sd::tableSlice(torus, lcl, labels.data(),
-                                               begin, end,
-                                               /*stopAtFirst=*/true)
-                              : sd::functionalSlice(torus, lcl, labels, begin,
-                                                    end, /*stopAtFirst=*/true);
-                      if (bad > 0) {
-                        violated.store(true, std::memory_order_relaxed);
-                      }
-                    });
-  return !violated.load();
+  return sd::violationsOver(
+      pool, 0, static_cast<std::int64_t>(labels.size()),
+      sd::nodeGrain(grain, torus), stopAtFirst,
+      [&](std::int64_t begin, std::int64_t end, bool stop) {
+        return sd::functionalSlice(torus, lcl, labels, begin, end, stop);
+      });
 }
 
 /// Dispatch of an in-core request (single labelling or batch) for one
@@ -209,52 +144,38 @@ template <typename Torus, typename Lcl>
 VerifyResult dispatchInCore(const Torus& torus, const Lcl& lcl,
                             std::span<const int> labels,
                             const VerifyOptions& options) {
+  const std::size_t count = verifier_detail::batchCount(torus.size(), labels);
+  if (count == 0) {
+    throw std::invalid_argument("verify: request has no labels");
+  }
   engine::PoolHandle handle(options.engine);
   engine::ThreadPool* pool =
       handle.pool().lanes() == 1 ? nullptr : &handle.pool();
   const std::int64_t grain = options.engine.grain;
+  const bool stopAtFirst = !options.countViolations;
 
   VerifyResult result;
-  const std::size_t count = sd::batchCountOf(torus, labels);
   result.labellings = static_cast<std::int64_t>(count);
-  if (count == 0) {
-    result.feasible = true;
-    return result;
-  }
   if (count == 1) {
     sd::checkLabelling(torus, lcl, labels);
     Kernel kernel = selectKernel(pool, grain, torus, lcl, labels, options.tier);
-    if (options.countViolations) {
-      result.violations = runCount(pool, grain, torus, lcl, labels, kernel);
-      result.feasible = result.violations == 0;
-    } else {
-      result.feasible = runVerify(pool, grain, torus, lcl, labels, kernel);
-      result.violations = result.feasible ? 0 : 1;
-    }
+    result.violations =
+        runKernel(pool, grain, torus, lcl, labels, stopAtFirst, kernel);
+    result.feasible = result.violations == 0;
     result.tier = tierOf(kernel);
     return result;
   }
 
-  // Batch: one labelling per work item, each selecting its own kernel --
-  // exactly the batch overloads' contract. The reported tier is the one
-  // that answered the first labelling.
+  // Batch: one labelling per work item, each selecting its own kernel. The
+  // reported tier is the one that answered the first labelling.
   const std::size_t stride = static_cast<std::size_t>(torus.size());
   sd::checkLabelling(torus, lcl, labels.subspan(0, stride));
-  if (options.countViolations) {
-    result.violationsPerLabelling.assign(count, 0);
-  } else {
-    result.feasiblePerLabelling.assign(count, 0);
-  }
+  std::vector<std::int64_t> violations(count, 0);
   const auto oneLabelling = [&](std::size_t i) {
     const std::span<const int> sub = labels.subspan(i * stride, stride);
     Kernel kernel = selectKernel(nullptr, grain, torus, lcl, sub, options.tier);
-    if (options.countViolations) {
-      result.violationsPerLabelling[i] =
-          runCount(nullptr, grain, torus, lcl, sub, kernel);
-    } else {
-      result.feasiblePerLabelling[i] =
-          runVerify(nullptr, grain, torus, lcl, sub, kernel) ? 1 : 0;
-    }
+    violations[i] =
+        runKernel(nullptr, grain, torus, lcl, sub, stopAtFirst, kernel);
     if (i == 0) result.tier = tierOf(kernel);
   };
   if (pool != nullptr) {
@@ -267,26 +188,21 @@ VerifyResult dispatchInCore(const Torus& torus, const Lcl& lcl,
   } else {
     for (std::size_t i = 0; i < count; ++i) oneLabelling(i);
   }
-  result.feasible = true;
-  result.violations = 0;
+  for (std::int64_t v : violations) result.violations += v;
+  result.feasible = result.violations == 0;
   if (options.countViolations) {
-    for (std::int64_t v : result.violationsPerLabelling) {
-      result.violations += v;
-    }
-    result.feasible = result.violations == 0;
+    result.violationsPerLabelling = std::move(violations);
   } else {
-    for (std::uint8_t ok : result.feasiblePerLabelling) {
-      if (ok == 0) {
-        result.feasible = false;
-        ++result.violations;
-      }
+    result.feasiblePerLabelling.reserve(count);
+    for (std::int64_t v : violations) {
+      result.feasiblePerLabelling.push_back(v == 0 ? 1 : 0);
     }
   }
   return result;
 }
 
-/// Dispatch of a streaming request through the stream_verify entry points
-/// (which fall back to the serial pass on a 1-lane pool themselves).
+/// Dispatch of a streaming request: one slab pass, serial on a one-lane
+/// pool and sharded per slab otherwise.
 template <typename Lcl>
 VerifyResult dispatchStream(const StreamLabelling& file, const Lcl& lcl,
                             const VerifyOptions& options) {
@@ -294,17 +210,39 @@ VerifyResult dispatchStream(const StreamLabelling& file, const Lcl& lcl,
     throw std::invalid_argument(
         "verify: streaming requests accept only TierPin::kAuto");
   }
+  engine::PoolHandle handle(options.engine);
+  engine::ThreadPool* pool =
+      handle.pool().lanes() == 1 ? nullptr : &handle.pool();
+  const bool stopAtFirst = !options.countViolations;
   VerifyResult result;
   result.tier = VerifyTier::kStream;
-  if (options.countViolations) {
+  if constexpr (std::is_same_v<Lcl, GridLcl>) {
+    stream_verify_detail::checkStream2D(file, lcl);
     result.violations =
-        streamCountViolations(file, lcl, options.engine, options.window);
-    result.feasible = result.violations == 0;
+        sd::streamPass(pool, options.engine.grain, file, lcl,
+                       Torus2D(file.n()), options.window, stopAtFirst);
   } else {
-    result.feasible = streamVerify(file, lcl, options.engine, options.window);
-    result.violations = result.feasible ? 0 : 1;
+    stream_verify_detail::checkStreamD(file, lcl);
+    result.violations = sd::streamPass(pool, options.engine.grain, file, lcl,
+                                       TorusD(file.dims(), file.n()),
+                                       options.window, stopAtFirst);
   }
+  result.feasible = result.violations == 0;
   return result;
+}
+
+/// The request of the two paper-facing Torus2D helpers.
+VerifyRequest serialRequest(const Torus2D& torus, const GridLcl& lcl,
+                            std::span<const int> labels, bool count) {
+  if (static_cast<int>(labels.size()) != torus.size()) {
+    throw std::invalid_argument("verifier: labelling size mismatch");
+  }
+  VerifyRequest request;
+  request.problem = &lcl;
+  request.torus = &torus;
+  request.labels = labels;
+  request.options.countViolations = count;
+  return request;
 }
 
 }  // namespace
@@ -392,6 +330,16 @@ VerifyResult verify(const VerifyRequest& request) {
                                               : 0;
   }
   return result;
+}
+
+bool verify(const Torus2D& torus, const GridLcl& lcl,
+            std::span<const int> labels) {
+  return verify(serialRequest(torus, lcl, labels, /*count=*/false)).feasible;
+}
+
+std::int64_t countViolations(const Torus2D& torus, const GridLcl& lcl,
+                             std::span<const int> labels) {
+  return verify(serialRequest(torus, lcl, labels, /*count=*/true)).violations;
 }
 
 }  // namespace lclgrid

@@ -1,8 +1,8 @@
-// Serial half of the streaming out-of-core verifier (lcl/stream_verify.hpp):
+// The streaming out-of-core verifier's library half (lcl/stream_verify.hpp):
 // the on-disk format (writer + memory-mapped reader) and the slab-walking
-// pass shared with the engine's sharded overloads. The kernels themselves
-// are the verifier_detail slices of the in-core engine, run zero-copy on
-// the mapped payload, so counts are bit-identical by construction.
+// pass the engine drives. The kernels themselves are the verifier_detail
+// slices of the in-core engine, run zero-copy on the mapped payload, so
+// counts are bit-identical by construction.
 #include "lcl/stream_verify.hpp"
 
 #include <algorithm>
@@ -13,8 +13,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "grid/torus2d.hpp"
-#include "grid/torusd.hpp"
 #include "lcl/verifier.hpp"
 #include "lcl/verify_probes.hpp"
 #include "support/faultpoint.hpp"
@@ -600,130 +598,5 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
 }
 
 }  // namespace stream_verify_detail
-
-// --- serial entry points ---------------------------------------------------
-
-namespace {
-
-using stream_verify_detail::checkStream2D;
-using stream_verify_detail::checkStreamD;
-using stream_verify_detail::resolveWindowRows;
-using stream_verify_detail::runStreamPass;
-using stream_verify_detail::StreamPass;
-using stream_verify_detail::wrapWindowRows;
-
-std::int64_t serialStream2D(const StreamLabelling& file, const GridLcl& lcl,
-                            const StreamWindow& window, bool stopAtFirst) {
-  checkStream2D(file, lcl);
-  const int n = file.n();
-  const long long lines = file.lines();
-  const int* labels = file.labels();
-  const std::span<const int> all(labels, static_cast<std::size_t>(file.size()));
-  const Torus2D torus(n);
-  StreamPass pass;
-  pass.file = &file;
-  pass.window = resolveWindowRows(n, lines, window.rows);
-  pass.wrapKeep = wrapWindowRows(file.dims(), n);
-  pass.dropBehind = window.dropBehind;
-  pass.tablePath = lcl.hasTable();
-  stream_verify_detail::applyCheckpointConfig(
-      pass, file, window, lcl.hasTable() ? lcl.table().fingerprint() : 0);
-  const bool sliced = stream_verify_detail::streamUsesBitslice(file, lcl);
-  if (pass.tablePath) {
-    pass.rowsInRange = [&lcl, all, n](long long begin, long long end) {
-      return verifier_detail::allLabelsInRange(
-          lcl.sigma(),
-          all.subspan(static_cast<std::size_t>(begin * n),
-                      static_cast<std::size_t>((end - begin) * n)));
-    };
-    pass.kernelRows = [&lcl, labels, n, lines, sliced](
-                          long long begin, long long end, bool stop) {
-      if (sliced) {
-        return verifier_detail::bitsliceViolationRows(
-            lcl.table(), n, static_cast<int>(lines), labels,
-            static_cast<int>(begin), static_cast<int>(end), stop);
-      }
-      return verifier_detail::tableViolationRows(lcl.table(), n, labels,
-                                                 static_cast<int>(begin),
-                                                 static_cast<int>(end), stop);
-    };
-  }
-  pass.functionalRows = [&torus, &lcl, all, n](long long begin, long long end,
-                                               bool stop) {
-    return verifier_detail::functionalViolationRange(
-        torus, lcl, all, static_cast<int>(begin * n),
-        static_cast<int>(end * n), stop);
-  };
-  return runStreamPass(pass, stopAtFirst);
-}
-
-std::int64_t serialStreamD(const StreamLabelling& file, const GridLclD& lcl,
-                           const StreamWindow& window, bool stopAtFirst) {
-  checkStreamD(file, lcl);
-  const int n = file.n();
-  const long long lines = file.lines();
-  const int* labels = file.labels();
-  const std::span<const int> all(labels, static_cast<std::size_t>(file.size()));
-  const TorusD torus(file.dims(), n);
-  StreamPass pass;
-  pass.file = &file;
-  pass.window = resolveWindowRows(n, lines, window.rows);
-  pass.wrapKeep = wrapWindowRows(file.dims(), n);
-  pass.dropBehind = window.dropBehind;
-  pass.tablePath = lcl.hasTable();
-  stream_verify_detail::applyCheckpointConfig(
-      pass, file, window, lcl.hasTable() ? lcl.table().fingerprint() : 0);
-  const bool sliced = stream_verify_detail::streamUsesBitsliceD(file, lcl);
-  // Unused by the d = 2 delegated row kernel -- the only bit-sliced tier
-  // the streaming pass selects.
-  const LabelPlanes noPlanes;
-  if (pass.tablePath) {
-    pass.rowsInRange = [&lcl, all, n](long long begin, long long end) {
-      return verifier_detail::allLabelsInRange(
-          lcl.sigma(),
-          all.subspan(static_cast<std::size_t>(begin * n),
-                      static_cast<std::size_t>((end - begin) * n)));
-    };
-    pass.kernelRows = [&lcl, &torus, &noPlanes, labels, sliced](
-                          long long begin, long long end, bool stop) {
-      if (sliced) {
-        return verifier_detail::bitsliceViolationLinesD(
-            lcl.table(), torus, noPlanes, labels, begin, end, stop);
-      }
-      return verifier_detail::tableViolationLinesD(lcl.table(), torus, labels,
-                                                   begin, end, stop);
-    };
-  }
-  pass.functionalRows = [&torus, &lcl, all, n](long long begin, long long end,
-                                               bool stop) {
-    return verifier_detail::functionalViolationRangeD(
-        torus, lcl, all, begin * n, end * n, stop);
-  };
-  return runStreamPass(pass, stopAtFirst);
-}
-
-}  // namespace
-
-std::int64_t streamCountViolations(const StreamLabelling& file,
-                                   const GridLcl& lcl,
-                                   const StreamWindow& window) {
-  return serialStream2D(file, lcl, window, /*stopAtFirst=*/false);
-}
-
-bool streamVerify(const StreamLabelling& file, const GridLcl& lcl,
-                  const StreamWindow& window) {
-  return serialStream2D(file, lcl, window, /*stopAtFirst=*/true) == 0;
-}
-
-std::int64_t streamCountViolations(const StreamLabelling& file,
-                                   const GridLclD& lcl,
-                                   const StreamWindow& window) {
-  return serialStreamD(file, lcl, window, /*stopAtFirst=*/false);
-}
-
-bool streamVerify(const StreamLabelling& file, const GridLclD& lcl,
-                  const StreamWindow& window) {
-  return serialStreamD(file, lcl, window, /*stopAtFirst=*/true) == 0;
-}
 
 }  // namespace lclgrid

@@ -17,13 +17,14 @@
 //
 // so a torus with >= 10^9 nodes verifies in one pass with O(rows) resident
 // memory and no full-grid allocation. Counts are bit-identical to the
-// in-core engine on every tier and thread count: the slabs run the exact
-// verifier_detail slices the serial and sharded in-core paths run.
+// in-core engine on every tier and lane count: the slabs run the exact
+// verifier_detail slices the in-core paths run.
 //
-// Serial entry points live in stream_verify.cpp; the overloads taking
-// engine::EngineOptions shard each slab through the work-stealing pool
-// (chunk-ordered combine) and live in src/engine/parallel_verifier.cpp --
-// link lclgrid_engine (or the umbrella target) to call them.
+// A streaming pass is a VerifyRequest naming a file or a labellingPath
+// (lcl/verify_api.hpp); the engine runs each slab serially or shards it
+// across its pool (engine/shard_detail.hpp streamPass). This header holds
+// the format, the window geometry, the checkpoint record and the slab
+// walk.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +33,6 @@
 #include <span>
 #include <string>
 
-#include "engine/engine_options.hpp"
 #include "lcl/grid_lcl.hpp"
 #include "lcl/grid_lcl_d.hpp"
 #include "support/mmap_file.hpp"
@@ -168,49 +168,8 @@ std::optional<StreamCheckpoint> loadStreamCheckpoint(const std::string& path);
 /// Removes a checkpoint file (best-effort; absent is fine).
 void removeStreamCheckpoint(const std::string& path);
 
-// --- serial entry points (stream_verify.cpp) ------------------------------
-// The GridLcl overloads require dims() == 2 files; the GridLclD overloads
-// require the file and problem dimensions to match. Both throw
-// std::invalid_argument on a dims or sigma mismatch. Semantics equal the
-// in-core engine: compiled table (bit-sliced where selected) when every
-// label is in range, functional fallback otherwise; verify early-exits at
-// the first violating slab, countViolations scans everything.
-
-std::int64_t streamCountViolations(const StreamLabelling& file,
-                                   const GridLcl& lcl,
-                                   const StreamWindow& window = {});
-bool streamVerify(const StreamLabelling& file, const GridLcl& lcl,
-                  const StreamWindow& window = {});
-
-std::int64_t streamCountViolations(const StreamLabelling& file,
-                                   const GridLclD& lcl,
-                                   const StreamWindow& window = {});
-bool streamVerify(const StreamLabelling& file, const GridLclD& lcl,
-                  const StreamWindow& window = {});
-
-// --- threaded overloads (src/engine/parallel_verifier.cpp) ----------------
-// Each slab is sharded across the pool with the same chunk-ordered combine
-// as the in-core sharded verifier, so counts are bit-identical to the
-// serial streaming pass (and to the in-core engine) at every thread count.
-
-std::int64_t streamCountViolations(const StreamLabelling& file,
-                                   const GridLcl& lcl,
-                                   const engine::EngineOptions& options,
-                                   const StreamWindow& window = {});
-bool streamVerify(const StreamLabelling& file, const GridLcl& lcl,
-                  const engine::EngineOptions& options,
-                  const StreamWindow& window = {});
-
-std::int64_t streamCountViolations(const StreamLabelling& file,
-                                   const GridLclD& lcl,
-                                   const engine::EngineOptions& options,
-                                   const StreamWindow& window = {});
-bool streamVerify(const StreamLabelling& file, const GridLclD& lcl,
-                  const engine::EngineOptions& options,
-                  const StreamWindow& window = {});
-
-/// The slab-walking machinery, shared by the serial entry points and the
-/// engine's sharded overloads so the two cannot diverge. Not stable API.
+/// The slab-walking machinery behind the engine's streaming pass. Not
+/// stable API.
 namespace stream_verify_detail {
 
 /// Rows per slab: the explicit request, else ~8 MiB of payload, clamped to
@@ -224,11 +183,11 @@ long long resolveWindowRows(int n, long long lines, long long requested);
 /// neighbour line of the table kernel lives.
 long long wrapWindowRows(int dims, int n);
 
-/// One streaming pass, parameterised over how a slab executes (the serial
-/// driver runs the verifier_detail slices inline; the sharded driver runs
-/// them through the pool). tablePath == false skips validation and runs
-/// functionalRows only; an out-of-range row on the table path restarts the
-/// whole pass on functionalRows, mirroring the in-core fallback.
+/// One streaming pass, parameterised over how a slab executes (the engine
+/// runs the verifier_detail slices inline or through its pool).
+/// tablePath == false skips validation and runs functionalRows only; an
+/// out-of-range row on the table path restarts the whole pass on
+/// functionalRows, mirroring the in-core fallback.
 struct StreamPass {
   const StreamLabelling* file = nullptr;
   long long window = 1;
@@ -257,15 +216,15 @@ struct StreamPass {
 
 /// Copies a window's checkpoint configuration onto a pass, binding the
 /// labelling fingerprint (computed only when checkpointing is on) and the
-/// problem fingerprint. Shared by the serial and sharded drivers.
+/// problem fingerprint.
 void applyCheckpointConfig(StreamPass& pass, const StreamLabelling& file,
                            const StreamWindow& window,
                            std::uint64_t problemFingerprint);
 
 std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst);
 
-/// Kernel tier of a streaming table path, shared by the serial and sharded
-/// drivers so thread counts cannot diverge. 2D mirrors the in-core
+/// Kernel tier of a streaming table path (the same at every lane count).
+/// 2D mirrors the in-core
 /// selection (verifier_detail::bitsliceSelected); d >= 3 stays on the
 /// row-pointer kernel -- the staged d >= 3 bit-sliced path needs the whole
 /// labelling transposed into plane buffers, which is exactly the full-grid
@@ -274,9 +233,10 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst);
 bool streamUsesBitslice(const StreamLabelling& file, const GridLcl& lcl);
 bool streamUsesBitsliceD(const StreamLabelling& file, const GridLclD& lcl);
 
-/// Entry-point validation shared by the serial and threaded overloads:
-/// dims/sigma mismatches throw std::invalid_argument; 2D additionally
-/// requires the node count to fit Torus2D's int indexing.
+/// Request validation: the GridLcl form requires a dims() == 2 file, the
+/// GridLclD form matching dimensions; dims/sigma mismatches throw
+/// std::invalid_argument, and 2D additionally requires the node count to
+/// fit Torus2D's int indexing.
 void checkStream2D(const StreamLabelling& file, const GridLcl& lcl);
 void checkStreamD(const StreamLabelling& file, const GridLclD& lcl);
 

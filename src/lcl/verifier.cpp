@@ -372,10 +372,14 @@ std::int64_t byteRow(ByteRowFn fn, const int* labels, int n,
 /// Bit-sliced kernel, colouring shape, over grid rows [yBegin, yEnd) of an
 /// nRows x n row-major labelling (rows wrap cyclically, so a shard is
 /// self-contained): two rolling byte rows and the eqS stream, one read of
-/// every label row.
+/// every label row. Kept out of line (like pairPlanesViolations): inlined
+/// into bitsliceViolationRows, its only caller, GCC 12 schedules the word
+/// loop worse and the sharded vc:4 pass runs measurably slower.
 template <bool StopAtFirst>
-std::int64_t colouringViolations(int n, int nRows, const int* labels,
-                                 int yBegin, int yEnd, unsigned& maxLabel) {
+[[gnu::noinline]] std::int64_t colouringViolations(int n, int nRows,
+                                                   const int* labels,
+                                                   int yBegin, int yEnd,
+                                                   unsigned& maxLabel) {
   const ByteRowFn fn = selectByteRowFn();
   // Whole words plus the wrap byte, in separate allocations, so a read past
   // a row's buffer is a heap overflow the sanitizers see.
@@ -422,9 +426,9 @@ std::int64_t colouringViolations(int n, int nRows, const int* labels,
 /// down stream is the previous row's up stream (both rolled, so every
 /// pair network evaluates once per row).
 template <bool StopAtFirst>
-std::int64_t pairPlanesViolations(const bitslice::BitslicePlan& plan, int n,
-                                  int nRows, const int* labels, int yBegin,
-                                  int yEnd, unsigned& maxLabel) {
+[[gnu::noinline]] std::int64_t pairPlanesViolations(
+    const bitslice::BitslicePlan& plan, int n, int nRows, const int* labels,
+    int yBegin, int yEnd, unsigned& maxLabel) {
   const int B = plan.planes;
   const std::size_t W = bitslice::wordsPerRow(n);
   const std::uint64_t tail = bitslice::rowTailMask(n);
@@ -796,46 +800,7 @@ std::int64_t functionalViolations(const Torus2D& torus, const GridLcl& lcl,
   return bad;
 }
 
-template <bool StopAtFirst>
-std::int64_t violationsKernel(const Torus2D& torus, const GridLcl& lcl,
-                              std::span<const int> labels) {
-  if (static_cast<int>(labels.size()) != torus.size()) {
-    throw std::invalid_argument("verifier: labelling size mismatch");
-  }
-  using verify_probes::Tier;
-  if (verifier_detail::bitsliceSelected(lcl, torus.size())) {
-    // No up-front alphabet scan: the kernel's row transpose reports the
-    // largest label it read (verifier_detail::resolveBitslicePass).
-    unsigned maxLabel = 0;
-    std::int64_t bad = 0;
-    {
-      telemetry::ScopedSpan span(verify_probes::spanName(Tier::kBitsliced));
-      bad = bitsliceViolations<StopAtFirst>(*lcl.table().bitslicePlan(),
-                                            torus.n(), torus.n(),
-                                            labels.data(), 0, torus.n(),
-                                            maxLabel);
-    }
-    if (const std::optional<std::int64_t> answer =
-            verifier_detail::resolveBitslicePass(bad, maxLabel, lcl.sigma(),
-                                                 StopAtFirst, torus.size())) {
-      return *answer;
-    }
-  } else if (lcl.hasTable() &&
-             verifier_detail::allLabelsInRange(lcl.sigma(), labels)) {
-    verify_probes::recordCall(Tier::kTable, torus.size());
-    telemetry::ScopedSpan span(verify_probes::spanName(Tier::kTable));
-    return tableViolations<StopAtFirst>(lcl.table(), torus.n(), labels.data(),
-                                        0, torus.n());
-  }
-  verify_probes::recordCall(Tier::kFunctional, torus.size());
-  telemetry::ScopedSpan span(verify_probes::spanName(Tier::kFunctional));
-  return functionalViolations<StopAtFirst>(torus, lcl, labels, 0,
-                                           torus.size());
-}
-
 }  // namespace
-
-using verifier_detail::batchCount;
 
 std::vector<Violation> listViolations(const Torus2D& torus, const GridLcl& lcl,
                                       std::span<const int> labels,
@@ -869,59 +834,6 @@ std::vector<Violation> listViolations(const Torus2D& torus, const GridLcl& lcl,
   return violations;
 }
 
-bool verify(const Torus2D& torus, const GridLcl& lcl,
-            std::span<const int> labels) {
-  return violationsKernel<true>(torus, lcl, labels) == 0;
-}
-
-std::int64_t countViolations(const Torus2D& torus, const GridLcl& lcl,
-                             std::span<const int> labels) {
-  return violationsKernel<false>(torus, lcl, labels);
-}
-
-std::vector<std::uint8_t> verifyBatch(const Torus2D& torus, const GridLcl& lcl,
-                                      std::span<const int> labelsBatch) {
-  const std::size_t count = batchCount(torus, labelsBatch);
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
-  std::vector<std::uint8_t> feasible(count, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    feasible[i] = violationsKernel<true>(
-                      torus, lcl, labelsBatch.subspan(i * stride, stride)) == 0
-                      ? 1
-                      : 0;
-  }
-  return feasible;
-}
-
-std::vector<std::int64_t> countViolationsBatch(
-    const Torus2D& torus, const GridLcl& lcl,
-    std::span<const int> labelsBatch) {
-  const std::size_t count = batchCount(torus, labelsBatch);
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
-  std::vector<std::int64_t> violations(count, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    violations[i] = violationsKernel<false>(
-        torus, lcl, labelsBatch.subspan(i * stride, stride));
-  }
-  return violations;
-}
-
-std::vector<std::uint8_t> verifyBatch(
-    const GridLcl& lcl, std::span<const LabellingInstance> instances) {
-  std::vector<std::uint8_t> feasible(instances.size(), 0);
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const LabellingInstance& instance = instances[i];
-    if (instance.torus == nullptr) {
-      throw std::invalid_argument("verifyBatch: null torus in instance");
-    }
-    feasible[i] =
-        violationsKernel<true>(*instance.torus, lcl, instance.labels) == 0
-            ? 1
-            : 0;
-  }
-  return feasible;
-}
-
 namespace verifier_detail {
 
 bool allLabelsInRange(int sigma, std::span<const int> labels) {
@@ -940,23 +852,22 @@ bool allLabelsInRange(int sigma, std::span<const int> labels) {
 }
 
 std::optional<std::int64_t> resolveBitslicePass(std::int64_t violations,
-                                                unsigned maxLabel, int sigma,
+                                                bool readOutside,
                                                 bool stopAtFirst,
                                                 long long nodes) {
-  const bool inRange = maxLabel < static_cast<unsigned>(sigma);
-  if (!inRange && !stopAtFirst) {
+  if (readOutside && !stopAtFirst) {
     static const telemetry::Counter fallbacks =
         telemetry::counter("verify.range_fallbacks");
     fallbacks.increment();
     return std::nullopt;
   }
   verify_probes::recordCall(verify_probes::Tier::kBitsliced, nodes);
-  return inRange ? violations : 1;
+  return readOutside ? 1 : violations;
 }
 
-std::size_t batchCount(const Torus2D& torus,
+std::size_t batchCount(long long torusSize,
                        std::span<const int> labelsBatch) {
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
+  const std::size_t stride = static_cast<std::size_t>(torusSize);
   if (stride == 0 || labelsBatch.size() % stride != 0) {
     throw std::invalid_argument(
         "verifier: batch size is not a multiple of torus.size()");

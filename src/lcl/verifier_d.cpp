@@ -1,21 +1,17 @@
-// Serial verification on d-dimensional tori: the TorusD overloads declared
-// in lcl/verifier.hpp. The compiled path is a flat line-pointer kernel --
-// nodes are walked one axis-0 line (n contiguous labels) at a time, with
-// one neighbour line pointer per outer axis recomputed per line, so the
-// inner loop is 2d loads, one table-row load and a bit test per node, no
-// TorusD::step and no per-node allocation. d = 2 routes through the proven
-// 2D row kernel on the delegated LclTable (one 2D code path in the
-// library). The threaded overloads shard the same line kernel; see
-// src/engine/parallel_verifier.cpp.
-#include <algorithm>
+// The d-dimensional kernel slices of lcl/verifier.hpp. The compiled path is
+// a flat line-pointer kernel -- nodes are walked one axis-0 line (n
+// contiguous labels) at a time, with one neighbour line pointer per outer
+// axis recomputed per line, so the inner loop is 2d loads, one table-row
+// load and a bit test per node, no TorusD::step and no per-node
+// allocation. d = 2 routes through the proven 2D row kernel on the
+// delegated LclTable (one 2D code path in the library). The engine
+// (engine/shard_detail.hpp) runs these slices serially or per shard.
 #include <bit>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
 #include "lcl/verifier.hpp"
-#include "lcl/verify_probes.hpp"
 
 namespace lclgrid {
 
@@ -181,92 +177,6 @@ void checkDims(const TorusD& torus, const GridLclD& lcl) {
   }
 }
 
-/// The serial bit-sliced pass over a whole labelling; raises maxLabel to
-/// the largest label it read. A staged (d >= 3) pass stops as soon as the
-/// staging sees a label outside [0, sigma): the pass is discarded or
-/// answers "infeasible" either way, so the kernel need not run.
-template <bool StopAtFirst>
-std::int64_t bitslicePassD(const GridLclD& lcl, const TorusD& torus,
-                           std::span<const int> labels, long long lines,
-                           unsigned& maxLabel) {
-  const LclTableD& table = lcl.table();
-  if (const LclTable* table2d = table.as2d()) {
-    // One 2D bit-sliced code path: the delegated table's plan runs the
-    // rolling row kernel straight off the labels, no staging.
-    return verifier_detail::bitsliceViolationRows(
-        *table2d, torus.n(), static_cast<int>(lines), labels.data(), 0,
-        static_cast<int>(lines), StopAtFirst, &maxLabel);
-  }
-  const unsigned sigma = static_cast<unsigned>(lcl.sigma());
-  LabelPlanes planes = verifier_detail::bitsliceMakePlanesD(torus, table);
-  if constexpr (!StopAtFirst) {
-    maxLabel = planes.setRows(labels, 0, lines);
-    if (maxLabel >= sigma) return 0;
-    return planesLineViolations<false>(*table.bitslicePlanD(), torus, planes,
-                                       0, lines);
-  } else {
-    // Early-exit contract: stage progressively, one outermost-axis block
-    // (lines / n lines) ahead of the scan, so a violation in the first
-    // block costs O(block) transposition, not O(N). Every outer-axis
-    // neighbour of a line lies within +-1 block, so the scan of block i
-    // only needs blocks i-1, i, i+1 (cyclically): the wrap block is staged
-    // up front, the rest one block ahead.
-    const long long blockLines = std::max(1LL, lines / torus.n());
-    maxLabel = planes.setRows(labels, lines - blockLines, lines);
-    long long stagedEnd = 0;
-    for (long long begin = 0; begin < lines; begin += blockLines) {
-      const long long end = std::min(begin + blockLines, lines);
-      const long long need = std::min(end + blockLines, lines - blockLines);
-      if (need > stagedEnd) {
-        maxLabel = std::max(maxLabel, planes.setRows(labels, stagedEnd, need));
-        stagedEnd = need;
-      }
-      if (maxLabel >= sigma ||
-          planesLineViolations<true>(*table.bitslicePlanD(), torus, planes,
-                                     begin, end) > 0) {
-        return 1;
-      }
-    }
-    return 0;
-  }
-}
-
-template <bool StopAtFirst>
-std::int64_t violationsKernel(const TorusD& torus, const GridLclD& lcl,
-                              std::span<const int> labels) {
-  checkDims(torus, lcl);
-  if (static_cast<long long>(labels.size()) != torus.size()) {
-    throw std::invalid_argument("verifier: labelling size mismatch");
-  }
-  using verify_probes::Tier;
-  const long long lines = verifier_detail::lineCountD(torus);
-  if (verifier_detail::bitsliceSelectedD(lcl, torus.size())) {
-    // No up-front alphabet scan: the transpose reports the largest label
-    // it read (verifier_detail::resolveBitslicePass).
-    unsigned maxLabel = 0;
-    std::int64_t bad = 0;
-    {
-      telemetry::ScopedSpan span(verify_probes::spanName(Tier::kBitsliced));
-      bad = bitslicePassD<StopAtFirst>(lcl, torus, labels, lines, maxLabel);
-    }
-    if (const std::optional<std::int64_t> answer =
-            verifier_detail::resolveBitslicePass(bad, maxLabel, lcl.sigma(),
-                                                 StopAtFirst, torus.size())) {
-      return *answer;
-    }
-  } else if (lcl.hasTable() &&
-             verifier_detail::allLabelsInRange(lcl.sigma(), labels)) {
-    verify_probes::recordCall(Tier::kTable, torus.size());
-    telemetry::ScopedSpan span(verify_probes::spanName(Tier::kTable));
-    return tableViolationLines<StopAtFirst>(lcl.table(), torus,
-                                            labels.data(), 0, lines);
-  }
-  verify_probes::recordCall(Tier::kFunctional, torus.size());
-  telemetry::ScopedSpan span(verify_probes::spanName(Tier::kFunctional));
-  return functionalViolations<StopAtFirst>(torus, lcl, labels, 0,
-                                           torus.size());
-}
-
 }  // namespace
 
 std::vector<Violation> listViolations(const TorusD& torus, const GridLclD& lcl,
@@ -313,57 +223,10 @@ std::vector<Violation> listViolations(const TorusD& torus, const GridLclD& lcl,
   return violations;
 }
 
-bool verify(const TorusD& torus, const GridLclD& lcl,
-            std::span<const int> labels) {
-  return violationsKernel<true>(torus, lcl, labels) == 0;
-}
-
-std::int64_t countViolations(const TorusD& torus, const GridLclD& lcl,
-                             std::span<const int> labels) {
-  return violationsKernel<false>(torus, lcl, labels);
-}
-
-std::vector<std::uint8_t> verifyBatch(const TorusD& torus, const GridLclD& lcl,
-                                      std::span<const int> labelsBatch) {
-  const std::size_t count = verifier_detail::batchCountD(torus, labelsBatch);
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
-  std::vector<std::uint8_t> feasible(count, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    feasible[i] = violationsKernel<true>(
-                      torus, lcl, labelsBatch.subspan(i * stride, stride)) == 0
-                      ? 1
-                      : 0;
-  }
-  return feasible;
-}
-
-std::vector<std::int64_t> countViolationsBatch(
-    const TorusD& torus, const GridLclD& lcl,
-    std::span<const int> labelsBatch) {
-  const std::size_t count = verifier_detail::batchCountD(torus, labelsBatch);
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
-  std::vector<std::int64_t> violations(count, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    violations[i] = violationsKernel<false>(
-        torus, lcl, labelsBatch.subspan(i * stride, stride));
-  }
-  return violations;
-}
-
 namespace verifier_detail {
 
 long long lineCountD(const TorusD& torus) {
   return torus.size() / torus.n();
-}
-
-std::size_t batchCountD(const TorusD& torus,
-                        std::span<const int> labelsBatch) {
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
-  if (stride == 0 || labelsBatch.size() % stride != 0) {
-    throw std::invalid_argument(
-        "verifier: batch size is not a multiple of torus.size()");
-  }
-  return labelsBatch.size() / stride;
 }
 
 std::int64_t tableViolationLinesD(const LclTableD& table, const TorusD& torus,
@@ -392,13 +255,6 @@ LabelPlanes bitsliceMakePlanesD(const TorusD& torus, const LclTableD& table) {
   if (table.as2d() != nullptr) return LabelPlanes();
   return LabelPlanes(torus.n(), lineCountD(torus),
                      table.bitslicePlanD()->planes);
-}
-
-void bitsliceStageLinesD(const TorusD& torus, std::span<const int> labels,
-                         LabelPlanes& planes, long long lineBegin,
-                         long long lineEnd) {
-  (void)torus;
-  planes.setRows(labels, lineBegin, lineEnd);
 }
 
 std::int64_t bitsliceViolationLinesD(const LclTableD& table,

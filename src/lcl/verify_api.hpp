@@ -1,9 +1,7 @@
-// The unified verification front door. The engine grew four kernel tiers
-// and three execution regimes (serial / pool-sharded / out-of-core
-// streaming), each with its own overload family across verifier.hpp and
-// stream_verify.hpp -- 20+ entry points for what is semantically one
-// question ("is this labelling feasible, and how many nodes violate?").
-// This header collapses them behind one request/options/result triple:
+// The verification front door: one request/options/result triple for what
+// is semantically one question ("is this labelling feasible, and how many
+// nodes violate?"), whatever the kernel tier, the execution regime (serial,
+// pool-sharded, out-of-core streaming), the batch shape or the dimension:
 //
 //   VerifyRequest request;
 //   request.problem = &lcl;            // or problemD, or a fingerprint +
@@ -13,22 +11,25 @@
 //   VerifyResult result = verify(request);
 //   // result.feasible, result.violations, result.tier, result.nanos
 //
-// Semantics are exactly the documented overload semantics (verifier.hpp):
-// verify-mode early-exits at the first violation, count-mode reports the
-// exact total, and counts are bit-identical on every kernel tier and thread
-// count. The old overloads remain as a thin compatibility surface -- the
-// threaded ones (engine/parallel_verifier.cpp) now *forward* through this
-// API -- and the verification service daemon (src/service) dispatches
-// exclusively through it.
+// Semantics: verify-mode early-exits at the first violation (first
+// violating 64-node word on the bit-sliced tier, first violating chunk
+// when sharded); count-mode scans everything and reports the exact total,
+// bit-identical on every kernel tier and lane count. The two agree on
+// feasibility. The verification service daemon (src/service) dispatches
+// exclusively through verify(VerifyRequest); the two Torus2D helpers at
+// the end are the paper-facing serial calls of the examples and figures.
 //
 // Tier selection and pinning: by default (TierPin::kAuto) the request runs
-// the tier the engine selects per docs/perf.md -- the same rules as every
-// overload. A pinned tier runs exactly that kernel, bypassing the
-// bit-slice node floor and the LCLGRID_BITSLICE gate, and throws
-// std::invalid_argument when the problem/instance cannot run it (no
-// compiled table, no bit-slice plan, out-of-range labels). Streaming
-// requests (a file or labellingPath) always report VerifyTier::kStream and
-// accept only kAuto.
+// the tier the engine selects per docs/perf.md. A pinned tier runs exactly
+// that kernel, bypassing the bit-slice node floor and the LCLGRID_BITSLICE
+// gate, and throws std::invalid_argument when the problem/instance cannot
+// run it (no compiled table, no bit-slice plan, out-of-range labels).
+// Streaming requests (a file or labellingPath) always report
+// VerifyTier::kStream and accept only kAuto.
+//
+// Thread-safety: a request only reads the torus, the problem and the label
+// buffers; uncompiled problems must carry re-entrant predicates (every
+// problem in the library does).
 //
 // Implemented in src/engine/verify_api.cpp -- link lclgrid_engine (or the
 // umbrella `lclgrid` target).
@@ -89,8 +90,8 @@ struct VerifyRequest {
   const Torus2D* torus = nullptr;
   const TorusD* torusD = nullptr;
   /// One labelling (labels.size() == torus size) or a back-to-back batch
-  /// (a whole multiple); the batch runs one labelling per work item, like
-  /// verifyBatch / countViolationsBatch.
+  /// (a whole multiple, at least one); a batch runs one labelling per work
+  /// item, and options.engine.grain then counts labellings.
   std::span<const int> labels;
   /// An already-open LCLLABv1 labelling (streamed zero-copy), or ...
   const StreamLabelling* file = nullptr;
@@ -116,8 +117,8 @@ struct VerifyResult {
   /// The tier that produced the answer. A count whose bit-sliced pass read
   /// an out-of-alphabet label reruns on (and reports) kFunctional; a
   /// verify-mode request answers "infeasible" from that pass and reports
-  /// kBitsliced. Batches select per labelling -- exactly like the batch
-  /// overloads -- and report the tier that answered the first labelling.
+  /// kBitsliced. Batches select per labelling and report the tier that
+  /// answered the first labelling.
   VerifyTier tier = VerifyTier::kFunctional;
   /// Fingerprint of the problem's compiled table (0 when uncompiled).
   std::uint64_t fingerprint = 0;
@@ -130,9 +131,22 @@ struct VerifyResult {
 /// problem and instance, selects (or honours the pinned) kernel tier and
 /// dispatches. Throws std::invalid_argument on malformed requests (no/
 /// ambiguous problem, missing instance, size or dimension mismatches,
-/// unsatisfiable tier pin) and std::runtime_error for unreadable labelling
-/// files. Counts are bit-identical to the per-tier overloads at every
-/// thread count.
+/// unsatisfiable tier pin, inline labels that are empty) and
+/// std::runtime_error for unreadable labelling files. Counts are
+/// bit-identical on every tier at every lane count.
 VerifyResult verify(const VerifyRequest& request);
+
+/// True iff the labelling is a feasible solution of the LCL on the torus:
+/// a serial, early-exiting default request. Throws std::invalid_argument
+/// ("verifier: labelling size mismatch") unless labels.size() ==
+/// torus.size().
+bool verify(const Torus2D& torus, const GridLcl& lcl,
+            std::span<const int> labels);
+
+/// Number of violated node constraints (nodes carrying out-of-alphabet
+/// labels count as violated): a serial, count-mode default request, with
+/// verify's size check.
+std::int64_t countViolations(const Torus2D& torus, const GridLcl& lcl,
+                             std::span<const int> labels);
 
 }  // namespace lclgrid

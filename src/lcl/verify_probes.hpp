@@ -1,8 +1,8 @@
 // Shared kernel-tier attribution probes for the verification engine
-// (support/telemetry.hpp): verifier.cpp, verifier_d.cpp, stream_verify.cpp
-// and engine/parallel_verifier.cpp all funnel their tier dispatch through
-// recordCall() so the four tiers share one set of counter names whatever
-// the entry point. All of this compiles to nothing with
+// (support/telemetry.hpp): the engine's tier dispatch
+// (engine/verify_api.cpp, engine/shard_detail.hpp) and the streaming pass
+// (stream_verify.cpp) funnel through recordCall() so the four tiers share
+// one set of counter names. All of this compiles to nothing with
 // -DLCLGRID_TELEMETRY=OFF.
 #pragma once
 

@@ -15,8 +15,7 @@
 //    requests -- an over-limit request is answered with an explicit kBusy
 //    frame and not executed, never silently dropped;
 //  * serviceThreads worker threads drain the queue and execute requests
-//    through the unified front doors -- verify(VerifyRequest) and
-//    engine::classify() -- never through the legacy overloads;
+//    through the front doors verify(VerifyRequest) and engine::classify();
 //  * problems resolve through a fingerprint-indexed LRU cache of compiled
 //    problems (spec -> GridLcl/GridLclD, fingerprint -> GridLcl) and oracle
 //    reports reuse an engine::ReportCache, both capacity-bounded;

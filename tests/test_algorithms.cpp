@@ -5,7 +5,7 @@
 #include "algorithms/global_baseline.hpp"
 #include "algorithms/orientations.hpp"
 #include "lcl/problems.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "local/ids.hpp"
 #include "local/row_anchors.hpp"
 #include "local/ruling_set.hpp"

@@ -1,10 +1,11 @@
 // Bit-sliced verification engine properties (lcl/label_planes.hpp + the
-// kernels behind lcl/verifier.hpp's selection): LabelPlanes transposition
+// kernels verify(VerifyRequest) selects): LabelPlanes transposition
 // round-trips, the cyclic shift helpers, PairNetwork equivalence with its
 // predicate, plan synthesis expectations over the registry, and the
-// headline contract -- bit-sliced counts are bit-for-bit identical to the
-// row-pointer kernel over the whole problem registry, on odd and even
-// torus sides (word-tail handling) and at 1/2/8 engine threads -- and the
+// headline contract -- with the kernel gate on or off, counts are
+// bit-for-bit identical to the functional tier over the whole problem
+// registry, on odd and even torus sides (word-tail handling) and at 1/2/8
+// engine lanes -- and the
 // byte-lane colouring kernel against the functional tier on every SIMD
 // rung, with clashes on the seams and shard boundaries, in core and
 // streamed.
@@ -24,6 +25,7 @@
 
 #include "grid/torus2d.hpp"
 #include "grid/torusd.hpp"
+#include "helpers/verify_request.hpp"
 #include "lcl/grid_lcl_d.hpp"
 #include "lcl/label_planes.hpp"
 #include "lcl/problems.hpp"
@@ -72,6 +74,35 @@ std::vector<int> randomLabels(long long count, int range, std::uint32_t seed) {
   std::vector<int> labels(static_cast<std::size_t>(count));
   for (int& label : labels) label = dist(rng);
   return labels;
+}
+
+/// The reference of the tier tests: the exact count of the functional tier
+/// at one lane, the independent per-node loop.
+template <typename Torus, typename Lcl>
+std::int64_t functionalCount(const Torus& torus, const Lcl& lcl,
+                             std::span<const int> labels) {
+  return verify(verifyRequest(torus, lcl, labels, /*count=*/true, 1,
+                              TierPin::kFunctional))
+      .violations;
+}
+
+/// Asserts the automatic tier's count and verdict at 1, 2 and 8 lanes.
+template <typename Torus, typename Lcl>
+void expectAutoMatches(const Torus& torus, const Lcl& lcl,
+                       std::span<const int> labels, std::int64_t reference,
+                       const std::string& what) {
+  for (int threads : {1, 2, 8}) {
+    ASSERT_EQ(verify(verifyRequest(torus, lcl, labels, /*count=*/true,
+                                   threads))
+                  .violations,
+              reference)
+        << what << " threads=" << threads;
+    ASSERT_EQ(verify(verifyRequest(torus, lcl, labels, /*count=*/false,
+                                   threads))
+                  .feasible,
+              reference == 0)
+        << what << " threads=" << threads;
+  }
 }
 
 }  // namespace
@@ -240,7 +271,7 @@ TEST(BitsliceVerifierD, DirectLineKernelMatchesTableOnTinySides) {
           lcl.table(), torus, labels.data(), 0, lines, /*stopAtFirst=*/false);
       LabelPlanes planes =
           verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
-      verifier_detail::bitsliceStageLinesD(torus, labels, planes, 0, lines);
+      planes.setRows(labels, 0, lines);
       ASSERT_EQ(verifier_detail::bitsliceViolationLinesD(
                     lcl.table(), torus, planes, labels.data(), 0, lines,
                     /*stopAtFirst=*/false),
@@ -262,14 +293,14 @@ TEST(BitsliceVerifier, MatchesRowPointerKernelOverRegistry2D) {
         const std::vector<int> labels = randomLabels(
             torus.size(), lcl.sigma(),
             seed * 977u + static_cast<std::uint32_t>(n));
-        bitslice::setEnabled(false);
-        const std::int64_t reference = countViolations(torus, lcl, labels);
-        const bool feasible = verify(torus, lcl, labels);
-        bitslice::setEnabled(true);
-        ASSERT_EQ(countViolations(torus, lcl, labels), reference)
-            << lcl.name() << " n=" << n << " seed=" << seed;
-        ASSERT_EQ(verify(torus, lcl, labels), feasible)
-            << lcl.name() << " n=" << n << " seed=" << seed;
+        const std::int64_t reference = functionalCount(torus, lcl, labels);
+        for (bool gate : {false, true}) {
+          bitslice::setEnabled(gate);
+          expectAutoMatches(torus, lcl, labels, reference,
+                            lcl.name() + " n=" + std::to_string(n) +
+                                " seed=" + std::to_string(seed) +
+                                " gate=" + std::to_string(gate));
+        }
       }
     }
   }
@@ -285,8 +316,7 @@ TEST(BitsliceVerifier, FeasibleColouringCountsZero) {
     for (int v = 0; v < torus.size(); ++v) {
       labels[static_cast<std::size_t>(v)] = (torus.xOf(v) + torus.yOf(v)) % 4;
     }
-    EXPECT_EQ(countViolations(torus, lcl, labels), 0) << n;
-    EXPECT_TRUE(verify(torus, lcl, labels)) << n;
+    expectAutoMatches(torus, lcl, labels, 0, "n=" + std::to_string(n));
   }
 }
 
@@ -300,15 +330,9 @@ TEST(BitsliceVerifier, ThreadedCountsAreBitIdentical2D) {
       const std::vector<int> labels =
           randomLabels(torus.size(), lcl.sigma(),
                        1234u + static_cast<std::uint32_t>(n));
-      const std::int64_t serial = countViolations(torus, lcl, labels);
-      const bool feasible = verify(torus, lcl, labels);
-      for (int threads : {1, 2, 8}) {
-        engine::EngineOptions options{.threads = threads};
-        ASSERT_EQ(countViolations(torus, lcl, labels, options), serial)
-            << lcl.name() << " n=" << n << " threads=" << threads;
-        ASSERT_EQ(verify(torus, lcl, labels, options), feasible)
-            << lcl.name() << " n=" << n << " threads=" << threads;
-      }
+      expectAutoMatches(torus, lcl, labels,
+                        functionalCount(torus, lcl, labels),
+                        lcl.name() + " n=" + std::to_string(n));
     }
   }
 }
@@ -327,19 +351,13 @@ TEST(BitsliceVerifierD, MatchesRowPointerKernelOnTorusD) {
         const std::vector<int> labels = randomLabels(
             torus.size(), lcl.sigma(),
             static_cast<std::uint32_t>(dims * 131 + side));
-        bitslice::setEnabled(false);
-        const std::int64_t reference = countViolations(torus, lcl, labels);
-        const bool feasible = verify(torus, lcl, labels);
-        bitslice::setEnabled(true);
-        ASSERT_EQ(countViolations(torus, lcl, labels), reference)
-            << lcl.name() << " dims=" << dims << " side=" << side;
-        ASSERT_EQ(verify(torus, lcl, labels), feasible)
-            << lcl.name() << " dims=" << dims << " side=" << side;
-        for (int threads : {1, 2, 8}) {
-          engine::EngineOptions options{.threads = threads};
-          ASSERT_EQ(countViolations(torus, lcl, labels, options), reference)
-              << lcl.name() << " dims=" << dims << " side=" << side
-              << " threads=" << threads;
+        const std::int64_t reference = functionalCount(torus, lcl, labels);
+        for (bool gate : {false, true}) {
+          bitslice::setEnabled(gate);
+          expectAutoMatches(torus, lcl, labels, reference,
+                            lcl.name() + " dims=" + std::to_string(dims) +
+                                " side=" + std::to_string(side) +
+                                " gate=" + std::to_string(gate));
         }
       }
     }
@@ -353,21 +371,16 @@ TEST(BitsliceVerifierD, LargerOddTorusMatchesAcrossThreads) {
   TorusD torus(3, 17);
   const GridLclD lcl = problems_d::vertexColouring(3, 4);
   const std::vector<int> labels = randomLabels(torus.size(), 4, 555u);
-  bitslice::setEnabled(false);
-  const std::int64_t reference = countViolations(torus, lcl, labels);
   bitslice::setEnabled(true);
-  EXPECT_EQ(countViolations(torus, lcl, labels), reference);
-  for (int threads : {2, 8}) {
-    engine::EngineOptions options{.threads = threads};
-    EXPECT_EQ(countViolations(torus, lcl, labels, options), reference)
-        << "threads=" << threads;
-  }
+  expectAutoMatches(torus, lcl, labels, functionalCount(torus, lcl, labels),
+                    "vc:4 d=3 n=17");
 }
 
 TEST(BitsliceVerifierD, ProgressiveStagedVerifyHandlesFeasibleAndNot) {
-  // The serial d >= 3 verify stages one outermost-axis block ahead of the
-  // scan; a feasible labelling must survive the full staged sweep, and a
-  // single violation in the last block must still be found.
+  // A serial d >= 3 verify request stages one outermost-axis block ahead
+  // of the scan; a feasible labelling must survive the full staged sweep,
+  // and a single violation in the last block must still be found. The
+  // sharded runs stage everything first and must agree.
   GateGuard guard;
   bitslice::setEnabled(true);
   TorusD torus(3, 8);  // 4 | 8: the diagonal colouring wraps cleanly
@@ -378,13 +391,29 @@ TEST(BitsliceVerifierD, ProgressiveStagedVerifyHandlesFeasibleAndNot) {
     for (int a = 0; a < 3; ++a) sum += torus.coord(v, a);
     labels[static_cast<std::size_t>(v)] = sum % 4;
   }
-  EXPECT_TRUE(verify(torus, lcl, labels));
+  const auto feasible = [&](int threads) {
+    const VerifyResult result =
+        verify(verifyRequest(torus, lcl, labels, /*count=*/false, threads));
+    EXPECT_EQ(result.tier, VerifyTier::kBitsliced);
+    return result.feasible;
+  };
+  for (int threads : {1, 2, 8}) {
+    EXPECT_TRUE(feasible(threads)) << "threads=" << threads;
+  }
   const int last = labels.back();
   labels.back() = labels[labels.size() - 2];  // clash on the last line
-  EXPECT_FALSE(verify(torus, lcl, labels));
+  for (int threads : {1, 2, 8}) {
+    EXPECT_FALSE(feasible(threads)) << "threads=" << threads;
+  }
   labels.back() = last;
   labels[0] = labels[1];  // clash in the first block
-  EXPECT_FALSE(verify(torus, lcl, labels));
+  for (int threads : {1, 2, 8}) {
+    EXPECT_FALSE(feasible(threads)) << "threads=" << threads;
+  }
+  labels[0] = 4;  // out of the alphabet, staged with the first block
+  for (int threads : {1, 2, 8}) {
+    EXPECT_FALSE(feasible(threads)) << "threads=" << threads;
+  }
 }
 
 TEST(BitsliceVerifier, BatchEntriesAgreeWithSerialKernel) {
@@ -396,14 +425,16 @@ TEST(BitsliceVerifier, BatchEntriesAgreeWithSerialKernel) {
   for (std::uint32_t seed = 0; seed < 4; ++seed) {
     const std::vector<int> labels =
         randomLabels(torus.size(), lcl.sigma(), 31u + seed);
-    bitslice::setEnabled(false);
-    expected.push_back(countViolations(torus, lcl, labels));
+    expected.push_back(functionalCount(torus, lcl, labels));
     batch.insert(batch.end(), labels.begin(), labels.end());
   }
   bitslice::setEnabled(true);
-  EXPECT_EQ(countViolationsBatch(torus, lcl, batch), expected);
-  engine::EngineOptions options{.threads = 4};
-  EXPECT_EQ(countViolationsBatch(torus, lcl, batch, options), expected);
+  for (int threads : {1, 2, 8}) {
+    EXPECT_EQ(verify(verifyRequest(torus, lcl, batch, /*count=*/true, threads))
+                  .violationsPerLabelling,
+              expected)
+        << "threads=" << threads;
+  }
 }
 
 namespace {

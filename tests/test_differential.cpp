@@ -20,7 +20,7 @@
 #include "grid/torus2d.hpp"
 #include "lcl/global_solver.hpp"
 #include "lcl/problems.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "synthesis/oracle.hpp"
 
 using namespace lclgrid;

@@ -1,6 +1,7 @@
 // Engine determinism and runtime tests: the work-stealing pool's loops, the
-// sharded verifier's bit-identity with the serial engine across thread
-// counts, fingerprint-keyed sweep caching, and the JSON report schema.
+// sharded verifier's bit-identity with the functional tier at one lane
+// across lane counts, fingerprint-keyed sweep caching, and the JSON report
+// schema.
 #include <atomic>
 #include <cstdint>
 #include <numeric>
@@ -13,8 +14,8 @@
 #include "engine/family_sweep.hpp"
 #include "engine/thread_pool.hpp"
 #include "grid/torus2d.hpp"
+#include "helpers/verify_request.hpp"
 #include "lcl/problems.hpp"
-#include "lcl/verifier.hpp"
 
 using namespace lclgrid;
 
@@ -50,6 +51,15 @@ std::vector<int> randomLabels(int count, int sigma, std::uint32_t seed,
   std::vector<int> labels(static_cast<std::size_t>(count));
   for (int& label : labels) label = dist(rng);
   return labels;
+}
+
+/// The reference of the bit-identity tests: the exact count of the
+/// functional tier at one lane.
+std::int64_t functionalCount(const Torus2D& torus, const GridLcl& lcl,
+                             std::span<const int> labels) {
+  return verify(verifyRequest(torus, lcl, labels, /*count=*/true, 1,
+                              TierPin::kFunctional))
+      .violations;
 }
 
 }  // namespace
@@ -153,15 +163,21 @@ TEST(EngineVerifier, CountsBitIdenticalToSerialForRegistry) {
         const bool garbage = seed == 2u;
         auto labels =
             randomLabels(torus.size(), lcl.sigma(), seed * 977, garbage);
-        const std::int64_t serial = countViolations(torus, lcl, labels);
-        const bool serialOk = verify(torus, lcl, labels);
+        const std::int64_t serial = functionalCount(torus, lcl, labels);
         for (int threads : {1, 2, 8}) {
           engine::ThreadPool pool(threads);
-          engine::EngineOptions options{.threads = threads, .pool = &pool};
-          EXPECT_EQ(countViolations(torus, lcl, labels, options), serial)
-              << lcl.name() << " n=" << n << " threads=" << threads;
-          EXPECT_EQ(verify(torus, lcl, labels, options), serialOk)
-              << lcl.name() << " n=" << n << " threads=" << threads;
+          for (bool count : {true, false}) {
+            VerifyRequest request =
+                verifyRequest(torus, lcl, labels, count, threads);
+            request.options.engine.pool = &pool;
+            const VerifyResult result = verify(request);
+            EXPECT_EQ(result.feasible, serial == 0)
+                << lcl.name() << " n=" << n << " threads=" << threads;
+            if (count) {
+              EXPECT_EQ(result.violations, serial)
+                  << lcl.name() << " n=" << n << " threads=" << threads;
+            }
+          }
         }
       }
     }
@@ -180,60 +196,65 @@ TEST(EngineVerifier, BatchesBitIdenticalToSerialForRegistry) {
                                    /*withGarbage=*/i == 3);
         batch.insert(batch.end(), labels.begin(), labels.end());
       }
-      const auto serialFeasible = verifyBatch(torus, lcl, batch);
-      const auto serialCounts = countViolationsBatch(torus, lcl, batch);
+      std::vector<std::uint8_t> serialFeasible;
+      std::vector<std::int64_t> serialCounts;
+      const std::size_t nodes = static_cast<std::size_t>(torus.size());
+      for (int i = 0; i < batchSize; ++i) {
+        serialCounts.push_back(functionalCount(
+            torus, lcl,
+            std::span<const int>(batch).subspan(
+                static_cast<std::size_t>(i) * nodes, nodes)));
+        serialFeasible.push_back(serialCounts.back() == 0 ? 1 : 0);
+      }
       for (int threads : {1, 2, 8}) {
         engine::ThreadPool pool(threads);
-        engine::EngineOptions options{.threads = threads, .pool = &pool};
-        EXPECT_EQ(verifyBatch(torus, lcl, batch, options), serialFeasible)
+        VerifyRequest request =
+            verifyRequest(torus, lcl, batch, /*count=*/false, threads);
+        request.options.engine.pool = &pool;
+        EXPECT_EQ(verify(request).feasiblePerLabelling, serialFeasible)
             << lcl.name() << " n=" << n << " threads=" << threads;
-        EXPECT_EQ(countViolationsBatch(torus, lcl, batch, options),
-                  serialCounts)
+        request.options.countViolations = true;
+        EXPECT_EQ(verify(request).violationsPerLabelling, serialCounts)
             << lcl.name() << " n=" << n << " threads=" << threads;
       }
     }
   }
 }
 
-TEST(EngineVerifier, HeterogeneousBatchMatchesSerial) {
-  GridLcl lcl = problems::vertexColouring(4);
-  Torus2D small(4), medium(6), large(8);
-  auto a = randomLabels(small.size(), lcl.sigma(), 7);
-  auto b = randomLabels(medium.size(), lcl.sigma(), 8);
-  auto c = randomLabels(large.size(), lcl.sigma(), 9);
-  std::vector<LabellingInstance> instances = {
-      {&small, a}, {&medium, b}, {&large, c}};
-  const auto serial = verifyBatch(lcl, instances);
-  for (int threads : {1, 2, 8}) {
-    engine::ThreadPool pool(threads);
-    engine::EngineOptions options{.threads = threads, .pool = &pool};
-    EXPECT_EQ(verifyBatch(lcl, instances, options), serial)
-        << "threads=" << threads;
-  }
-}
-
 TEST(EngineVerifier, SingleLabellingBatchUsesRowSharding) {
-  // A batch of one labelling on a big torus still parallelises (by rows);
-  // results must match the serial batch entry points.
+  // A batch of one labelling on a big torus is a single labelling: it
+  // still parallelises (by rows), and reports through the aggregate fields.
   GridLcl lcl = problems::maximalIndependentSet();
   Torus2D torus(32);
   auto labels = randomLabels(torus.size(), lcl.sigma(), 21);
-  engine::ThreadPool pool(4);
-  engine::EngineOptions options{.threads = 4, .pool = &pool};
-  EXPECT_EQ(verifyBatch(torus, lcl, labels, options),
-            verifyBatch(torus, lcl, labels));
-  EXPECT_EQ(countViolationsBatch(torus, lcl, labels, options),
-            countViolationsBatch(torus, lcl, labels));
+  const std::int64_t serial = functionalCount(torus, lcl, labels);
+  for (int threads : {1, 2, 8}) {
+    engine::ThreadPool pool(threads);
+    for (bool count : {true, false}) {
+      VerifyRequest request = verifyRequest(torus, lcl, labels, count, threads);
+      request.options.engine.pool = &pool;
+      const VerifyResult result = verify(request);
+      EXPECT_EQ(result.labellings, 1);
+      EXPECT_TRUE(result.feasiblePerLabelling.empty());
+      EXPECT_TRUE(result.violationsPerLabelling.empty());
+      EXPECT_EQ(result.feasible, serial == 0) << "threads=" << threads;
+      if (count) {
+        EXPECT_EQ(result.violations, serial) << "threads=" << threads;
+      }
+    }
+  }
 }
 
 TEST(EngineVerifier, SizeMismatchThrowsLikeSerial) {
   GridLcl lcl = problems::independentSet();
   Torus2D torus(4);
   std::vector<int> wrong(torus.size() - 1, 0);
-  engine::EngineOptions options{.threads = 2};
-  EXPECT_THROW(countViolations(torus, lcl, wrong, options),
-               std::invalid_argument);
-  EXPECT_THROW(verify(torus, lcl, wrong, options), std::invalid_argument);
+  for (int threads : {1, 2, 8}) {
+    EXPECT_THROW(verify(verifyRequest(torus, lcl, wrong, true, threads)),
+                 std::invalid_argument);
+    EXPECT_THROW(verify(verifyRequest(torus, lcl, wrong, false, threads)),
+                 std::invalid_argument);
+  }
 }
 
 TEST(LclTableFingerprint, EqualContentHashesEqual) {

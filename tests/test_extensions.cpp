@@ -3,14 +3,14 @@
 #include "lcl/combinators.hpp"
 #include "lcl/global_solver.hpp"
 #include "lcl/problems.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "local/graph_view.hpp"
+#include "local/ids.hpp"
 #include "local/luby_mis.hpp"
 #include "local/mis.hpp"
 #include "synthesis/normal_form.hpp"
 #include "synthesis/rule_io.hpp"
 #include "synthesis/synthesizer.hpp"
-#include "local/ids.hpp"
 
 namespace lclgrid {
 namespace {

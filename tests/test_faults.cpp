@@ -28,8 +28,10 @@
 #include <gtest/gtest.h>
 
 #include "engine/thread_pool.hpp"
+#include "helpers/verify_request.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
+#include "lcl/verify_api.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/retry.hpp"
@@ -55,6 +57,14 @@ namespace {
 struct FaultGuard {
   ~FaultGuard() { fp::disarmAll(); }
 };
+
+/// Exact violation count of a serial streamed pass over `file`.
+std::int64_t streamedCount(const StreamLabelling& file, const GridLcl& lcl,
+                           const StreamWindow& window = {}) {
+  VerifyRequest request = verifyRequest(file, lcl, {}, /*count=*/true);
+  request.options.window = window;
+  return verify(request).violations;
+}
 
 class TempFile {
  public:
@@ -386,7 +396,7 @@ TEST(StreamFaults, CheckpointWriteFailureDegradesToNoCheckpoint) {
   writeLabellingFile(file.str(), 4, 2, n, labels);
   StreamLabelling mapped(file.str());
   const GridLcl lcl = problems::vertexColouring(4);
-  const std::int64_t reference = streamCountViolations(mapped, lcl);
+  const std::int64_t reference = streamedCount(mapped, lcl);
 
   TempFile checkpoint("faults-ckpt-degrade-ckpt");
   StreamWindow window;
@@ -395,7 +405,7 @@ TEST(StreamFaults, CheckpointWriteFailureDegradesToNoCheckpoint) {
   fp::armEntry("stream.checkpoint_write:errno=EIO");  // every attempt fails
   // The count must still be exact -- a checkpoint is an optimisation, its
   // failure must never fail (or skew) verification.
-  EXPECT_EQ(streamCountViolations(mapped, lcl, window), reference);
+  EXPECT_EQ(streamedCount(mapped, lcl, window), reference);
   EXPECT_FALSE(checkpoint.exists());
 }
 
@@ -445,7 +455,7 @@ TEST(StreamCrashResume, BitIdenticalAcrossAbortAtSlabBoundaries) {
   std::int64_t reference;
   {
     StreamLabelling mapped(file.str());
-    reference = streamCountViolations(mapped, lcl);
+    reference = streamedCount(mapped, lcl);
     ASSERT_GT(reference, 0);
   }
 
@@ -466,7 +476,7 @@ TEST(StreamCrashResume, BitIdenticalAcrossAbortAtSlabBoundaries) {
                    std::to_string(killAfter));
       try {
         StreamLabelling mapped(file.str());
-        (void)streamCountViolations(mapped, lcl, window);
+        (void)streamedCount(mapped, lcl, window);
       } catch (...) {
       }
       _exit(0);  // reached only if the abort never fired
@@ -481,7 +491,7 @@ TEST(StreamCrashResume, BitIdenticalAcrossAbortAtSlabBoundaries) {
     // The resumed pass picks the cursor up mid-file and lands on the
     // EXACT uninterrupted count.
     StreamLabelling mapped(file.str());
-    EXPECT_EQ(streamCountViolations(mapped, lcl, window), reference)
+    EXPECT_EQ(streamedCount(mapped, lcl, window), reference)
         << "killAfter=" << killAfter;
     // Completion removes the sidecar.
     EXPECT_FALSE(checkpoint.exists()) << "killAfter=" << killAfter;
@@ -496,7 +506,7 @@ TEST(StreamCrashResume, StaleFingerprintRestartsFromScratch) {
   writeLabellingFile(file.str(), 4, 2, n, labels);
   const GridLcl lcl = problems::vertexColouring(4);
   StreamLabelling mapped(file.str());
-  const std::int64_t reference = streamCountViolations(mapped, lcl);
+  const std::int64_t reference = streamedCount(mapped, lcl);
 
   // A checkpoint from "some other file": the fingerprints cannot match,
   // so the pass must ignore it and still produce the exact count.
@@ -512,7 +522,7 @@ TEST(StreamCrashResume, StaleFingerprintRestartsFromScratch) {
   StreamWindow window;
   window.rows = 2;
   window.checkpointPath = checkpoint.str();
-  EXPECT_EQ(streamCountViolations(mapped, lcl, window), reference);
+  EXPECT_EQ(streamedCount(mapped, lcl, window), reference);
   EXPECT_FALSE(checkpoint.exists());
 }
 
@@ -746,8 +756,7 @@ TEST(FaultRegistry, EveryHardenedPointIsRegistered) {
     StreamWindow window;
     window.rows = 2;
     window.checkpointPath = checkpoint.str();
-    (void)streamCountViolations(mapped, problems::vertexColouring(4),
-                                window);
+    (void)streamedCount(mapped, problems::vertexColouring(4), window);
   }
   {
     // submit() routes through the worker's loop (parallelFor's helping

@@ -7,6 +7,7 @@
 #include "lcl/grid_lcl.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 
 namespace lclgrid {
 namespace {

@@ -10,10 +10,12 @@
 #include <vector>
 
 #include "cycle/cycle_lcl.hpp"
+#include "helpers/verify_request.hpp"
 #include "lcl/combinators.hpp"
 #include "lcl/grid_lcl.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 
 namespace lclgrid {
 namespace {
@@ -305,13 +307,19 @@ TEST(BatchVerifier, BatchOverManyLabellings) {
   batch.insert(batch.end(), bad.begin(), bad.end());
   batch.insert(batch.end(), good.begin(), good.end());
 
-  auto feasible = verifyBatch(torus, lcl, batch);
+  const VerifyResult decided =
+      verify(verifyRequest(torus, lcl, batch, /*count=*/false));
+  EXPECT_EQ(decided.labellings, 3);
+  const std::vector<std::uint8_t>& feasible = decided.feasiblePerLabelling;
   ASSERT_EQ(feasible.size(), 3u);
   EXPECT_EQ(feasible[0] != 0, goodFeasible);
   EXPECT_EQ(feasible[1], 0);
   EXPECT_EQ(feasible[2] != 0, goodFeasible);
+  EXPECT_FALSE(decided.feasible);
 
-  auto counts = countViolationsBatch(torus, lcl, batch);
+  const std::vector<std::int64_t> counts =
+      verify(verifyRequest(torus, lcl, batch, /*count=*/true))
+          .violationsPerLabelling;
   ASSERT_EQ(counts.size(), 3u);
   EXPECT_EQ(counts[0], countViolations(torus, lcl, good));
   EXPECT_EQ(counts[1], countViolations(torus, lcl, bad));
@@ -322,24 +330,8 @@ TEST(BatchVerifier, RejectsMisalignedBatch) {
   Torus2D torus(4);
   auto lcl = problems::vertexColouring(2);
   std::vector<int> batch(torus.size() + 1, 0);
-  EXPECT_THROW(verifyBatch(torus, lcl, batch), std::invalid_argument);
-}
-
-TEST(BatchVerifier, HeterogeneousToriInOnePass) {
-  Torus2D small(4), large(8);
-  auto lcl = problems::vertexColouring(2);
-  auto smallLabels = diagonalColouring(small, 2);
-  auto largeLabels = diagonalColouring(large, 2);
-  auto badLabels = smallLabels;
-  badLabels[3] = badLabels[3] == 0 ? 1 : 0;
-
-  std::vector<LabellingInstance> instances = {
-      {&small, smallLabels}, {&large, largeLabels}, {&small, badLabels}};
-  auto feasible = verifyBatch(lcl, instances);
-  ASSERT_EQ(feasible.size(), 3u);
-  EXPECT_EQ(feasible[0], 1);
-  EXPECT_EQ(feasible[1], 1);
-  EXPECT_EQ(feasible[2], 0);
+  EXPECT_THROW(verify(verifyRequest(torus, lcl, batch, /*count=*/false)),
+               std::invalid_argument);
 }
 
 TEST(BatchVerifier, OutOfAlphabetLabelsStillRejected) {
@@ -441,8 +433,10 @@ TEST(Fingerprint, EqualTablesHashEqualAcrossConstructionPaths) {
     EXPECT_EQ(table.fingerprint(), remapped.fingerprint()) << lcl.name();
   }
 
-  const LclTable& p = problems::independentSet().table();
-  const LclTable& q = problems::maximalIndependentSet().table();
+  const GridLcl independent = problems::independentSet();
+  const GridLcl maximal = problems::maximalIndependentSet();
+  const LclTable& p = independent.table();
+  const LclTable& q = maximal.table();
   EXPECT_EQ(LclTable::disjointUnion(p, q).fingerprint(),
             LclTable::disjointUnion(p, q).fingerprint());
 }

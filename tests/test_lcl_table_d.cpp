@@ -17,12 +17,14 @@
 
 #include "engine/thread_pool.hpp"
 #include "grid/torusd.hpp"
+#include "helpers/verify_request.hpp"
 #include "lcl/grid_lcl.hpp"
 #include "lcl/grid_lcl_d.hpp"
 #include "lcl/lcl_table.hpp"
 #include "lcl/lcl_table_d.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 
 namespace lclgrid {
 namespace {
@@ -305,9 +307,12 @@ TEST(VerifierD, TableKernelMatchesReferenceAcrossDims) {
     for (const GridLclD& lcl : lcls) {
       const auto labels = randomLabels(torus.size(), lcl.sigma(), seed++);
       const std::int64_t expected = referenceCount(torus, lcl, labels);
-      EXPECT_EQ(countViolations(torus, lcl, labels), expected)
+      EXPECT_EQ(verify(verifyRequest(torus, lcl, labels, true)).violations,
+                expected)
           << lcl.name() << " n=" << n;
-      EXPECT_EQ(verify(torus, lcl, labels), expected == 0) << lcl.name();
+      EXPECT_EQ(verify(verifyRequest(torus, lcl, labels, false)).feasible,
+                expected == 0)
+          << lcl.name();
       EXPECT_EQ(listViolations(torus, lcl, labels,
                                static_cast<int>(torus.size()))
                     .size(),
@@ -328,8 +333,8 @@ TEST(VerifierD, FeasibleColouringVerifies) {
     labels[static_cast<std::size_t>(v)] =
         (coords[0] + coords[1] + coords[2]) % 3;
   }
-  EXPECT_TRUE(verify(torus, lcl, labels));
-  EXPECT_EQ(countViolations(torus, lcl, labels), 0);
+  EXPECT_TRUE(verify(verifyRequest(torus, lcl, labels, false)).feasible);
+  EXPECT_EQ(verify(verifyRequest(torus, lcl, labels, true)).violations, 0);
 }
 
 TEST(VerifierD, FunctionalFallbackAndOutOfRangeLabels) {
@@ -344,16 +349,16 @@ TEST(VerifierD, FunctionalFallbackAndOutOfRangeLabels) {
                });
   EXPECT_FALSE(big.hasTable());
   const auto labels = randomLabels(torus.size(), big.sigma(), 99);
-  EXPECT_EQ(countViolations(torus, big, labels),
+  EXPECT_EQ(verify(verifyRequest(torus, big, labels, true)).violations,
             referenceCount(torus, big, labels));
 
   // Out-of-alphabet labels force the compiled problem off the table path.
   const GridLclD small = problems_d::vertexColouring(3, 3);
   auto bad = randomLabels(torus.size(), small.sigma(), 100);
   bad[5] = 42;
-  EXPECT_EQ(countViolations(torus, small, bad),
+  EXPECT_EQ(verify(verifyRequest(torus, small, bad, true)).violations,
             referenceCount(torus, small, bad));
-  EXPECT_FALSE(verify(torus, small, bad));
+  EXPECT_FALSE(verify(verifyRequest(torus, small, bad, false)).feasible);
 }
 
 TEST(VerifierD, TableFirstProblemRejectsOutOfRangeLabels) {
@@ -371,8 +376,8 @@ TEST(VerifierD, TableFirstProblemRejectsOutOfRangeLabels) {
   const TorusD torus(3, 4);
   auto labels = randomLabels(torus.size(), u.sigma(), 4242);
   labels[7] = 1000000;
-  EXPECT_FALSE(verify(torus, u, labels));
-  EXPECT_GE(countViolations(torus, u, labels), 1);
+  EXPECT_FALSE(verify(verifyRequest(torus, u, labels, false)).feasible);
+  EXPECT_GE(verify(verifyRequest(torus, u, labels, true)).violations, 1);
 }
 
 TEST(VerifierD, BatchesMatchSingleCalls) {
@@ -384,17 +389,21 @@ TEST(VerifierD, BatchesMatchSingleCalls) {
   for (int i = 0; i < batchSize; ++i) {
     const auto labels = randomLabels(torus.size(), lcl.sigma(), 2000 + i);
     batch.insert(batch.end(), labels.begin(), labels.end());
-    expectedCounts.push_back(countViolations(torus, lcl, labels));
+    expectedCounts.push_back(
+        verify(verifyRequest(torus, lcl, labels, true)).violations);
   }
-  EXPECT_EQ(countViolationsBatch(torus, lcl, batch), expectedCounts);
-  const auto feasible = verifyBatch(torus, lcl, batch);
+  EXPECT_EQ(verify(verifyRequest(torus, lcl, batch, true))
+                .violationsPerLabelling,
+            expectedCounts);
+  const auto feasible =
+      verify(verifyRequest(torus, lcl, batch, false)).feasiblePerLabelling;
   ASSERT_EQ(feasible.size(), static_cast<std::size_t>(batchSize));
   for (int i = 0; i < batchSize; ++i) {
     EXPECT_EQ(feasible[static_cast<std::size_t>(i)] != 0,
               expectedCounts[static_cast<std::size_t>(i)] == 0);
   }
   std::vector<int> ragged(batch.begin(), batch.end() - 1);
-  EXPECT_THROW(countViolationsBatch(torus, lcl, ragged),
+  EXPECT_THROW(verify(verifyRequest(torus, lcl, ragged, true)),
                std::invalid_argument);
 }
 
@@ -402,8 +411,10 @@ TEST(VerifierD, DimensionMismatchThrows) {
   const TorusD torus(3, 4);
   const GridLclD lcl = problems_d::vertexColouring(2, 3);
   const std::vector<int> labels(static_cast<std::size_t>(torus.size()), 0);
-  EXPECT_THROW(countViolations(torus, lcl, labels), std::invalid_argument);
-  EXPECT_THROW(verify(torus, lcl, labels), std::invalid_argument);
+  EXPECT_THROW(verify(verifyRequest(torus, lcl, labels, true)),
+               std::invalid_argument);
+  EXPECT_THROW(verify(verifyRequest(torus, lcl, labels, false)),
+               std::invalid_argument);
 }
 
 TEST(VerifierD, ParallelCountsBitIdenticalAt128Threads) {
@@ -416,17 +427,23 @@ TEST(VerifierD, ParallelCountsBitIdenticalAt128Threads) {
         problems_d::monotoneAxis(dims, 0, 3)};
     for (const GridLclD& lcl : lcls) {
       const auto labels = randomLabels(torus.size(), lcl.sigma(), seed++);
-      const std::int64_t serial = countViolations(torus, lcl, labels);
-      const bool feasible = verify(torus, lcl, labels);
+      const std::int64_t serial = referenceCount(torus, lcl, labels);
       for (int threads : {1, 2, 8}) {
         engine::ThreadPool pool(threads);
-        // Explicit grain pins chunk boundaries across thread counts.
-        engine::EngineOptions options{
-            .threads = threads, .grain = 2, .pool = &pool};
-        EXPECT_EQ(countViolations(torus, lcl, labels, options), serial)
-            << lcl.name() << " threads=" << threads;
-        EXPECT_EQ(verify(torus, lcl, labels, options), feasible)
-            << lcl.name() << " threads=" << threads;
+        for (bool count : {true, false}) {
+          VerifyRequest request =
+              verifyRequest(torus, lcl, labels, count, threads);
+          // Explicit grain pins chunk boundaries across thread counts.
+          request.options.engine.grain = 2;
+          request.options.engine.pool = &pool;
+          const VerifyResult result = verify(request);
+          EXPECT_EQ(result.feasible, serial == 0)
+              << lcl.name() << " threads=" << threads;
+          if (count) {
+            EXPECT_EQ(result.violations, serial)
+                << lcl.name() << " threads=" << threads;
+          }
+        }
       }
     }
   }
@@ -441,25 +458,35 @@ TEST(VerifierD, ParallelBatchesBitIdenticalAt128Threads) {
     const auto labels = randomLabels(torus.size(), lcl.sigma(), 3000 + i);
     batch.insert(batch.end(), labels.begin(), labels.end());
   }
-  const auto serialCounts = countViolationsBatch(torus, lcl, batch);
-  const auto serialFeasible = verifyBatch(torus, lcl, batch);
+  std::vector<std::int64_t> serialCounts;
+  std::vector<std::uint8_t> serialFeasible;
+  const std::size_t nodes = static_cast<std::size_t>(torus.size());
+  for (int i = 0; i < batchSize; ++i) {
+    serialCounts.push_back(referenceCount(
+        torus, lcl,
+        std::vector<int>(batch.begin() + static_cast<long>(i * nodes),
+                         batch.begin() + static_cast<long>((i + 1) * nodes))));
+    serialFeasible.push_back(serialCounts.back() == 0 ? 1 : 0);
+  }
   for (int threads : {1, 2, 8}) {
     engine::ThreadPool pool(threads);
-    engine::EngineOptions options{
-        .threads = threads, .grain = 1, .pool = &pool};
-    EXPECT_EQ(countViolationsBatch(torus, lcl, batch, options), serialCounts)
+    VerifyRequest request = verifyRequest(torus, lcl, batch, true, threads);
+    request.options.engine.grain = 1;
+    request.options.engine.pool = &pool;
+    EXPECT_EQ(verify(request).violationsPerLabelling, serialCounts)
         << "threads=" << threads;
-    EXPECT_EQ(verifyBatch(torus, lcl, batch, options), serialFeasible)
+    request.options.countViolations = false;
+    EXPECT_EQ(verify(request).feasiblePerLabelling, serialFeasible)
         << "threads=" << threads;
   }
-  // Single-labelling batch takes the sharded-single path.
-  std::vector<int> one(batch.begin(),
-                       batch.begin() + static_cast<std::size_t>(torus.size()));
+  // A one-labelling request takes the sharded-single path.
+  const std::span<const int> one(batch.data(), nodes);
   for (int threads : {2, 8}) {
     engine::ThreadPool pool(threads);
-    engine::EngineOptions options{.threads = threads, .pool = &pool};
-    EXPECT_EQ(countViolationsBatch(torus, lcl, one, options),
-              countViolationsBatch(torus, lcl, one));
+    VerifyRequest request = verifyRequest(torus, lcl, one, true, threads);
+    request.options.engine.pool = &pool;
+    EXPECT_EQ(verify(request).violations, serialCounts[0])
+        << "threads=" << threads;
   }
 }
 

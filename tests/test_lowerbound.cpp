@@ -4,7 +4,7 @@
 
 #include "lcl/global_solver.hpp"
 #include "lcl/problems.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "lowerbound/orientation_invariant.hpp"
 #include "lowerbound/qsum.hpp"
 #include "lowerbound/three_colouring_invariant.hpp"

@@ -21,7 +21,7 @@
 #include "helpers/json_value.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "service/client.hpp"
 #include "service/problem_registry.hpp"
 #include "service/service.hpp"

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "lcl/problems.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "local/graph_view.hpp"
 #include "local/ids.hpp"
 #include "local/mis.hpp"

@@ -1,7 +1,7 @@
 // The streaming (out-of-core) verifier tier: on-disk format round-trips,
-// bit-identical agreement with the in-core engine across window geometries,
-// kernel tiers and thread counts, the out-of-range functional fallback, and
-// the reader's error paths. The format is load-bearing for the zero-copy
+// bit-identical agreement with the in-core functional tier across window
+// geometries, kernel tiers and lane counts, the out-of-range functional
+// fallback, and the reader's error paths. The format is load-bearing for the zero-copy
 // claim -- the mapped payload must be byte-identical to the in-core label
 // buffer -- so the round-trip tests compare entire label vectors, not
 // counts.
@@ -17,14 +17,14 @@
 
 #include <gtest/gtest.h>
 
-#include "engine/engine_options.hpp"
 #include "grid/torus2d.hpp"
 #include "grid/torusd.hpp"
+#include "helpers/verify_request.hpp"
 #include "lcl/grid_lcl_d.hpp"
 #include "lcl/label_planes.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 
 using namespace lclgrid;
 
@@ -77,6 +77,26 @@ std::vector<int> randomLabels(long long count, int range, std::uint32_t seed) {
   std::vector<int> labels(static_cast<std::size_t>(count));
   for (int& label : labels) label = dist(rng);
   return labels;
+}
+
+/// The reference of the streamed passes: the exact count of the in-core
+/// functional tier at one lane.
+template <typename Torus, typename Lcl>
+std::int64_t functionalCount(const Torus& torus, const Lcl& lcl,
+                             std::span<const int> labels) {
+  return verify(verifyRequest(torus, lcl, labels, /*count=*/true, 1,
+                              TierPin::kFunctional))
+      .violations;
+}
+
+/// One streamed pass over `file`: the exact count, or the early-exit
+/// verdict, at `threads` lanes in slabs of `window`.
+template <typename Lcl>
+VerifyResult streamed(const StreamLabelling& file, const Lcl& lcl, bool count,
+                      int threads = 1, const StreamWindow& window = {}) {
+  VerifyRequest request = verifyRequest(file, lcl, {}, count, threads);
+  request.options.window = window;
+  return verify(request);
 }
 
 /// Writes a file whose header fields are given verbatim (no validation),
@@ -242,21 +262,19 @@ TEST(StreamVerify, MismatchedProblemThrows) {
   writeLabellingFile(file.str(), 3, 2, n, labels);
   StreamLabelling mapped(file.str());
   // sigma mismatch (2D): vertexColouring(4) has sigma 4, the file says 3.
-  EXPECT_THROW(streamCountViolations(mapped, problems::vertexColouring(4)),
+  EXPECT_THROW(streamed(mapped, problems::vertexColouring(4), true),
                std::invalid_argument);
   // dims mismatch (D): the file is 2-dimensional.
-  EXPECT_THROW(
-      streamCountViolations(mapped, problems_d::vertexColouring(3, 3)),
-      std::invalid_argument);
+  EXPECT_THROW(streamed(mapped, problems_d::vertexColouring(3, 3), true),
+               std::invalid_argument);
   // sigma mismatch (D).
-  EXPECT_THROW(
-      streamCountViolations(mapped, problems_d::vertexColouring(2, 4)),
-      std::invalid_argument);
+  EXPECT_THROW(streamed(mapped, problems_d::vertexColouring(2, 4), true),
+               std::invalid_argument);
   // 1-dimensional file through the 2D entry point.
   TempFile file1d("mismatch1d");
   writeLabellingFile(file1d.str(), 3, 1, n, std::vector<int>(n, 0));
   StreamLabelling mapped1d(file1d.str());
-  EXPECT_THROW(streamCountViolations(mapped1d, problems::vertexColouring(3)),
+  EXPECT_THROW(streamed(mapped1d, problems::vertexColouring(3), true),
                std::invalid_argument);
 }
 
@@ -269,16 +287,16 @@ TEST(StreamVerify, MatchesInCoreOverRegistry2D) {
     for (const GridLcl& lcl : problemRegistry()) {
       const std::vector<int> labels = randomLabels(
           torus.size(), lcl.sigma(), 41u + static_cast<std::uint32_t>(n));
-      const std::int64_t reference = countViolations(torus, lcl, labels);
-      const bool feasible = verify(torus, lcl, labels);
+      const std::int64_t reference = functionalCount(torus, lcl, labels);
       TempFile file("registry2d");
       writeLabellingFile(file.str(), lcl.sigma(), 2, n, labels);
       StreamLabelling mapped(file.str());
       for (long long rows : {1LL, 2LL, 3LL, 0LL}) {
         const StreamWindow window{.rows = rows};
-        ASSERT_EQ(streamCountViolations(mapped, lcl, window), reference)
+        ASSERT_EQ(streamed(mapped, lcl, true, 1, window).violations, reference)
             << lcl.name() << " n=" << n << " rows=" << rows;
-        ASSERT_EQ(streamVerify(mapped, lcl, window), feasible)
+        ASSERT_EQ(streamed(mapped, lcl, false, 1, window).feasible,
+                  reference == 0)
             << lcl.name() << " n=" << n << " rows=" << rows;
       }
     }
@@ -294,14 +312,19 @@ TEST(StreamVerify, MatchesInCoreWithBitsliceOnAndOff) {
   TempFile file("tiers");
   writeLabellingFile(file.str(), lcl.sigma(), 2, n, labels);
   StreamLabelling mapped(file.str());
+  const std::int64_t reference = functionalCount(torus, lcl, labels);
   bitslice::setEnabled(false);
-  const std::int64_t viaTable = streamCountViolations(mapped, lcl);
   EXPECT_FALSE(stream_verify_detail::streamUsesBitslice(mapped, lcl));
-  const std::int64_t reference = countViolations(torus, lcl, labels);
+  for (int threads : {1, 2, 8}) {
+    EXPECT_EQ(streamed(mapped, lcl, true, threads).violations, reference)
+        << "table threads=" << threads;
+  }
   bitslice::setEnabled(true);
   EXPECT_TRUE(stream_verify_detail::streamUsesBitslice(mapped, lcl));
-  EXPECT_EQ(viaTable, reference);
-  EXPECT_EQ(streamCountViolations(mapped, lcl), reference);
+  for (int threads : {1, 2, 8}) {
+    EXPECT_EQ(streamed(mapped, lcl, true, threads).violations, reference)
+        << "bitsliced threads=" << threads;
+  }
 }
 
 TEST(StreamVerify, ThreadedCountsAreBitIdentical2D) {
@@ -311,16 +334,15 @@ TEST(StreamVerify, ThreadedCountsAreBitIdentical2D) {
   for (const GridLcl& lcl : problemRegistry()) {
     const std::vector<int> labels =
         randomLabels(torus.size(), lcl.sigma(), 271u);
-    const std::int64_t reference = countViolations(torus, lcl, labels);
-    const bool feasible = verify(torus, lcl, labels);
+    const std::int64_t reference = functionalCount(torus, lcl, labels);
     TempFile file("threads2d");
     writeLabellingFile(file.str(), lcl.sigma(), 2, n, labels);
     StreamLabelling mapped(file.str());
     for (int threads : {1, 2, 8}) {
-      engine::EngineOptions options{.threads = threads};
-      ASSERT_EQ(streamCountViolations(mapped, lcl, options), reference)
+      ASSERT_EQ(streamed(mapped, lcl, true, threads).violations, reference)
           << lcl.name() << " threads=" << threads;
-      ASSERT_EQ(streamVerify(mapped, lcl, options), feasible)
+      ASSERT_EQ(streamed(mapped, lcl, false, threads).feasible,
+                reference == 0)
           << lcl.name() << " threads=" << threads;
     }
   }
@@ -339,23 +361,24 @@ TEST(StreamVerifyD, MatchesInCoreOnTorusD) {
         const std::vector<int> labels = randomLabels(
             torus.size(), lcl.sigma(),
             static_cast<std::uint32_t>(dims * 1000 + side));
-        const std::int64_t reference = countViolations(torus, lcl, labels);
-        const bool feasible = verify(torus, lcl, labels);
+        const std::int64_t reference = functionalCount(torus, lcl, labels);
         TempFile file("registryd");
         writeLabellingFile(file.str(), lcl.sigma(), dims, side, labels);
         StreamLabelling mapped(file.str());
         for (long long rows : {1LL, 3LL, 0LL}) {
           const StreamWindow window{.rows = rows};
-          ASSERT_EQ(streamCountViolations(mapped, lcl, window), reference)
+          ASSERT_EQ(streamed(mapped, lcl, true, 1, window).violations,
+                    reference)
               << lcl.name() << " dims=" << dims << " side=" << side
               << " rows=" << rows;
-          ASSERT_EQ(streamVerify(mapped, lcl, window), feasible)
+          ASSERT_EQ(streamed(mapped, lcl, false, 1, window).feasible,
+                    reference == 0)
               << lcl.name() << " dims=" << dims << " side=" << side
               << " rows=" << rows;
         }
         for (int threads : {2, 8}) {
-          engine::EngineOptions options{.threads = threads};
-          ASSERT_EQ(streamCountViolations(mapped, lcl, options), reference)
+          ASSERT_EQ(streamed(mapped, lcl, true, threads).violations,
+                    reference)
               << lcl.name() << " dims=" << dims << " side=" << side
               << " threads=" << threads;
         }
@@ -379,21 +402,21 @@ TEST(StreamVerify, OutOfRangeLabelFallsBackToFunctionalTier) {
        {0, n / 2, torus.size() / 2, torus.size() - 1}) {
     std::vector<int> poisoned = labels;
     poisoned[static_cast<std::size_t>(victim)] = lcl.sigma();
-    const std::int64_t reference = countViolations(torus, lcl, poisoned);
-    const bool feasible = verify(torus, lcl, poisoned);
+    const std::int64_t reference = functionalCount(torus, lcl, poisoned);
     TempFile file("fallback");
     writeLabellingFile(file.str(), lcl.sigma(), 2, n, poisoned);
     StreamLabelling mapped(file.str());
     for (long long rows : {1LL, 4LL, 0LL}) {
       const StreamWindow window{.rows = rows};
-      ASSERT_EQ(streamCountViolations(mapped, lcl, window), reference)
+      ASSERT_EQ(streamed(mapped, lcl, true, 1, window).violations, reference)
           << "victim=" << victim << " rows=" << rows;
-      ASSERT_EQ(streamVerify(mapped, lcl, window), feasible)
+      ASSERT_FALSE(streamed(mapped, lcl, false, 1, window).feasible)
           << "victim=" << victim << " rows=" << rows;
     }
-    engine::EngineOptions options{.threads = 4};
-    ASSERT_EQ(streamCountViolations(mapped, lcl, options), reference)
-        << "victim=" << victim << " threaded";
+    for (int threads : {2, 8}) {
+      ASSERT_EQ(streamed(mapped, lcl, true, threads).violations, reference)
+          << "victim=" << victim << " threads=" << threads;
+    }
   }
 }
 
@@ -407,8 +430,8 @@ TEST(StreamVerify, DropBehindOffMatchesDropBehindOn) {
   StreamLabelling mapped(file.str());
   const StreamWindow keep{.rows = 2, .dropBehind = false};
   const StreamWindow drop{.rows = 2, .dropBehind = true};
-  EXPECT_EQ(streamCountViolations(mapped, lcl, keep),
-            streamCountViolations(mapped, lcl, drop));
+  EXPECT_EQ(streamed(mapped, lcl, true, 1, keep).violations,
+            streamed(mapped, lcl, true, 1, drop).violations);
 }
 
 TEST(StreamVerifyDetail, WindowGeometry) {

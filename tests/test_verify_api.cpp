@@ -1,10 +1,11 @@
-// The unified verify(VerifyRequest) front door (lcl/verify_api.hpp): bit-
-// identity with every legacy overload it subsumes (serial and threaded,
-// single and batch, 2D and d-dimensional, in-core and streaming), tier
-// pinning incl. its error paths, out-of-alphabet labels on every kernel
-// shape (the poison matrix), the fingerprint-resolver idiom, the
-// malformed-request diagnostics, and the classify() front door with its
-// cross-call ReportCache.
+// The verify(VerifyRequest) front door (lcl/verify_api.hpp): bit-identity
+// of every request shape (serial and threaded, single and batch, 2D and
+// d-dimensional, in-core and streaming) with the functional tier at one
+// lane -- the independent per-node loop --, tier pinning incl. its error
+// paths, out-of-alphabet labels on every kernel shape (the poison matrix),
+// the fingerprint-resolver idiom, the malformed-request diagnostics, the
+// Torus2D helpers, and the classify() front door with its cross-call
+// ReportCache.
 #include <unistd.h>
 
 #include <climits>
@@ -20,6 +21,7 @@
 #include "engine/family_sweep.hpp"
 #include "grid/torus2d.hpp"
 #include "grid/torusd.hpp"
+#include "helpers/verify_request.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
 #include "lcl/verifier.hpp"
@@ -70,8 +72,14 @@ TEST(VerifyApi, MatchesSerialAndThreadedOverloadsAcrossRegistry) {
   for (const GridLcl& problem : problemRegistry()) {
     const std::vector<int> labels = randomLabels(
         problem.sigma(), static_cast<std::size_t>(torus.size()), seed++);
-    const bool expectFeasible = verify(torus, problem, labels);
-    const std::int64_t expectCount = countViolations(torus, problem, labels);
+    const std::int64_t expectCount =
+        verify(verifyRequest(torus, problem, labels, /*count=*/true, 1,
+                             TierPin::kFunctional))
+            .violations;
+    const bool expectFeasible = expectCount == 0;
+    // The Torus2D helpers are the serial default request.
+    EXPECT_EQ(verify(torus, problem, labels), expectFeasible);
+    EXPECT_EQ(countViolations(torus, problem, labels), expectCount);
     for (int threads : {1, 2, 8}) {
       VerifyRequest request;
       request.problem = &problem;
@@ -91,12 +99,6 @@ TEST(VerifyApi, MatchesSerialAndThreadedOverloadsAcrossRegistry) {
       EXPECT_EQ(counted.violations, expectCount)
           << problem.name() << " threads=" << threads;
       EXPECT_EQ(counted.feasible, expectCount == 0);
-
-      // The legacy threaded overloads forward through the same entry.
-      engine::EngineOptions options;
-      options.threads = threads;
-      EXPECT_EQ(verify(torus, problem, labels, options), expectFeasible);
-      EXPECT_EQ(countViolations(torus, problem, labels, options), expectCount);
     }
   }
 }
@@ -106,7 +108,10 @@ TEST(VerifyApi, TierPinsAgreeAndReportTheirTier) {
   const GridLcl problem = problems::vertexColouring(4);
   const std::vector<int> labels =
       randomLabels(4, static_cast<std::size_t>(torus.size()), 7);
-  const std::int64_t expect = countViolations(torus, problem, labels);
+  const std::int64_t expect =
+      verify(verifyRequest(torus, problem, labels, /*count=*/true, 1,
+                           TierPin::kFunctional))
+          .violations;
   for (int threads : {1, 4}) {
     for (TierPin pin : {TierPin::kAuto, TierPin::kFunctional, TierPin::kTable,
                         TierPin::kBitsliced}) {
@@ -215,7 +220,10 @@ std::int64_t counterValue(const char* name) {
 template <typename Torus, typename Lcl>
 void checkPoisonMatrix(const Torus& torus, const Lcl& lcl,
                        const std::vector<int>& feasible) {
-  ASSERT_EQ(countViolations(torus, lcl, feasible), 0) << lcl.name();
+  ASSERT_EQ(runPoisoned(torus, lcl, feasible, true, 1, TierPin::kFunctional)
+                .violations,
+            0)
+      << lcl.name();
   const long long n = torus.n();
   // Node 0, the first and last row of the second shard (x inside the AVX2
   // word and inside the SSE2 tail when the row is long enough), the last
@@ -258,14 +266,6 @@ void checkPoisonMatrix(const Torus& torus, const Lcl& lcl,
             EXPECT_EQ(counterValue("verify.calls.bitsliced"), sliced)
                 << where();
           }
-        }
-        // The serial overloads run the serial engine's own fused pass.
-        if (count) {
-          EXPECT_EQ(countViolations(torus, lcl, labels), reference.violations)
-              << lcl.name() << " bad=" << bad << " site=" << site;
-        } else {
-          EXPECT_FALSE(verify(torus, lcl, labels))
-              << lcl.name() << " bad=" << bad << " site=" << site;
         }
       }
     }
@@ -340,10 +340,18 @@ TEST(VerifyApi, BatchMatchesBatchOverloads) {
                                                  100 + static_cast<std::uint32_t>(i));
     batch.insert(batch.end(), labels.begin(), labels.end());
   }
-  const std::vector<std::uint8_t> expectVerdicts =
-      verifyBatch(torus, problem, batch);
-  const std::vector<std::int64_t> expectCounts =
-      countViolationsBatch(torus, problem, batch);
+  std::vector<std::uint8_t> expectVerdicts;
+  std::vector<std::int64_t> expectCounts;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const std::int64_t count =
+        verify(verifyRequest(torus, problem,
+                             std::span<const int>(batch).subspan(i * nodes,
+                                                                 nodes),
+                             /*count=*/true, 1, TierPin::kFunctional))
+            .violations;
+    expectCounts.push_back(count);
+    expectVerdicts.push_back(count == 0 ? 1 : 0);
+  }
   for (int threads : {1, 2, 8}) {
     VerifyRequest request;
     request.problem = &problem;
@@ -371,8 +379,11 @@ TEST(VerifyApi, TorusDMatchesOverloads) {
   const GridLclD problem = problems_d::xorParity(3);
   const std::vector<int> labels = randomLabels(
       problem.sigma(), static_cast<std::size_t>(torus.size()), 42);
-  const std::int64_t expect = countViolations(torus, problem, labels);
-  for (int threads : {1, 4}) {
+  const std::int64_t expect =
+      verify(verifyRequest(torus, problem, labels, /*count=*/true, 1,
+                           TierPin::kFunctional))
+          .violations;
+  for (int threads : {1, 2, 8}) {
     VerifyRequest request;
     request.problemD = &problem;
     request.torusD = &torus;
@@ -392,15 +403,21 @@ TEST(VerifyApi, StreamRequestsMatchStreamOverloads) {
   const std::string path = tempPath("verify_api_stream");
   writeLabellingFile(path, problem.sigma(), 2, torus.n(), labels);
   const StreamLabelling file(path);
-  const std::int64_t expect = streamCountViolations(file, problem);
+  const std::int64_t expect =
+      verify(verifyRequest(torus, problem, labels, /*count=*/true, 1,
+                           TierPin::kFunctional))
+          .violations;
 
   VerifyRequest request;
   request.problem = &problem;
   request.file = &file;
   request.options.countViolations = true;
-  VerifyResult viaFile = verify(request);
-  EXPECT_EQ(viaFile.violations, expect);
-  EXPECT_EQ(viaFile.tier, VerifyTier::kStream);
+  for (int threads : {1, 2, 8}) {
+    request.options.engine.threads = threads;
+    VerifyResult viaFile = verify(request);
+    EXPECT_EQ(viaFile.violations, expect) << "threads=" << threads;
+    EXPECT_EQ(viaFile.tier, VerifyTier::kStream);
+  }
 
   VerifyRequest viaPathRequest;
   viaPathRequest.problem = &problem;
@@ -428,7 +445,10 @@ TEST(VerifyApi, FingerprintResolver) {
   request.torus = &torus;
   request.labels = labels;
   request.options.countViolations = true;
-  EXPECT_EQ(verify(request).violations, countViolations(torus, problem, labels));
+  EXPECT_EQ(verify(request).violations,
+            verify(verifyRequest(torus, problem, labels, /*count=*/true, 1,
+                                 TierPin::kFunctional))
+                .violations);
 
   request.fingerprint ^= 1;  // unknown
   EXPECT_THROW(verify(request), std::invalid_argument);
@@ -454,13 +474,26 @@ TEST(VerifyApi, MalformedRequestsThrow) {
   noInstance.problem = &problem;
   EXPECT_THROW(verify(noInstance), std::invalid_argument);
 
-  // The legacy single-labelling overload's size contract is preserved.
-  std::vector<int> wrongSize(static_cast<std::size_t>(torus.size()) + 1, 0);
-  try {
-    (void)verify(torus, problem, wrongSize, engine::EngineOptions{.threads = 2});
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& error) {
-    EXPECT_STREQ(error.what(), "verifier: labelling size mismatch");
+  // Inline labels left empty are a malformed request, not a feasible one.
+  for (int threads : {1, 2}) {
+    EXPECT_THROW(verify(verifyRequest(torus, problem, {}, false, threads)),
+                 std::invalid_argument);
+    EXPECT_THROW(verify(verifyRequest(torusD, problemD, {}, true, threads)),
+                 std::invalid_argument);
+  }
+
+  // The Torus2D helpers take exactly one labelling.
+  for (std::size_t size : {static_cast<std::size_t>(torus.size()) + 1,
+                           2 * static_cast<std::size_t>(torus.size())}) {
+    const std::vector<int> wrongSize(size, 0);
+    try {
+      (void)verify(torus, problem, wrongSize);
+      FAIL() << "expected invalid_argument";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_STREQ(error.what(), "verifier: labelling size mismatch");
+    }
+    EXPECT_THROW((void)countViolations(torus, problem, wrongSize),
+                 std::invalid_argument);
   }
 }
 
