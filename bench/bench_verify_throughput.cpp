@@ -353,7 +353,7 @@ int main(int argc, char** argv) {
               }));
           results.back().lanes = threads;
           bitslice::setEnabled(true);  // pin the bit-sliced kernel
-          if (verifier_detail::bitsliceSelected(lcl, torus.size())) {
+          if (verifier_detail::bitsliceSelectedD(lcl.asD(), torus.size())) {
             for (int rung = 0; rung <= static_cast<int>(topRung); ++rung) {
               bitslice::setSimdTier(static_cast<bitslice::SimdTier>(rung));
               results.push_back(

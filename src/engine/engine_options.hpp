@@ -18,10 +18,11 @@ int defaultThreads();
 
 struct EngineOptions {
   /// Total lanes (including the calling thread); 0 means defaultThreads(),
-  /// 1 means run serially on the caller. A non-default count with a null
-  /// `pool` spins up (and joins) a private pool *per call* -- fine for a
-  /// one-off, but hot loops wanting a non-default count should construct a
-  /// ThreadPool once and pass it via `pool` (as the benches do).
+  /// 1 means run inline on the caller, with no pool. Any other
+  /// non-default count with a null `pool` spins up (and joins) a private
+  /// pool *per call* -- fine for a one-off, but hot loops wanting such a
+  /// count should construct a ThreadPool once and pass it via `pool` (as
+  /// the benches do).
   int threads = 0;
   /// Work items per chunk: grid rows for single-labelling verification (on
   /// every code path -- the node-indexed fallback scales the row grain
@@ -34,8 +35,9 @@ struct EngineOptions {
   /// explicit grain to fix the chunk boundaries themselves, which makes
   /// even non-associative reductions bit-identical across thread counts.
   std::int64_t grain = 0;
-  /// Optional existing pool to run on (non-owning). When null, `threads`
-  /// selects the process-global pool or a temporary one.
+  /// Optional existing pool to run on (non-owning); a one-lane pool runs
+  /// inline like threads == 1. When null, `threads` selects inline
+  /// execution, the process-global pool or a temporary one.
   ThreadPool* pool = nullptr;
 };
 

@@ -109,10 +109,10 @@ SweepReport sweepFamily(std::span<const GridLcl> family,
   // One oracle run per unique problem, one job per pool task. grain 1: a
   // single slow classification (a deep synthesis loop) must not serialise
   // its chunk-mates, and the work-stealing deques rebalance the rest.
-  PoolHandle handle(options.engine);
-  report.threads = handle.pool().lanes();
-  handle.pool().parallelFor(
-      0, static_cast<std::int64_t>(jobs.size()), /*grain=*/1,
+  const PoolHandle handle(options.engine);
+  report.threads = handle.pool() != nullptr ? handle.pool()->lanes() : 1;
+  forEachChunk(
+      handle.pool(), 0, static_cast<std::int64_t>(jobs.size()), /*grain=*/1,
       [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t j = begin; j < end; ++j) {
           const std::size_t i = jobs[static_cast<std::size_t>(j)];

@@ -1,19 +1,15 @@
 // Internal sharding machinery of verify(VerifyRequest): the front door
 // (engine/verify_api.cpp) runs every in-core and streaming pass through
-// it. One labelling is split into contiguous ranges of "shard items" --
-// grid rows on Torus2D, axis-0 lines on TorusD (a chunk of the line space
-// is a slab along the outermost axes) -- and every range runs the exact
-// kernel slice of lcl/verifier.hpp verifier_detail. With a null pool a
-// pass is one inline call over all items; with a pool, per-chunk counts
-// are combined in chunk order, so every result is bit-identical at every
-// lane count (the determinism tests pin this for 1/2/8 lanes).
-//
-// Both torus families share one set of templates; the per-family
-// differences (item count, kernel slice, size validation) are small
-// overloaded shims, so the scheme cannot diverge between 2D and d
-// dimensions. The d = 2 TorusD case additionally delegates to the 2D row
-// kernel inside tableViolationLinesD, so the 2D fast path is one code path
-// however it is reached.
+// it, always on a GridLclD over a TorusD -- the front door lifts a 2D
+// request to its d = 2 form first. One labelling is split into contiguous
+// ranges of "shard items", axis-0 lines (grid rows at d = 2; a chunk of
+// the line space is a slab along the outermost axes), and every range
+// runs the exact kernel slice of lcl/verifier.hpp verifier_detail, whose
+// *LinesD slices route d = 2 through the 2D row kernels on the delegated
+// table. With a null pool a pass is one inline call over all items; with a
+// pool, per-chunk counts are combined in chunk order, so every result is
+// bit-identical at every lane count (the determinism tests pin this for
+// 1/2/8 lanes).
 //
 // NOT a stable API: this header exists so the engine's translation units
 // share one implementation; include it only from src/engine.
@@ -24,7 +20,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <stdexcept>
 
 #include "engine/thread_pool.hpp"
 #include "lcl/stream_verify.hpp"
@@ -85,109 +80,15 @@ std::int64_t violationsOver(ThreadPool* pool, std::int64_t begin,
                     });
 }
 
-// --- per-torus shims -------------------------------------------------------
-
-/// Shard items of one labelling: grid rows / axis-0 lines.
-inline std::int64_t shardItems(const Torus2D& torus) { return torus.n(); }
-inline std::int64_t shardItems(const TorusD& torus) {
-  return verifier_detail::lineCountD(torus);
-}
-
-/// Labelling size validation (TorusD also checks the dimension match).
-inline void checkLabelling(const Torus2D& torus, const GridLcl&,
-                           std::span<const int> labels) {
-  if (static_cast<int>(labels.size()) != torus.size()) {
-    throw std::invalid_argument("verifier: labelling size mismatch");
-  }
-}
-inline void checkLabelling(const TorusD& torus, const GridLclD& lcl,
-                           std::span<const int> labels) {
-  if (torus.dims() != lcl.dims()) {
-    throw std::invalid_argument("verifier: torus/problem dimension mismatch");
-  }
-  if (static_cast<long long>(labels.size()) != torus.size()) {
-    throw std::invalid_argument("verifier: labelling size mismatch");
-  }
-}
-
-/// The compiled-table kernel slice over shard items [begin, end).
-inline std::int64_t tableSlice(const Torus2D& torus, const GridLcl& lcl,
-                               const int* labels, std::int64_t begin,
-                               std::int64_t end, bool stopAtFirst) {
-  return verifier_detail::tableViolationRows(
-      lcl.table(), torus.n(), labels, static_cast<int>(begin),
-      static_cast<int>(end), stopAtFirst);
-}
-inline std::int64_t tableSlice(const TorusD& torus, const GridLclD& lcl,
-                               const int* labels, std::int64_t begin,
-                               std::int64_t end, bool stopAtFirst) {
-  return verifier_detail::tableViolationLinesD(lcl.table(), torus, labels,
-                                               begin, end, stopAtFirst);
-}
-
-/// The functional-fallback slice over nodes [begin, end).
-inline std::int64_t functionalSlice(const Torus2D& torus, const GridLcl& lcl,
-                                    std::span<const int> labels,
-                                    std::int64_t begin, std::int64_t end,
-                                    bool stopAtFirst) {
-  return verifier_detail::functionalViolationRange(
-      torus, lcl, labels, static_cast<int>(begin), static_cast<int>(end),
-      stopAtFirst);
-}
-inline std::int64_t functionalSlice(const TorusD& torus, const GridLclD& lcl,
-                                    std::span<const int> labels,
-                                    std::int64_t begin, std::int64_t end,
-                                    bool stopAtFirst) {
-  return verifier_detail::functionalViolationRangeD(torus, lcl, labels, begin,
-                                                    end, stopAtFirst);
-}
-
-/// The engine's bit-slice selection, per torus family.
-inline bool bitsliceSelectedFor(const GridLcl& lcl, long long nodes) {
-  return verifier_detail::bitsliceSelected(lcl, nodes);
-}
-inline bool bitsliceSelectedFor(const GridLclD& lcl, long long nodes) {
-  return verifier_detail::bitsliceSelectedD(lcl, nodes);
-}
-
-/// EngineOptions::grain counts shard items (rows / lines) for a single
+/// EngineOptions::grain counts shard items (axis-0 lines) for a single
 /// labelling; the functional fallback shards by node index, so the item
-/// grain is scaled by the item length to keep the chunk payload (and hence
+/// grain is scaled by the line length to keep the chunk payload (and hence
 /// the scheduling overhead) identical on both paths.
-template <typename Torus>
-std::int64_t nodeGrain(std::int64_t itemGrain, const Torus& torus) {
+inline std::int64_t nodeGrain(std::int64_t itemGrain, const TorusD& torus) {
   return itemGrain > 0 ? itemGrain * torus.n() : 0;
 }
 
 // --- the fused bit-sliced pass ---------------------------------------------
-
-/// Staging buffer of a bit-sliced pass: empty for Torus2D and for d = 2
-/// TorusD (the rolling row kernel reads the labels directly), the whole
-/// labelling's planes for d >= 3.
-inline LabelPlanes slicedPlanes(const Torus2D&, const GridLcl&) {
-  return LabelPlanes();
-}
-inline LabelPlanes slicedPlanes(const TorusD& torus, const GridLclD& lcl) {
-  return verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
-}
-
-/// The bit-sliced kernel slice over shard items [begin, end); raises
-/// *maxLabel (when non-null) to the largest label it read.
-inline std::int64_t bitsliceSlice(const Torus2D& torus, const GridLcl& lcl,
-                                  const LabelPlanes&, const int* labels,
-                                  std::int64_t begin, std::int64_t end,
-                                  bool stopAtFirst, unsigned* maxLabel) {
-  return verifier_detail::bitsliceViolationRows(
-      lcl.table(), torus.n(), torus.n(), labels, static_cast<int>(begin),
-      static_cast<int>(end), stopAtFirst, maxLabel);
-}
-inline std::int64_t bitsliceSlice(const TorusD& torus, const GridLclD& lcl,
-                                  const LabelPlanes& planes, const int* labels,
-                                  std::int64_t begin, std::int64_t end,
-                                  bool stopAtFirst, unsigned* maxLabel) {
-  return verifier_detail::bitsliceViolationLinesD(
-      lcl.table(), torus, planes, labels, begin, end, stopAtFirst, maxLabel);
-}
 
 /// The serial verify-mode pass of the staged d >= 3 kernel: transposes one
 /// outermost-axis block (items / n lines) ahead of the scan, so a violation
@@ -196,11 +97,11 @@ inline std::int64_t bitsliceSlice(const TorusD& torus, const GridLclD& lcl,
 /// only blocks i-1, i, i+1 (cyclically): the wrap block is staged up
 /// front, the rest one block ahead. True iff the labelling is infeasible
 /// (a violation, or a staged label outside [0, sigma)).
-template <typename Torus, typename Lcl>
-bool stagedAheadViolates(const Torus& torus, const Lcl& lcl,
-                         LabelPlanes& planes, std::span<const int> labels) {
+inline bool stagedAheadViolates(const TorusD& torus, const GridLclD& lcl,
+                                LabelPlanes& planes,
+                                std::span<const int> labels) {
   const unsigned sigma = static_cast<unsigned>(lcl.sigma());
-  const std::int64_t items = shardItems(torus);
+  const std::int64_t items = verifier_detail::lineCountD(torus);
   const std::int64_t blockLines = std::max<std::int64_t>(1, items / torus.n());
   if (planes.setRows(labels, items - blockLines, items) >= sigma) return true;
   std::int64_t stagedEnd = 0;
@@ -211,8 +112,9 @@ bool stagedAheadViolates(const Torus& torus, const Lcl& lcl,
       if (planes.setRows(labels, stagedEnd, need) >= sigma) return true;
       stagedEnd = need;
     }
-    if (bitsliceSlice(torus, lcl, planes, labels.data(), begin, end,
-                      /*stopAtFirst=*/true, nullptr) > 0) {
+    if (verifier_detail::bitsliceViolationLinesD(lcl.table(), torus, planes,
+                                                 labels.data(), begin, end,
+                                                 /*stopAtFirst=*/true) > 0) {
       return true;
     }
   }
@@ -220,29 +122,32 @@ bool stagedAheadViolates(const Torus& torus, const Lcl& lcl,
 }
 
 /// One bit-sliced pass over a labelling with the alphabet check fused into
-/// the row transpose, serial when `pool` is null and sharded by shard items
+/// the row transpose, serial when `pool` is null and sharded by lines
 /// otherwise. A d >= 3 labelling is first staged by its own pass (sharded
 /// over disjoint line ranges, so the writes are race-free; serial verify
 /// mode stages progressively instead, see stagedAheadViolates), and the
-/// kernel is skipped when the staging read a label outside [0, sigma).
+/// kernel is skipped when the staging read a label outside [0, sigma);
+/// d = 2 stages nothing (the rolling row kernel reads the labels).
 /// Count chunks combine in chunk order, so counts are bit-identical at
 /// every lane count; verify chunks exit cooperatively, each treating an
 /// out-of-range label it read as a violation. Returns the answer of
 /// verifier_detail::resolveBitslicePass: std::nullopt when a count must
 /// rerun on the functional tier.
-template <typename Torus, typename Lcl>
-std::optional<std::int64_t> bitslicePass(ThreadPool* pool, std::int64_t grain,
-                                         const Torus& torus, const Lcl& lcl,
-                                         std::span<const int> labels,
-                                         bool stopAtFirst) {
+inline std::optional<std::int64_t> bitslicePass(ThreadPool* pool,
+                                                std::int64_t grain,
+                                                const TorusD& torus,
+                                                const GridLclD& lcl,
+                                                std::span<const int> labels,
+                                                bool stopAtFirst) {
   const unsigned sigma = static_cast<unsigned>(lcl.sigma());
-  const std::int64_t items = shardItems(torus);
+  const std::int64_t items = verifier_detail::lineCountD(torus);
   bool readOutside = false;
   std::int64_t violations = 0;
   {
     telemetry::ScopedSpan span(
         verify_probes::spanName(verify_probes::Tier::kBitsliced));
-    LabelPlanes planes = slicedPlanes(torus, lcl);
+    LabelPlanes planes =
+        verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
     const bool staged = planes.rows() > 0;
     if (staged && pool == nullptr && stopAtFirst) {
       violations = stagedAheadViolates(torus, lcl, planes, labels) ? 1 : 0;
@@ -256,10 +161,10 @@ std::optional<std::int64_t> bitslicePass(ThreadPool* pool, std::int64_t grain,
       violations = anyItem(pool, 0, items, grain,
                            [&](std::int64_t begin, std::int64_t end) {
                              unsigned read = 0;
-                             return bitsliceSlice(torus, lcl, planes,
-                                                  labels.data(), begin, end,
-                                                  /*stopAtFirst=*/true,
-                                                  &read) > 0 ||
+                             return verifier_detail::bitsliceViolationLinesD(
+                                        lcl.table(), torus, planes,
+                                        labels.data(), begin, end,
+                                        /*stopAtFirst=*/true, &read) > 0 ||
                                     read >= sigma;
                            })
                        ? 1
@@ -269,9 +174,9 @@ std::optional<std::int64_t> bitslicePass(ThreadPool* pool, std::int64_t grain,
       violations = countItems(
           pool, 0, items, grain, [&](std::int64_t begin, std::int64_t end) {
             unsigned read = 0;
-            const std::int64_t bad =
-                bitsliceSlice(torus, lcl, planes, labels.data(), begin, end,
-                              /*stopAtFirst=*/false, &read);
+            const std::int64_t bad = verifier_detail::bitsliceViolationLinesD(
+                lcl.table(), torus, planes, labels.data(), begin, end,
+                /*stopAtFirst=*/false, &read);
             if (read >= sigma) outside.store(true, std::memory_order_relaxed);
             return bad;
           });
@@ -290,9 +195,9 @@ std::optional<std::int64_t> bitslicePass(ThreadPool* pool, std::int64_t grain,
 /// fraction (the kernel itself is only a few loads per node), so with a
 /// pool the scan is sharded too, chunks after the first out-of-range find
 /// returning at once.
-template <typename Torus>
-bool allInRange(ThreadPool* pool, std::int64_t grain, const Torus& torus,
-                int sigma, std::span<const int> labels) {
+inline bool allInRange(ThreadPool* pool, std::int64_t grain,
+                       const TorusD& torus, int sigma,
+                       std::span<const int> labels) {
   return !anyItem(
       pool, 0, static_cast<std::int64_t>(labels.size()),
       nodeGrain(grain, torus), [&](std::int64_t begin, std::int64_t end) {
@@ -309,38 +214,14 @@ bool allInRange(ThreadPool* pool, std::int64_t grain, const Torus& torus,
 // the in-core chunk-ordered combine, so counts are bit-identical to the
 // in-core engine at every lane count.
 
-/// The compiled-kernel slice of one streaming chunk; `sliced` is the
-/// pass-wide tier choice (stream_verify_detail::streamUsesBitslice*).
-template <typename Torus, typename Lcl>
-std::int64_t streamKernelSlice(const Torus& torus, const Lcl& lcl,
-                               const int* labels, bool sliced,
-                               std::int64_t begin, std::int64_t end,
-                               bool stopAtFirst) {
-  if (sliced) {
-    // Streaming only selects the rolling row kernel (2D, or d = 2 through
-    // the delegated table), which reads the raw labels: no plane buffer.
-    static const LabelPlanes kNoPlanes;
-    return bitsliceSlice(torus, lcl, kNoPlanes, labels, begin, end,
-                         stopAtFirst, nullptr);
-  }
-  return tableSlice(torus, lcl, labels, begin, end, stopAtFirst);
-}
-
-inline bool streamSliced(const StreamLabelling& file, const GridLcl& lcl) {
-  return stream_verify_detail::streamUsesBitslice(file, lcl);
-}
-inline bool streamSliced(const StreamLabelling& file, const GridLclD& lcl) {
-  return stream_verify_detail::streamUsesBitsliceD(file, lcl);
-}
-
 /// One streaming pass over `file` (already validated against `lcl`),
 /// serial when `pool` is null and sharded per slab otherwise.
-template <typename Torus, typename Lcl>
-std::int64_t streamPass(ThreadPool* pool, std::int64_t grain,
-                        const StreamLabelling& file, const Lcl& lcl,
-                        const Torus& torus, const StreamWindow& window,
-                        bool stopAtFirst) {
+inline std::int64_t streamPass(ThreadPool* pool, std::int64_t grain,
+                               const StreamLabelling& file,
+                               const GridLclD& lcl, const StreamWindow& window,
+                               bool stopAtFirst) {
   const int n = file.n();
+  const TorusD torus(file.dims(), n);
   const int* labels = file.labels();
   const std::span<const int> all(labels,
                                  static_cast<std::size_t>(file.size()));
@@ -353,19 +234,25 @@ std::int64_t streamPass(ThreadPool* pool, std::int64_t grain,
   pass.tablePath = lcl.hasTable();
   stream_verify_detail::applyCheckpointConfig(
       pass, file, window, lcl.hasTable() ? lcl.table().fingerprint() : 0);
-  const bool sliced = streamSliced(file, lcl);
   if (pass.tablePath) {
+    // Streaming only selects the rolling row kernel (d = 2 through the
+    // delegated table), which reads the raw labels: no plane buffer.
+    const bool sliced = stream_verify_detail::streamUsesBitsliceD(file, lcl);
     pass.rowsInRange = [&, n](long long begin, long long end) {
       return allInRange(pool, grain, torus, lcl.sigma(),
                         all.subspan(static_cast<std::size_t>(begin * n),
                                     static_cast<std::size_t>((end - begin) * n)));
     };
     pass.kernelRows = [&, sliced](long long begin, long long end, bool stop) {
+      static const LabelPlanes kNoPlanes;
       return violationsOver(
           pool, begin, end, grain, stop,
           [&](std::int64_t s, std::int64_t t, bool sliceStop) {
-            return streamKernelSlice(torus, lcl, labels, sliced, s, t,
-                                     sliceStop);
+            return sliced ? verifier_detail::bitsliceViolationLinesD(
+                                lcl.table(), torus, kNoPlanes, labels, s, t,
+                                sliceStop)
+                          : verifier_detail::tableViolationLinesD(
+                                lcl.table(), torus, labels, s, t, sliceStop);
           });
     };
   }
@@ -373,7 +260,8 @@ std::int64_t streamPass(ThreadPool* pool, std::int64_t grain,
     return violationsOver(
         pool, begin * n, end * n, nodeGrain(grain, torus), stop,
         [&](std::int64_t s, std::int64_t t, bool sliceStop) {
-          return functionalSlice(torus, lcl, all, s, t, sliceStop);
+          return verifier_detail::functionalViolationRangeD(torus, lcl, all, s,
+                                                            t, sliceStop);
         });
   };
   return stream_verify_detail::runStreamPass(pass, stopAtFirst);

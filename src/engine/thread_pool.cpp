@@ -246,13 +246,14 @@ ThreadPool& ThreadPool::global() {
 
 PoolHandle::PoolHandle(const EngineOptions& options) {
   if (options.pool != nullptr) {
-    pool_ = options.pool;
+    if (options.pool->lanes() > 1) pool_ = options.pool;
     return;
   }
   // Compare against defaultThreads() rather than global().lanes() so a
   // request for a non-default lane count never instantiates the global
   // pool's worker threads as a side effect of the comparison.
   const int want = options.threads > 0 ? options.threads : defaultThreads();
+  if (want == 1) return;
   if (want == defaultThreads()) {
     pool_ = &ThreadPool::global();
     return;

@@ -131,17 +131,28 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Resolves EngineOptions to a runnable pool: options.pool if set, the
-/// global pool when the requested lane count matches it (or threads == 0),
-/// otherwise a private pool owned by the returned holder.
+/// body(begin, end) over [begin, end): chunks of `grain` items across
+/// `pool`, or one inline call when `pool` is null (PoolHandle's one lane).
+template <typename Body>
+void forEachChunk(ThreadPool* pool, std::int64_t begin, std::int64_t end,
+                  std::int64_t grain, const Body& body) {
+  if (pool == nullptr) return body(begin, end);
+  pool->parallelFor(begin, end, grain, body);
+}
+
+/// Resolves EngineOptions to the pool a pass runs on: none (null) when the
+/// request resolves to one lane -- threads == 1 without a pool, or a
+/// one-lane pool -- so the caller runs inline; otherwise options.pool if
+/// set, the global pool when the requested lane count matches it (or
+/// threads == 0), else a private pool owned by the returned holder.
 class PoolHandle {
  public:
   explicit PoolHandle(const EngineOptions& options);
-  ThreadPool& pool() { return *pool_; }
+  ThreadPool* pool() const { return pool_; }
 
  private:
   std::unique_ptr<ThreadPool> owned_;
-  ThreadPool* pool_;
+  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace lclgrid::engine

@@ -2,8 +2,11 @@
 
 #include <atomic>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <utility>
+
+#include "lcl/grid_lcl_d.hpp"
 
 namespace lclgrid {
 
@@ -15,6 +18,7 @@ GridLcl::GridLcl(std::string name, int sigma, std::uint8_t deps, Predicate ok)
     table_ = std::make_shared<const LclTable>(
         LclTable::compile(sigma_, deps_, ok_));
   }
+  makeView();
 }
 
 GridLcl::GridLcl(std::string name, LclTable table)
@@ -30,6 +34,17 @@ GridLcl::GridLcl(std::string name, LclTable table)
     if (!in(c) || !in(n) || !in(e) || !in(s) || !in(w)) return false;
     return t->allows(c, n, e, s, w);
   };
+  makeView();
+}
+
+void GridLcl::makeView() {
+  GridLclD::Predicate ok = [ok = ok_](int c, std::span<const int> nbrs) {
+    return ok(c, nbrs[2], nbrs[0], nbrs[3], nbrs[1]);
+  };
+  view_ = std::make_shared<const GridLclD>(
+      name_, 2, sigma_, LclTableD::depsFrom2D(deps_), std::move(ok),
+      table_ ? std::make_shared<const LclTableD>(LclTableD::fromTable2D(table_))
+             : nullptr);
 }
 
 GridLcl::GridLcl(const GridLcl& other)
@@ -38,6 +53,7 @@ GridLcl::GridLcl(const GridLcl& other)
       deps_(other.deps_),
       ok_(other.ok_),
       table_(other.table_),
+      view_(other.view_),
       labelNames_(other.labelNames_) {
   // The acquire load synchronises with the publication in projections():
   // once the pointer is visible, other.projections_ is immutable, so the
@@ -58,6 +74,7 @@ GridLcl& GridLcl::operator=(const GridLcl& other) {
   deps_ = copy.deps_;
   ok_ = std::move(copy.ok_);
   table_ = std::move(copy.table_);
+  view_ = std::move(copy.view_);
   labelNames_ = std::move(copy.labelNames_);
   projections_ = std::move(copy.projections_);
   projectionsPtr_.store(copy.projectionsPtr_.load(std::memory_order_relaxed),
@@ -71,6 +88,7 @@ GridLcl::GridLcl(GridLcl&& other) noexcept
       deps_(other.deps_),
       ok_(std::move(other.ok_)),
       table_(std::move(other.table_)),
+      view_(std::move(other.view_)),
       labelNames_(std::move(other.labelNames_)),
       projections_(std::move(other.projections_)) {
   projectionsPtr_.store(
@@ -86,6 +104,7 @@ GridLcl& GridLcl::operator=(GridLcl&& other) noexcept {
   deps_ = other.deps_;
   ok_ = std::move(other.ok_);
   table_ = std::move(other.table_);
+  view_ = std::move(other.view_);
   labelNames_ = std::move(other.labelNames_);
   projections_ = std::move(other.projections_);
   projectionsPtr_.store(

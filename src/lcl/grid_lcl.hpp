@@ -36,6 +36,8 @@
 
 namespace lclgrid {
 
+class GridLclD;
+
 /// Bitmask flags naming which neighbour labels a predicate actually reads.
 /// Constraint generators use this to avoid quantifying over irrelevant
 /// positions (e.g. edge colouring only reads C, S and W).
@@ -95,6 +97,13 @@ class GridLcl {
   /// reference implementation for uncompiled problems).
   const Predicate& predicate() const { return ok_; }
 
+  /// The problem as a 2-dimensional GridLclD -- the one problem type the
+  /// verification engine runs. Built once at construction, zero-copy: it
+  /// shares the compiled table's rows (LclTableD::fromTable2D) and judges
+  /// what the table cannot through this predicate, neighbour slots
+  /// [E, W, N, S] mapped to ok(c, n, e, s, w). Shared by copies.
+  const GridLclD& asD() const { return *view_; }
+
   /// Optional human-readable label names (size sigma if set).
   void setLabelNames(std::vector<std::string> names);
   std::string labelName(int label) const;
@@ -128,12 +137,15 @@ class GridLcl {
     std::vector<std::uint8_t> vPairs;
   };
   const Projections& projections() const;
+  /// Builds view_ (every constructor's last step).
+  void makeView();
 
   std::string name_;
   int sigma_;
   std::uint8_t deps_;
   Predicate ok_;
   std::shared_ptr<const LclTable> table_;  // shared: copies stay cheap
+  std::shared_ptr<const GridLclD> view_;   // asD(); shared like table_
   std::vector<std::string> labelNames_;
 
   // Lazily computed, set at most once. The lock-free fast path is the raw

@@ -7,11 +7,7 @@ namespace lclgrid {
 
 GridLclD::GridLclD(std::string name, int dims, int sigma, std::uint32_t deps,
                    Predicate ok)
-    : name_(std::move(name)),
-      dims_(dims),
-      sigma_(sigma),
-      deps_(deps),
-      ok_(std::move(ok)) {
+    : GridLclD(std::move(name), dims, sigma, deps, std::move(ok), nullptr) {
   if (dims < 1) throw std::invalid_argument("GridLclD: dims must be positive");
   if (sigma < 1) {
     throw std::invalid_argument("GridLclD: alphabet must be non-empty");
@@ -22,6 +18,15 @@ GridLclD::GridLclD(std::string name, int dims, int sigma, std::uint32_t deps,
         LclTableD::compile(dims, sigma, deps, ok_));
   }
 }
+
+GridLclD::GridLclD(std::string name, int dims, int sigma, std::uint32_t deps,
+                   Predicate ok, std::shared_ptr<const LclTableD> table)
+    : name_(std::move(name)),
+      dims_(dims),
+      sigma_(sigma),
+      deps_(deps),
+      ok_(std::move(ok)),
+      table_(std::move(table)) {}
 
 GridLclD::GridLclD(std::string name, LclTableD table)
     : name_(std::move(name)),

@@ -42,6 +42,12 @@ class GridLclD {
   /// Table-first construction (combinators compose tables directly); the
   /// predicate() accessor is backed by table lookups.
   GridLclD(std::string name, LclTableD table);
+  /// Assembly from a predicate and its already-compiled table (null: the
+  /// functional path), compiling nothing: GridLcl::asD() builds its
+  /// zero-copy d = 2 view this way. `ok` must agree with `table` on
+  /// in-range labels; it alone judges labels the table cannot index.
+  GridLclD(std::string name, int dims, int sigma, std::uint32_t deps,
+           Predicate ok, std::shared_ptr<const LclTableD> table);
 
   const std::string& name() const { return name_; }
   int dims() const { return dims_; }

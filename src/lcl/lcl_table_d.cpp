@@ -14,23 +14,14 @@ constexpr int kSlotWest = 1;   // -x
 constexpr int kSlotNorth = 2;  // +y
 constexpr int kSlotSouth = 3;  // -y
 
-/// 2D DepBit mask of a d = 2 slot mask (and back); the two conventions
-/// name the same four directions.
+/// 2D DepBit mask of a d = 2 slot mask (LclTableD::depsFrom2D is the
+/// inverse); the two conventions name the same four directions.
 std::uint8_t depsTo2d(std::uint32_t deps) {
   std::uint8_t out = 0;
   if (deps & (1u << kSlotNorth)) out |= kTableDepN;
   if (deps & (1u << kSlotEast)) out |= kTableDepE;
   if (deps & (1u << kSlotSouth)) out |= kTableDepS;
   if (deps & (1u << kSlotWest)) out |= kTableDepW;
-  return out;
-}
-
-std::uint32_t depsFrom2d(std::uint8_t deps) {
-  std::uint32_t out = 0;
-  if (deps & kTableDepN) out |= 1u << kSlotNorth;
-  if (deps & kTableDepE) out |= 1u << kSlotEast;
-  if (deps & kTableDepS) out |= 1u << kSlotSouth;
-  if (deps & kTableDepW) out |= 1u << kSlotWest;
   return out;
 }
 
@@ -44,6 +35,15 @@ std::uint64_t fnvMix(std::uint64_t hash, std::uint64_t word) {
 }
 
 }  // namespace
+
+std::uint32_t LclTableD::depsFrom2D(std::uint8_t deps) {
+  std::uint32_t out = 0;
+  if (deps & kTableDepN) out |= 1u << kSlotNorth;
+  if (deps & kTableDepE) out |= 1u << kSlotEast;
+  if (deps & kTableDepS) out |= 1u << kSlotSouth;
+  if (deps & kTableDepW) out |= 1u << kSlotWest;
+  return out;
+}
 
 std::uint32_t LclTableD::fullDeps(int dims) {
   if (dims < 1 || dims > kMaxDims) {
@@ -87,45 +87,29 @@ LclTableD::LclTableD(int dims, int sigma, std::uint32_t deps)
   rowsOwned_.assign(stride, 0);
 }
 
-LclTableD::LclTableD(std::shared_ptr<const LclTable> table2d,
-                     std::uint32_t deps)
-    : dims_(2),
-      sigma_(table2d->sigma()),
-      deps_(deps),
-      fullRow_(table2d->fullRow()),
-      table2d_(std::move(table2d)) {
-  slotStrides_ = {table2d_->strideE(), table2d_->strideW(),
-                  table2d_->strideN(), table2d_->strideS()};
+LclTableD LclTableD::fromTable2D(std::shared_ptr<const LclTable> table) {
+  LclTableD view;
+  view.dims_ = 2;
+  view.sigma_ = table->sigma();
+  view.deps_ = depsFrom2D(table->deps());
+  view.fullRow_ = table->fullRow();
+  view.slotStrides_ = {table->strideE(), table->strideW(), table->strideN(),
+                       table->strideS()};
   for (int slot = 0; slot < 4; ++slot) {
-    if (slotRelevant(slot)) slotOrder_.push_back(slot);
+    if (view.slotRelevant(slot)) view.slotOrder_.push_back(slot);
   }
-  std::sort(slotOrder_.begin(), slotOrder_.end(), [&](int a, int b) {
-    return slotStrides_[static_cast<std::size_t>(a)] <
-           slotStrides_[static_cast<std::size_t>(b)];
+  std::sort(view.slotOrder_.begin(), view.slotOrder_.end(), [&](int a, int b) {
+    return view.slotStrides_[static_cast<std::size_t>(a)] <
+           view.slotStrides_[static_cast<std::size_t>(b)];
   });
-  // Derived data delegates to the 2D table; the pair grids are copied into
-  // the axis-indexed layout so pairOk() has one representation.
-  trivialLabel_ = table2d_->trivialLabel();
-  edgeDecomposable_ = table2d_->edgeDecomposable();
-  const int s = sigma_;
-  pairs_.assign(static_cast<std::size_t>(2) * s * s, 0);
-  for (int lo = 0; lo < s; ++lo) {
-    for (int up = 0; up < s; ++up) {
-      const std::size_t at = static_cast<std::size_t>(lo) * s + up;
-      pairs_[at] = table2d_->horizontalOk(lo, up) ? 1 : 0;
-      pairs_[static_cast<std::size_t>(s) * s + at] =
-          table2d_->verticalOk(lo, up) ? 1 : 0;
-    }
-  }
-  std::uint64_t hash = 1469598103934665603ULL;
-  hash = fnvMix(hash, static_cast<std::uint64_t>(dims_));
-  hash = fnvMix(hash, static_cast<std::uint64_t>(sigma_));
-  hash = fnvMix(hash, static_cast<std::uint64_t>(deps_));
-  const std::uint64_t* rows = table2d_->rowData();
-  for (std::size_t i = 0; i < table2d_->rowCount(); ++i) {
-    hash = fnvMix(hash, rows[i]);
-  }
-  fingerprint_ = hash;
+  // Derived data delegates to the 2D table (pairOk reads its projections).
+  // One fingerprint per 2D relation: a 2D problem and its d = 2 view must
+  // key the same caches and checkpoints.
+  view.trivialLabel_ = table->trivialLabel();
+  view.edgeDecomposable_ = table->edgeDecomposable();
+  view.fingerprint_ = table->fingerprint();
+  view.table2d_ = std::move(table);
+  return view;
 }
 
 void LclTableD::advanceOdometer(std::vector<int>& nbrs) const {
@@ -147,12 +131,11 @@ LclTableD LclTableD::compile(int dims, int sigma, std::uint32_t deps,
   if (dims == 2) {
     // Delegate: compile an ordinary 2D table from the same relation so the
     // d = 2 representation is the existing one, bit for bit.
-    auto table = std::make_shared<LclTable>(LclTable::compile(
+    return fromTable2D(std::make_shared<const LclTable>(LclTable::compile(
         sigma, depsTo2d(deps), [&](int c, int n, int e, int s, int w) {
           const int nbrs[4] = {e, w, n, s};
           return ok(c, std::span<const int>(nbrs, 4));
-        }));
-    return LclTableD(std::move(table), deps);
+        })));
   }
   LclTableD table(dims, sigma, deps);
   std::vector<int> nbrs(static_cast<std::size_t>(2 * dims), 0);
@@ -171,18 +154,14 @@ LclTableD LclTableD::compile(int dims, int sigma, std::uint32_t deps,
   return table;
 }
 
-LclTableD LclTableD::fromTable2D(LclTable table) {
-  const std::uint32_t deps = depsFrom2d(table.deps());
-  return LclTableD(std::make_shared<LclTable>(std::move(table)), deps);
-}
-
 LclTableD LclTableD::disjointUnion(const LclTableD& p, const LclTableD& q) {
   if (p.dims_ != q.dims_) {
     throw std::invalid_argument(
         "LclTableD::disjointUnion: dimension mismatch");
   }
   if (p.dims_ == 2) {
-    return fromTable2D(LclTable::disjointUnion(*p.table2d_, *q.table2d_));
+    return fromTable2D(std::make_shared<const LclTable>(
+        LclTable::disjointUnion(*p.table2d_, *q.table2d_)));
   }
   const int dims = p.dims_;
   const int sigmaP = p.sigma_;
@@ -224,7 +203,8 @@ LclTableD LclTableD::remap(const LclTableD& p, std::span<const int> toOld) {
     }
   }
   if (p.dims_ == 2) {
-    return fromTable2D(LclTable::remap(*p.table2d_, toOld));
+    return fromTable2D(
+        std::make_shared<const LclTable>(LclTable::remap(*p.table2d_, toOld)));
   }
   const int dims = p.dims_;
   LclTableD table(dims, sigma, p.deps_);
@@ -270,6 +250,10 @@ bool LclTableD::sameContent(const LclTableD& other) const {
 }
 
 bool LclTableD::pairOk(int axis, int lower, int upper) const {
+  if (table2d_) {
+    return axis == 0 ? table2d_->horizontalOk(lower, upper)
+                     : table2d_->verticalOk(lower, upper);
+  }
   return pairs_[(static_cast<std::size_t>(axis) * sigma_ + lower) * sigma_ +
                 upper] != 0;
 }

@@ -62,9 +62,14 @@ class LclTableD {
   static LclTableD compile(int dims, int sigma, std::uint32_t deps,
                            const Predicate& ok);
 
-  /// Wraps an existing 2D table as a 2-dimensional LclTableD (shared rows,
-  /// no copy). The inverse direction of the d = 2 delegation.
-  static LclTableD fromTable2D(LclTable table);
+  /// Wraps an existing 2D table as a 2-dimensional LclTableD: shared rows,
+  /// plan and derived data, nothing copied or recomputed. The inverse
+  /// direction of the d = 2 delegation; GridLcl builds its d = 2 view
+  /// through this.
+  static LclTableD fromTable2D(std::shared_ptr<const LclTable> table);
+
+  /// The d = 2 slot mask naming the same directions as a 2D DepBit mask.
+  static std::uint32_t depsFrom2D(std::uint8_t deps);
 
   /// Block-diagonal composition (the Section 6 disjoint union), dimensions
   /// must match; every slot becomes relevant, as in 2D.
@@ -148,7 +153,9 @@ class LclTableD {
 
   /// Content fingerprint: FNV-1a over (dims, sigma, deps, rows). Tables
   /// with equal content hash equal whichever construction path built them;
-  /// the deps mask is part of the content, as in 2D.
+  /// the deps mask is part of the content, as in 2D. A d = 2 table reports
+  /// its delegated LclTable's fingerprint, so a 2D problem and its d = 2
+  /// form share one fingerprint.
   std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Exact (dims, sigma, deps, rows) equality -- what fingerprint()
@@ -176,9 +183,6 @@ class LclTableD {
   LclTableD() = default;
   /// Allocates generic (non-delegated) storage for (dims, sigma, deps).
   LclTableD(int dims, int sigma, std::uint32_t deps);
-  /// Builds the d = 2 delegation around an already-compiled 2D table.
-  explicit LclTableD(std::shared_ptr<const LclTable> table2d,
-                     std::uint32_t deps);
 
   bool slotRelevant(int slot) const { return (deps_ >> slot) & 1u; }
 
@@ -218,7 +222,7 @@ class LclTableD {
   std::shared_ptr<const LclTable> table2d_;  // d = 2 delegation target
 
   // Derived at compile time.
-  std::vector<std::uint8_t> pairs_;  // dims x sigma x sigma, [axis][lo][up]
+  std::vector<std::uint8_t> pairs_;  // [axis][lo][up]; empty at d = 2
   std::shared_ptr<const bitslice::BitslicePlanD> bitslicePlanD_;
   bool edgeDecomposable_ = false;
   int trivialLabel_ = -1;

@@ -373,32 +373,9 @@ long long wrapWindowRows(int dims, int n) {
   return rows;
 }
 
-bool streamUsesBitslice(const StreamLabelling& file, const GridLcl& lcl) {
-  return lcl.hasTable() && verifier_detail::bitsliceSelected(lcl, file.size());
-}
-
 bool streamUsesBitsliceD(const StreamLabelling& file, const GridLclD& lcl) {
   return lcl.hasTable() && lcl.dims() == 2 &&
          verifier_detail::bitsliceSelectedD(lcl, file.size());
-}
-
-void checkStream2D(const StreamLabelling& file, const GridLcl& lcl) {
-  if (file.dims() != 2) {
-    throw std::invalid_argument(
-        "stream verify: file dims " + std::to_string(file.dims()) +
-        " does not match a 2D problem");
-  }
-  if (file.sigma() != lcl.sigma()) {
-    throw std::invalid_argument(
-        "stream verify: file sigma " + std::to_string(file.sigma()) +
-        " does not match problem sigma " + std::to_string(lcl.sigma()));
-  }
-  if (file.size() >
-      static_cast<long long>(std::numeric_limits<int>::max())) {
-    throw std::invalid_argument(
-        "stream verify: node count exceeds Torus2D indexing; use the "
-        "d-dimensional entry points");
-  }
 }
 
 void checkStreamD(const StreamLabelling& file, const GridLclD& lcl) {

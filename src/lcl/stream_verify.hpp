@@ -33,7 +33,6 @@
 #include <span>
 #include <string>
 
-#include "lcl/grid_lcl.hpp"
 #include "lcl/grid_lcl_d.hpp"
 #include "support/mmap_file.hpp"
 
@@ -224,20 +223,16 @@ void applyCheckpointConfig(StreamPass& pass, const StreamLabelling& file,
 std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst);
 
 /// Kernel tier of a streaming table path (the same at every lane count).
-/// 2D mirrors the in-core
-/// selection (verifier_detail::bitsliceSelected); d >= 3 stays on the
-/// row-pointer kernel -- the staged d >= 3 bit-sliced path needs the whole
-/// labelling transposed into plane buffers, which is exactly the full-grid
-/// allocation streaming exists to avoid. (A d = 2 GridLclD delegates to
-/// the 2D rolling kernel, which streams fine.)
-bool streamUsesBitslice(const StreamLabelling& file, const GridLcl& lcl);
+/// d = 2 mirrors the in-core selection (verifier_detail::bitsliceSelectedD:
+/// the delegated 2D rolling kernel, which streams fine); d >= 3 stays on
+/// the row-pointer kernel -- the staged d >= 3 bit-sliced path needs the
+/// whole labelling transposed into plane buffers, which is exactly the
+/// full-grid allocation streaming exists to avoid.
 bool streamUsesBitsliceD(const StreamLabelling& file, const GridLclD& lcl);
 
-/// Request validation: the GridLcl form requires a dims() == 2 file, the
-/// GridLclD form matching dimensions; dims/sigma mismatches throw
-/// std::invalid_argument, and 2D additionally requires the node count to
-/// fit Torus2D's int indexing.
-void checkStream2D(const StreamLabelling& file, const GridLcl& lcl);
+/// Request validation: the file's dims and sigma must match the problem's
+/// (std::invalid_argument otherwise). A 2D problem arrives as its d = 2
+/// form.
 void checkStreamD(const StreamLabelling& file, const GridLclD& lcl);
 
 }  // namespace stream_verify_detail

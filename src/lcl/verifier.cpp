@@ -770,36 +770,6 @@ std::int64_t bitsliceViolations(const bitslice::BitslicePlan& plan, int n,
                                        yEnd, maxLabel);
 }
 
-/// Fallback for uncompiled problems or out-of-alphabet labels, over nodes
-/// [vBegin, vEnd): mirrors the seed's per-node loop. An out-of-alphabet
-/// centre label is a violation; neighbourhoods are otherwise judged by
-/// GridLcl::allows (which routes garbage neighbour labels to the raw
-/// predicate, as the seed did).
-template <bool StopAtFirst>
-std::int64_t functionalViolations(const Torus2D& torus, const GridLcl& lcl,
-                                  std::span<const int> labels, int vBegin,
-                                  int vEnd) {
-  std::int64_t bad = 0;
-  for (int v = vBegin; v < vEnd; ++v) {
-    const int c = labels[static_cast<std::size_t>(v)];
-    bool violated;
-    if (c < 0 || c >= lcl.sigma()) {
-      violated = true;
-    } else {
-      const int n = labels[static_cast<std::size_t>(torus.step(v, Dir::North))];
-      const int e = labels[static_cast<std::size_t>(torus.step(v, Dir::East))];
-      const int s = labels[static_cast<std::size_t>(torus.step(v, Dir::South))];
-      const int w = labels[static_cast<std::size_t>(torus.step(v, Dir::West))];
-      violated = !lcl.allows(c, n, e, s, w);
-    }
-    if (violated) {
-      if constexpr (StopAtFirst) return 1;
-      ++bad;
-    }
-  }
-  return bad;
-}
-
 }  // namespace
 
 std::vector<Violation> listViolations(const Torus2D& torus, const GridLcl& lcl,
@@ -883,11 +853,6 @@ std::int64_t tableViolationRows(const LclTable& table, int n,
              : tableViolations<false>(table, n, labels, yBegin, yEnd);
 }
 
-bool bitsliceSelected(const GridLcl& lcl, long long nodes) {
-  return bitslice::enabled() && nodes >= bitslice::kMinNodesForBitslice &&
-         lcl.hasTable() && lcl.table().bitslicePlan() != nullptr;
-}
-
 std::int64_t bitsliceViolationRows(const LclTable& table, int n, int nRows,
                                    const int* labels, int yBegin, int yEnd,
                                    bool stopAtFirst, unsigned* maxLabel) {
@@ -901,14 +866,6 @@ std::int64_t bitsliceViolationRows(const LclTable& table, int n, int nRows,
                                       read);
   if (maxLabel != nullptr) *maxLabel = std::max(*maxLabel, read);
   return bad;
-}
-
-std::int64_t functionalViolationRange(const Torus2D& torus, const GridLcl& lcl,
-                                      std::span<const int> labels, int vBegin,
-                                      int vEnd, bool stopAtFirst) {
-  return stopAtFirst
-             ? functionalViolations<true>(torus, lcl, labels, vBegin, vEnd)
-             : functionalViolations<false>(torus, lcl, labels, vBegin, vEnd);
 }
 
 }  // namespace verifier_detail

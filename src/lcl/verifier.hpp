@@ -9,6 +9,10 @@
 // and runs these slices serially or sharded across the engine's pool, and
 // verify / countViolations on a Torus2D are its serial helpers.
 //
+// The engine runs one problem type, GridLclD over TorusD (a GridLcl as
+// GridLcl::asD()); its d = 2 line slices route into the 2D row kernels.
+// The Torus2D diagnostics are paper-facing and an independent reference.
+//
 // The engine selects between three in-core kernel tiers per call (see
 // docs/perf.md for the selection rules and measurements):
 //  * functional -- the predicate loop, for uncompiled problems or
@@ -88,8 +92,8 @@ std::optional<std::int64_t> resolveBitslicePass(std::int64_t violations,
                                                 long long nodes);
 
 /// Number of labellings in a back-to-back batch over a torus of
-/// `torusSize` nodes (Torus2D or TorusD); throws std::invalid_argument
-/// when the batch is not a whole number of tori.
+/// `torusSize` nodes; throws std::invalid_argument when the batch is not a
+/// whole number of tori.
 std::size_t batchCount(long long torusSize, std::span<const int> labelsBatch);
 
 /// Violations of the compiled-table kernel on grid rows [yBegin, yEnd);
@@ -97,12 +101,6 @@ std::size_t batchCount(long long torusSize, std::span<const int> labelsBatch);
 std::int64_t tableViolationRows(const LclTable& table, int n,
                                 const int* labels, int yBegin, int yEnd,
                                 bool stopAtFirst);
-
-/// True iff in-range labellings of this problem at this instance size run
-/// the bit-sliced kernel: the compiled table carries a plan, the global
-/// gate is on and the labelling clears the per-call setup floor
-/// (bitslice::kMinNodesForBitslice).
-bool bitsliceSelected(const GridLcl& lcl, long long nodes);
 
 /// Violations of the bit-sliced kernel on grid rows [yBegin, yEnd) of an
 /// nRows x n row-major labelling (rows wrap cyclically); the table must
@@ -118,11 +116,6 @@ std::int64_t bitsliceViolationRows(const LclTable& table, int n, int nRows,
                                    bool stopAtFirst,
                                    unsigned* maxLabel = nullptr);
 
-/// Violations of the functional fallback on nodes [vBegin, vEnd).
-std::int64_t functionalViolationRange(const Torus2D& torus, const GridLcl& lcl,
-                                      std::span<const int> labels, int vBegin,
-                                      int vEnd, bool stopAtFirst);
-
 /// d-dimensional slices (src/lcl/verifier_d.cpp). A "line" is a contiguous
 /// run of n nodes along axis 0; lines are indexed row-major over the outer
 /// axes (axis 1 fastest), so a line range is a slab along the outermost
@@ -137,11 +130,16 @@ std::int64_t tableViolationLinesD(const LclTableD& table, const TorusD& torus,
                                   const int* labels, long long lineBegin,
                                   long long lineEnd, bool stopAtFirst);
 
-/// True iff in-range labellings of this d-dimensional problem at this
-/// instance size run the bit-sliced kernel: the gate is on, the instance
-/// clears the setup floor, and either the d = 2 delegated table carries a
-/// 2D plan (the rolling row kernel runs directly on the labels) or the
-/// table carries a per-axis plan (the staged line kernel below).
+/// True iff the problem's compiled table carries a bit-slice plan: the
+/// d = 2 delegated table's 2D plan (the rolling row kernel runs directly on
+/// the labels) or a per-axis plan (the staged line kernel below). A
+/// kBitsliced tier pin needs exactly this; the plan is compiled whatever
+/// the LCLGRID_BITSLICE gate says.
+bool hasBitslicePlanD(const GridLclD& lcl);
+
+/// True iff in-range labellings of this problem at this instance size run
+/// the bit-sliced kernel: the gate is on, the instance clears the setup
+/// floor (bitslice::kMinNodesForBitslice) and hasBitslicePlanD holds.
 bool bitsliceSelectedD(const GridLclD& lcl, long long nodes);
 
 /// Plane buffer sized for the staged d >= 3 line kernel (lineCountD rows

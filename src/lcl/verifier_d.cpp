@@ -142,6 +142,8 @@ std::int64_t planesLineViolations(const bitslice::BitslicePlanD& plan,
 
 /// Fallback for uncompiled problems or out-of-alphabet labels, over nodes
 /// [vBegin, vEnd): TorusD::step per neighbour, GridLclD::allows per node.
+/// An out-of-alphabet centre is a violation; garbage neighbour labels reach
+/// the problem's own predicate (a 2D problem's, via GridLcl::asD()).
 template <bool StopAtFirst>
 std::int64_t functionalViolations(const TorusD& torus, const GridLclD& lcl,
                                   std::span<const int> labels,
@@ -239,16 +241,16 @@ std::int64_t tableViolationLinesD(const LclTableD& table, const TorusD& torus,
                                           lineEnd);
 }
 
+bool hasBitslicePlanD(const GridLclD& lcl) {
+  if (!lcl.hasTable()) return false;
+  const LclTable* table2d = lcl.table().as2d();
+  return table2d != nullptr ? table2d->bitslicePlan() != nullptr
+                            : lcl.table().bitslicePlanD() != nullptr;
+}
+
 bool bitsliceSelectedD(const GridLclD& lcl, long long nodes) {
-  if (!bitslice::enabled() || nodes < bitslice::kMinNodesForBitslice ||
-      !lcl.hasTable()) {
-    return false;
-  }
-  const LclTableD& table = lcl.table();
-  if (const LclTable* table2d = table.as2d()) {
-    return table2d->bitslicePlan() != nullptr;
-  }
-  return table.bitslicePlanD() != nullptr;
+  return bitslice::enabled() && nodes >= bitslice::kMinNodesForBitslice &&
+         hasBitslicePlanD(lcl);
 }
 
 LabelPlanes bitsliceMakePlanesD(const TorusD& torus, const LclTableD& table) {

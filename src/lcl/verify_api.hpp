@@ -4,8 +4,8 @@
 // pool-sharded, out-of-core streaming), the batch shape or the dimension:
 //
 //   VerifyRequest request;
-//   request.problem = &lcl;            // or problemD, or a fingerprint +
-//   request.torus = &torus;            //   resolver (the service's idiom)
+//   request.problem = &lcl;            // or problemD (with torusD)
+//   request.torus = &torus;
 //   request.labels = labels;           // one labelling, or a back-to-back
 //   request.options.countViolations = true;       //   batch, or a file
 //   VerifyResult result = verify(request);
@@ -18,6 +18,12 @@
 // feasibility. The verification service daemon (src/service) dispatches
 // exclusively through verify(VerifyRequest); the two Torus2D helpers at
 // the end are the paper-facing serial calls of the examples and figures.
+//
+// One engine, two front ends: every request runs as a GridLclD over a
+// TorusD. A GridLcl/Torus2D request is handed over as the problem's d = 2
+// view (GridLcl::asD(), built once per problem, sharing its compiled
+// rows) over TorusD(2, n), so both front ends reach the same kernels and
+// report the same fingerprint (LclTable::fingerprint()).
 //
 // Tier selection and pinning: by default (TierPin::kAuto) the request runs
 // the tier the engine selects per docs/perf.md. A pinned tier runs exactly
@@ -36,7 +42,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -65,8 +70,9 @@ struct VerifyOptions {
   /// `violations` field is then 0 or 1, a lower bound). true: scan
   /// everything, report the exact violation total.
   bool countViolations = false;
-  /// Threads / grain / pool for the execution; threads == 1 runs serially
-  /// on the caller (the exact serial kernel slices).
+  /// Threads / grain / pool for the execution; one lane (threads == 1, or
+  /// a one-lane pool) runs the kernel slices inline on the caller, with no
+  /// pool.
   engine::EngineOptions engine{.threads = 1};
   TierPin tier = TierPin::kAuto;
   /// Slab geometry for streaming (file / labellingPath) requests.
@@ -74,16 +80,9 @@ struct VerifyOptions {
 };
 
 struct VerifyRequest {
-  // --- problem reference: exactly one of problem / problemD, or a
-  // fingerprint plus resolver ------------------------------------------------
+  // --- problem: exactly one of problem / problemD ---------------------------
   const GridLcl* problem = nullptr;
   const GridLclD* problemD = nullptr;
-  /// Table fingerprint of a previously seen problem; consulted only when
-  /// both problem pointers are null. `resolveFingerprint` maps it to a
-  /// live problem (the service's table cache is the canonical resolver);
-  /// an unresolvable fingerprint throws std::invalid_argument.
-  std::uint64_t fingerprint = 0;
-  std::function<const GridLcl*(std::uint64_t)> resolveFingerprint;
 
   // --- instance: inline labels over a torus, or an LCLLABv1 file ------------
   /// Geometry for inline labels (torus for GridLcl, torusD for GridLclD).

@@ -14,7 +14,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "grid/torus2d.hpp"
 #include "grid/torusd.hpp"
 #include "lcl/verify_api.hpp"
 #include "service/problem_registry.hpp"
@@ -598,7 +597,8 @@ VerifyResultFrame VerificationService::runVerify(
     const VerifyRequestFrame& frame) {
   VerifyRequest request;
   // The shared_ptrs keep cached problems alive across a concurrent
-  // eviction for the duration of the call.
+  // eviction for the duration of the call. A 2D problem runs as its d = 2
+  // view, so every request is a GridLclD over a TorusD.
   std::shared_ptr<const GridLcl> held;
   std::shared_ptr<const GridLclD> heldD;
   if (frame.problemRef == ProblemRefKind::kFingerprint) {
@@ -608,17 +608,15 @@ VerifyResultFrame VerificationService::runVerify(
           "service: unknown problem fingerprint (not in the cache; send the "
           "spec once first)");
     }
-    request.problem = held.get();
   } else if (isCycleSpec(frame.spec)) {
     throw std::invalid_argument(
         "service: cycle problems take classify requests, not verify");
   } else if (isProblemDSpec(frame.spec)) {
     heldD = problems_.bySpecD(frame.spec);
-    request.problemD = heldD.get();
   } else {
     held = problems_.bySpec(frame.spec);
-    request.problem = held.get();
   }
+  request.problemD = held ? &held->asD() : heldD.get();
   if (frame.tierPin > 3) {
     throw std::invalid_argument("service: unknown tier pin");
   }
@@ -632,21 +630,12 @@ VerifyResultFrame VerificationService::runVerify(
   request.options.engine.threads =
       std::clamp(askedThreads, 1, config_.engineThreads);
 
-  std::optional<Torus2D> torus;
-  std::optional<TorusD> torusD;
+  std::optional<TorusD> torus;
   if (frame.labelling == LabellingKind::kPath) {
     request.labellingPath = frame.path;
   } else {
-    if (request.problemD != nullptr) {
-      torusD.emplace(static_cast<int>(frame.dims), static_cast<int>(frame.n));
-      request.torusD = &*torusD;
-    } else {
-      if (frame.dims != 2) {
-        throw std::invalid_argument("service: 2D problems need dims == 2");
-      }
-      torus.emplace(static_cast<int>(frame.n));
-      request.torus = &*torus;
-    }
+    torus.emplace(static_cast<int>(frame.dims), static_cast<int>(frame.n));
+    request.torusD = &*torus;
     request.labels = frame.labels;
   }
 

@@ -17,19 +17,21 @@
 //  * serviceThreads worker threads drain the queue and execute requests
 //    through the front doors verify(VerifyRequest) and engine::classify();
 //  * problems resolve through a fingerprint-indexed LRU cache of compiled
-//    problems (spec -> GridLcl/GridLclD, fingerprint -> GridLcl) and oracle
-//    reports reuse an engine::ReportCache, both capacity-bounded;
+//    problems (spec -> GridLcl/GridLclD, fingerprint -> GridLcl; a GridLcl
+//    verifies as its d = 2 view GridLcl::asD()) and oracle reports reuse
+//    an engine::ReportCache, both capacity-bounded;
 //  * inline label batches are handed to the engine zero-copy: the int32
 //    region of the receive buffer is spanned directly into
 //    VerifyRequest::labels (the wire layout 4-byte-aligns it).
 //
-// The engine pool: requests execute with EngineOptions::threads ==
-// config.engineThreads. The default 1 runs each request serially on its
-// worker -- the daemon's parallelism is across requests (serviceThreads),
-// which is the high-QPS regime. engineThreads > 1 parallelises single
-// large requests instead, at a private-pool setup cost per request
-// (engine/thread_pool.hpp: a pool's task queues are fed by one caller at a
-// time, so concurrent workers cannot share one pool safely).
+// The engine pool: requests execute with EngineOptions::threads == the
+// requested lane count capped at config.engineThreads. One lane (the
+// default engineThreads = 1) runs a request inline on its worker, with no
+// pool -- the daemon's parallelism is across requests (serviceThreads),
+// which is the high-QPS regime. More lanes parallelise single large
+// requests instead, on the global pool when the count equals
+// engine::defaultThreads() and otherwise at a private-pool setup cost per
+// request (engine::PoolHandle).
 #pragma once
 
 #include <atomic>

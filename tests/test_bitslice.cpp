@@ -223,12 +223,12 @@ TEST(PlanSynthesisBitslice, GateAndSizeFloorControlSelection) {
   const GridLcl lcl = problems::vertexColouring(4);
   const long long big = 1 << 20;
   bitslice::setEnabled(true);
-  EXPECT_TRUE(verifier_detail::bitsliceSelected(lcl, big));
+  EXPECT_TRUE(verifier_detail::bitsliceSelectedD(lcl.asD(), big));
   // Below the setup floor the row-pointer kernel stays selected.
-  EXPECT_FALSE(verifier_detail::bitsliceSelected(
-      lcl, bitslice::kMinNodesForBitslice - 1));
+  EXPECT_FALSE(verifier_detail::bitsliceSelectedD(
+      lcl.asD(), bitslice::kMinNodesForBitslice - 1));
   bitslice::setEnabled(false);
-  EXPECT_FALSE(verifier_detail::bitsliceSelected(lcl, big));
+  EXPECT_FALSE(verifier_detail::bitsliceSelectedD(lcl.asD(), big));
 }
 
 TEST(BitsliceVerifier, DirectKernelMatchesTableOnTinyOddSides) {
@@ -772,7 +772,7 @@ TEST(ColouringKernel, StreamedLabellingsMatchFunctional) {
     const GridLcl lcl = problems::vertexColouring(k);
     for (int n : {16, 33, 65, 129}) {
       const Torus2D torus(n);
-      ASSERT_TRUE(verifier_detail::bitsliceSelected(lcl, torus.size()));
+      ASSERT_TRUE(verifier_detail::bitsliceSelectedD(lcl.asD(), torus.size()));
       std::vector<int> planted = diagonalColouring(n, k);
       for (const auto& [node, copied] : seamClashes(n)) {
         planted[static_cast<std::size_t>(node)] =

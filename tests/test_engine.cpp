@@ -72,6 +72,15 @@ TEST(ThreadPool, LanesMatchConstruction) {
   EXPECT_GE(engine::defaultThreads(), 1);
 }
 
+TEST(ThreadPool, OneLaneRequestsResolveToNoPool) {
+  // One lane runs inline on every host: no private pool, no global pool.
+  EXPECT_EQ(engine::PoolHandle({.threads = 1}).pool(), nullptr);
+  engine::ThreadPool one(1);
+  EXPECT_EQ(engine::PoolHandle({.threads = 4, .pool = &one}).pool(), nullptr);
+  engine::ThreadPool two(2);
+  EXPECT_EQ(engine::PoolHandle({.threads = 1, .pool = &two}).pool(), &two);
+}
+
 TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
   for (int threads : {1, 2, 8}) {
     engine::ThreadPool pool(threads);

@@ -95,6 +95,7 @@ TEST(LclTableD, Dim2DelegationIsBitForBitTheLclTable) {
   const LclTable& delegated = *tableD.as2d();
   EXPECT_TRUE(delegated.sameContent(table2d));
   EXPECT_EQ(delegated.fingerprint(), table2d.fingerprint());
+  EXPECT_EQ(tableD.fingerprint(), table2d.fingerprint());
 
   // The D view shares the delegated rows rather than copying them.
   EXPECT_EQ(tableD.rowData(), delegated.rowData());
@@ -124,9 +125,35 @@ TEST(LclTableD, Dim2DelegationIsBitForBitTheLclTable) {
   });
 }
 
+TEST(LclTableD, GridLclViewSharesTheCompiledTable) {
+  // GridLcl::asD() is built once per problem and shared by copies; it
+  // views the 2D table's rows instead of compiling its own.
+  const GridLcl flat = problems::weakColouring(3, 1);
+  const GridLclD& view = flat.asD();
+  EXPECT_EQ(view.dims(), 2);
+  EXPECT_EQ(view.sigma(), flat.sigma());
+  ASSERT_TRUE(view.hasTable());
+  EXPECT_EQ(view.table().as2d(), &flat.table());
+  EXPECT_EQ(view.table().rowData(), flat.table().rowData());
+  EXPECT_EQ(view.table().fingerprint(), flat.table().fingerprint());
+  const GridLcl copy = flat;
+  EXPECT_EQ(&copy.asD(), &view);
+  // Beyond the table cap the view carries the predicate alone.
+  const GridLcl wide("wide", 70, kDepE, [](int c, int, int e, int, int) {
+    return c != e;
+  });
+  ASSERT_FALSE(wide.hasTable());
+  EXPECT_FALSE(wide.asD().hasTable());
+  const int eastClash[4] = {5, 0, 0, 0};  // slots [E, W, N, S]
+  const int westClash[4] = {0, 5, 0, 0};
+  EXPECT_FALSE(wide.asD().allows(5, eastClash));
+  EXPECT_TRUE(wide.asD().allows(5, westClash));
+}
+
 TEST(LclTableD, Dim2CompileMatchesFromTable2D) {
   const GridLcl flat = problems::maximalIndependentSet();
-  const LclTableD wrapped = LclTableD::fromTable2D(flat.table());
+  const LclTableD wrapped =
+      LclTableD::fromTable2D(std::make_shared<const LclTable>(flat.table()));
   const LclTableD compiled = LclTableD::compile(
       2, flat.sigma(), wrapped.deps(), [&](int c, std::span<const int> nbrs) {
         return flat.predicate()(c, nbrs[2], nbrs[0], nbrs[3], nbrs[1]);

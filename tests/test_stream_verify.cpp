@@ -314,13 +314,13 @@ TEST(StreamVerify, MatchesInCoreWithBitsliceOnAndOff) {
   StreamLabelling mapped(file.str());
   const std::int64_t reference = functionalCount(torus, lcl, labels);
   bitslice::setEnabled(false);
-  EXPECT_FALSE(stream_verify_detail::streamUsesBitslice(mapped, lcl));
+  EXPECT_FALSE(stream_verify_detail::streamUsesBitsliceD(mapped, lcl.asD()));
   for (int threads : {1, 2, 8}) {
     EXPECT_EQ(streamed(mapped, lcl, true, threads).violations, reference)
         << "table threads=" << threads;
   }
   bitslice::setEnabled(true);
-  EXPECT_TRUE(stream_verify_detail::streamUsesBitslice(mapped, lcl));
+  EXPECT_TRUE(stream_verify_detail::streamUsesBitsliceD(mapped, lcl.asD()));
   for (int threads : {1, 2, 8}) {
     EXPECT_EQ(streamed(mapped, lcl, true, threads).violations, reference)
         << "bitsliced threads=" << threads;

@@ -3,9 +3,9 @@
 // d-dimensional, in-core and streaming) with the functional tier at one
 // lane -- the independent per-node loop --, tier pinning incl. its error
 // paths, out-of-alphabet labels on every kernel shape (the poison matrix),
-// the fingerprint-resolver idiom, the malformed-request diagnostics, the
-// Torus2D helpers, and the classify() front door with its cross-call
-// ReportCache.
+// uncompiled 2D problems against a brute-force loop, the malformed-request
+// diagnostics, the Torus2D helpers, and the classify() front door with its
+// cross-call ReportCache.
 #include <unistd.h>
 
 #include <climits>
@@ -296,7 +296,7 @@ TEST(VerifyPoison, OutOfAlphabetLabelsMatchFunctionalOnEveryKernelShape) {
   for (const GridLcl& lcl :
        {problems::vertexColouring(3), problems::vertexColouring(4), weak,
         independent}) {
-    ASSERT_TRUE(verifier_detail::bitsliceSelected(lcl, torus.size()))
+    ASSERT_TRUE(verifier_detail::bitsliceSelectedD(lcl.asD(), torus.size()))
         << lcl.name();
     checkPoisonMatrix(torus, lcl,
                       diagonalLabels(torus.size(), torus.n(), 2, lcl.sigma()));
@@ -432,28 +432,72 @@ TEST(VerifyApi, StreamRequestsMatchStreamOverloads) {
   std::remove(path.c_str());
 }
 
-TEST(VerifyApi, FingerprintResolver) {
-  const Torus2D torus(6);
-  const GridLcl problem = problems::maximalMatching();
-  const std::vector<int> labels = randomLabels(
-      problem.sigma(), static_cast<std::size_t>(torus.size()), 5);
-  VerifyRequest request;
-  request.fingerprint = problem.table().fingerprint();
-  request.resolveFingerprint = [&problem](std::uint64_t fingerprint) {
-    return fingerprint == problem.table().fingerprint() ? &problem : nullptr;
-  };
-  request.torus = &torus;
-  request.labels = labels;
-  request.options.countViolations = true;
-  EXPECT_EQ(verify(request).violations,
-            verify(verifyRequest(torus, problem, labels, /*count=*/true, 1,
-                                 TierPin::kFunctional))
-                .violations);
-
-  request.fingerprint ^= 1;  // unknown
-  EXPECT_THROW(verify(request), std::invalid_argument);
-  request.resolveFingerprint = nullptr;  // no resolver at all
-  EXPECT_THROW(verify(request), std::invalid_argument);
+TEST(VerifyApi, UncompiledProblemsMatchBruteForceInCoreAndStreamed) {
+  // sigma = 70 is beyond the 64-label table cap, so the problem runs on the
+  // functional tier. Label steps of +1 east and +2 north (mod 6) tell all
+  // four directions apart, so a wrong neighbour order changes the counts.
+  constexpr int kSigma = 70;
+  const auto step6 = [](int from, int to) { return ((to - from) % 6 + 6) % 6; };
+  const GridLcl problem(
+      "directional-steps-70", kSigma, kDepAll,
+      [step6](int c, int n, int e, int s, int w) {
+        return step6(c, e) == 1 && step6(w, c) == 1 && step6(c, n) == 2 &&
+               step6(s, c) == 2;
+      });
+  ASSERT_FALSE(problem.hasTable());
+  const Torus2D torus(12);
+  const std::size_t nodes = static_cast<std::size_t>(torus.size());
+  std::vector<int> feasible(nodes);
+  for (int v = 0; v < torus.size(); ++v) {
+    feasible[static_cast<std::size_t>(v)] =
+        (torus.xOf(v) + 2 * torus.yOf(v)) % 6;
+  }
+  std::vector<int> poisoned = feasible;
+  poisoned[0] = kSigma;
+  poisoned[17] = -1;
+  poisoned[nodes - 1] = 1000;
+  std::vector<int> swapped = feasible;  // the pattern mirrored east-west
+  for (int v = 0; v < torus.size(); ++v) {
+    swapped[static_cast<std::size_t>(v)] =
+        (6 - torus.xOf(v) % 6 + 2 * torus.yOf(v)) % 6;
+  }
+  const std::string path = tempPath("verify_api_uncompiled");
+  for (const std::vector<int>& labels :
+       {feasible, poisoned, swapped, randomLabels(kSigma, nodes, 11)}) {
+    std::int64_t expect = 0;
+    for (int v = 0; v < torus.size(); ++v) {
+      const int c = labels[static_cast<std::size_t>(v)];
+      const auto at = [&](Dir d) {
+        return labels[static_cast<std::size_t>(torus.step(v, d))];
+      };
+      if (c < 0 || c >= kSigma ||
+          !problem.allows(c, at(Dir::North), at(Dir::East), at(Dir::South),
+                          at(Dir::West))) {
+        ++expect;
+      }
+    }
+    writeLabellingFile(path, kSigma, 2, torus.n(), labels);
+    const StreamLabelling file(path);
+    for (bool count : {false, true}) {
+      for (int threads : {1, 2, 8}) {
+        const VerifyResult inCore =
+            verify(verifyRequest(torus, problem, labels, count, threads));
+        const VerifyResult streamed =
+            verify(verifyRequest(file, problem, {}, count, threads));
+        for (const VerifyResult& result : {inCore, streamed}) {
+          EXPECT_EQ(result.feasible, expect == 0)
+              << "count=" << count << " threads=" << threads;
+          EXPECT_EQ(result.fingerprint, 0u);
+          if (count) {
+            EXPECT_EQ(result.violations, expect) << "threads=" << threads;
+          }
+        }
+        EXPECT_EQ(inCore.tier, VerifyTier::kFunctional);
+        EXPECT_EQ(streamed.tier, VerifyTier::kStream);
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(VerifyApi, MalformedRequestsThrow) {
@@ -469,6 +513,11 @@ TEST(VerifyApi, MalformedRequestsThrow) {
   ambiguous.torus = &torus;
   ambiguous.labels = labels;
   EXPECT_THROW(verify(ambiguous), std::invalid_argument);
+
+  VerifyRequest noProblem;
+  noProblem.torus = &torus;
+  noProblem.labels = labels;
+  EXPECT_THROW(verify(noProblem), std::invalid_argument);
 
   VerifyRequest noInstance;
   noInstance.problem = &problem;
