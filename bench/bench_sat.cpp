@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "grid/torus2d.hpp"
+#include "lcl/global_solver.hpp"
 #include "lcl/problems.hpp"
 #include "sat/cnf.hpp"
 #include "sat/solver.hpp"
@@ -150,38 +151,6 @@ Arm runStagedIncremental(const GridLcl& lcl, int k, tiles::TileShape shape,
 }
 
 // --- scenario: seeded branch enumeration on the torus CSP ------------------
-
-std::vector<sat::DomainVar> encodeTorusCsp(const Torus2D& torus,
-                                           const GridLcl& lcl,
-                                           sat::Solver& solver) {
-  const int sigma = lcl.sigma();
-  std::vector<sat::DomainVar> label;
-  label.reserve(static_cast<std::size_t>(torus.size()));
-  for (int v = 0; v < torus.size(); ++v) {
-    label.push_back(sat::makeDomainVar(solver, sigma));
-  }
-  std::vector<int> clause;
-  for (int v = 0; v < torus.size(); ++v) {
-    const int nN = torus.step(v, Dir::North);
-    const int nE = torus.step(v, Dir::East);
-    const int nS = torus.step(v, Dir::South);
-    const int nW = torus.step(v, Dir::West);
-    lcl.table().forEachForbidden([&](int c, int n, int e, int s, int w) {
-      clause.clear();
-      clause.push_back(label[static_cast<std::size_t>(v)].isNot(c));
-      if (lcl.deps() & kDepN)
-        clause.push_back(label[static_cast<std::size_t>(nN)].isNot(n));
-      if (lcl.deps() & kDepE)
-        clause.push_back(label[static_cast<std::size_t>(nE)].isNot(e));
-      if (lcl.deps() & kDepS)
-        clause.push_back(label[static_cast<std::size_t>(nS)].isNot(s));
-      if (lcl.deps() & kDepW)
-        clause.push_back(label[static_cast<std::size_t>(nW)].isNot(w));
-      solver.addClause(clause);
-    });
-  }
-  return label;
-}
 
 /// The branch schedule of solveGlobally's seeded mode, shared by both arms
 /// so they do identical logical work.

@@ -1,79 +1,11 @@
 #include "lcl/global_solver.hpp"
 
-#include "sat/cnf.hpp"
+#include "lcl/lcl_cnf.hpp"
 #include "support/numeric.hpp"
 
 namespace lclgrid {
 
 namespace {
-
-/// Builds the full node-label CSP for the LCL on the torus into `solver`,
-/// routing every clause (domain and blocking alike) through `add` so the
-/// incremental prober can guard the instance with an activation literal
-/// while solveGlobally keeps plain unconditional clauses.
-template <typename AddClause>
-std::vector<sat::DomainVar> buildTorusCsp(const Torus2D& torus,
-                                          const GridLcl& lcl,
-                                          sat::Solver& solver,
-                                          AddClause&& add) {
-  const int sigma = lcl.sigma();
-  std::vector<sat::DomainVar> label(static_cast<std::size_t>(torus.size()));
-  std::vector<int> atLeastOne;
-  for (int v = 0; v < torus.size(); ++v) {
-    sat::DomainVar dv(solver, sigma);
-    atLeastOne.clear();
-    for (int c = 0; c < sigma; ++c) atLeastOne.push_back(dv.is(c));
-    add(atLeastOne);
-    for (int a = 0; a < sigma; ++a) {
-      for (int b = a + 1; b < sigma; ++b) {
-        add({dv.isNot(a), dv.isNot(b)});
-      }
-    }
-    label[static_cast<std::size_t>(v)] = dv;
-  }
-
-  // One blocking clause per forbidden constraint-table row and node.
-  // Positions outside the dependency mask cannot influence the predicate;
-  // the compiled table already squeezes them out, so the clause generator
-  // only walks rows that actually exist (and skips fully-allowed rows a
-  // word at a time). Problems too large to compile fall back to the
-  // sigma^5 predicate enumeration the seed used.
-  const std::uint8_t deps = lcl.deps();
-  const bool useN = deps & kDepN, useE = deps & kDepE;
-  const bool useS = deps & kDepS, useW = deps & kDepW;
-  std::vector<int> clause;
-  for (int v = 0; v < torus.size(); ++v) {
-    const int nN = torus.step(v, Dir::North);
-    const int nE = torus.step(v, Dir::East);
-    const int nS = torus.step(v, Dir::South);
-    const int nW = torus.step(v, Dir::West);
-    auto blockTuple = [&](int c, int n, int e, int s, int w) {
-      clause.clear();
-      clause.push_back(label[static_cast<std::size_t>(v)].isNot(c));
-      if (useN) clause.push_back(label[static_cast<std::size_t>(nN)].isNot(n));
-      if (useE) clause.push_back(label[static_cast<std::size_t>(nE)].isNot(e));
-      if (useS) clause.push_back(label[static_cast<std::size_t>(nS)].isNot(s));
-      if (useW) clause.push_back(label[static_cast<std::size_t>(nW)].isNot(w));
-      add(clause);
-    };
-    if (lcl.hasTable()) {
-      lcl.table().forEachForbidden(blockTuple);
-    } else {
-      for (int c = 0; c < sigma; ++c) {
-        for (int n = 0; n < (useN ? sigma : 1); ++n) {
-          for (int e = 0; e < (useE ? sigma : 1); ++e) {
-            for (int s = 0; s < (useS ? sigma : 1); ++s) {
-              for (int w = 0; w < (useW ? sigma : 1); ++w) {
-                if (!lcl.allows(c, n, e, s, w)) blockTuple(c, n, e, s, w);
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return label;
-}
 
 std::vector<int> decodeModel(int nodeCount,
                              const std::vector<sat::DomainVar>& label,
@@ -88,15 +20,44 @@ std::vector<int> decodeModel(int nodeCount,
 
 }  // namespace
 
+std::vector<sat::DomainVar> encodeTorusCsp(const Torus2D& torus,
+                                           const GridLcl& lcl,
+                                           sat::Solver& solver,
+                                           sat::ClauseGroup* group) {
+  auto add = [&](const std::vector<int>& clause) {
+    if (group != nullptr) {
+      group->addClause(solver, clause);
+    } else {
+      solver.addClause(clause);
+    }
+  };
+  auto label = oneHotLabels(solver, torus.size(), lcl.sigma(), add);
+  // An edge-decomposable relation holds at every node iff its pair
+  // projections hold on every edge, and each edge is some node's (v, E(v))
+  // or (v, N(v)) -- also on n = 1 and 2, where E(v) is v or W(v).
+  std::vector<VarPair> horizontal, vertical;
+  std::vector<VarCross> crosses;
+  const bool decomposable = lcl.isEdgeDecomposable();
+  for (int v = 0; v < torus.size(); ++v) {
+    if (decomposable) {
+      horizontal.push_back({v, torus.step(v, Dir::East)});
+      vertical.push_back({v, torus.step(v, Dir::North)});
+    } else {
+      crosses.push_back({v, torus.step(v, Dir::North), torus.step(v, Dir::East),
+                         torus.step(v, Dir::South), torus.step(v, Dir::West)});
+    }
+  }
+  encodeLcl(lcl, horizontal, vertical, crosses, label, add);
+  return label;
+}
+
 GlobalSolveResult solveGlobally(const Torus2D& torus, const GridLcl& lcl,
                                 std::uint64_t seed,
                                 std::int64_t conflictBudget) {
   GlobalSolveResult result;
 
   sat::Solver solver;
-  auto label = buildTorusCsp(
-      torus, lcl, solver,
-      [&](const std::vector<int>& clause) { solver.addClause(clause); });
+  auto label = encodeTorusCsp(torus, lcl, solver);
 
   if (seed == 0) {
     auto outcome = solver.solve(conflictBudget);
@@ -132,6 +93,8 @@ GlobalSolveResult solveGlobally(const Torus2D& torus, const GridLcl& lcl,
         conflictBudget);
     if (outcome == sat::Result::Unknown) result.decided = false;
     if (outcome == sat::Result::Sat) {
+      // A model decides feasibility whatever earlier branches left open.
+      result.decided = true;
       result.feasible = true;
       result.labels = decodeModel(torus.size(), label, solver);
       break;
@@ -150,11 +113,7 @@ FeasibilityProber::SizeBlock& FeasibilityProber::blockFor(int n) {
   SizeBlock block;
   block.n = n;
   block.group = sat::ClauseGroup(solver_);
-  Torus2D torus(n);
-  block.label = buildTorusCsp(
-      torus, lcl_, solver_, [&](const std::vector<int>& clause) {
-        block.group.addClause(solver_, clause);
-      });
+  block.label = encodeTorusCsp(Torus2D(n), lcl_, solver_, &block.group);
   blocks_.push_back(std::move(block));
   return blocks_.back();
 }

@@ -36,13 +36,25 @@ struct GlobalSolveResult {
   std::int64_t satConflicts = 0;
 };
 
+/// Encodes the LCL's node-label CSP on the torus into `solver` and returns
+/// the one-hot label variable of each node (lcl/lcl_cnf.hpp). Edge-
+/// decomposable problems get pair clauses on every (v, E(v)) and (v, N(v))
+/// edge, the rest blocking clauses on every node's cross. Clauses are
+/// unconditional, or guarded by `group` when one is given.
+std::vector<sat::DomainVar> encodeTorusCsp(const Torus2D& torus,
+                                           const GridLcl& lcl,
+                                           sat::Solver& solver,
+                                           sat::ClauseGroup* group = nullptr);
+
 /// Decides feasibility of the LCL on the n x n torus and returns a solution
 /// if one exists. `seed` perturbs the search (a random node is forced to
 /// each label in random order and the first satisfiable branch wins) so
 /// different seeds can produce different solutions; seed 0 keeps the
 /// canonical deterministic search. The seeded branch enumeration runs on
 /// one live solver via assumptions -- the CSP is encoded once and learnt
-/// clauses carry across branches -- instead of re-encoding per branch.
+/// clauses carry across branches -- instead of re-encoding per branch. A
+/// satisfiable branch decides the instance even when an earlier branch ran
+/// out of budget; Unsat is decided only if no branch did.
 GlobalSolveResult solveGlobally(const Torus2D& torus, const GridLcl& lcl,
                                 std::uint64_t seed = 0,
                                 std::int64_t conflictBudget = -1);
@@ -57,6 +69,7 @@ class FeasibilityProber {
  public:
   /// Keeps a reference to `lcl`; the problem must outlive the prober.
   explicit FeasibilityProber(const GridLcl& lcl);
+  explicit FeasibilityProber(GridLcl&&) = delete;
 
   /// Decides feasibility on the n x n torus; semantics (including budget
   /// handling) match solveGlobally(torus, lcl, 0, conflictBudget), with

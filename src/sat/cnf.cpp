@@ -17,32 +17,6 @@ int DomainVar::decode(const Solver& solver) const {
   throw std::logic_error("DomainVar::decode: no value set in model");
 }
 
-void addAtLeastOne(Solver& solver, const std::vector<int>& lits) {
-  solver.addClause(lits);
-}
-
-void addAtMostOne(Solver& solver, const std::vector<int>& lits) {
-  for (std::size_t i = 0; i < lits.size(); ++i) {
-    for (std::size_t j = i + 1; j < lits.size(); ++j) {
-      solver.addClause({-lits[i], -lits[j]});
-    }
-  }
-}
-
-void addExactlyOne(Solver& solver, const std::vector<int>& lits) {
-  addAtLeastOne(solver, lits);
-  addAtMostOne(solver, lits);
-}
-
-DomainVar makeDomainVar(Solver& solver, int domain) {
-  DomainVar dv(solver, domain);
-  std::vector<int> lits;
-  lits.reserve(static_cast<std::size_t>(domain));
-  for (int v = 0; v < domain; ++v) lits.push_back(dv.is(v));
-  addExactlyOne(solver, lits);
-  return dv;
-}
-
 ClauseGroup::ClauseGroup(Solver& solver) : guard_(solver.newVar()) {}
 
 bool ClauseGroup::addClause(Solver& solver, std::vector<int> clause) {

@@ -1,6 +1,6 @@
 // Small CNF-encoding helpers on top of the Solver: variable blocks for
-// finite-domain variables and the standard exactly-one / at-most-one
-// encodings used by the synthesis and global-solver reductions.
+// finite-domain variables (their exactly-one clauses come from
+// lcl/lcl_cnf.hpp's oneHotLabels) and activation-gated clause groups.
 #pragma once
 
 #include <vector>
@@ -27,15 +27,6 @@ class DomainVar {
  private:
   std::vector<int> vars_;
 };
-
-/// Adds clauses enforcing at least one of the literals.
-void addAtLeastOne(Solver& solver, const std::vector<int>& lits);
-/// Adds pairwise at-most-one clauses (fine for the small domains used here).
-void addAtMostOne(Solver& solver, const std::vector<int>& lits);
-void addExactlyOne(Solver& solver, const std::vector<int>& lits);
-
-/// Creates a one-hot domain variable with its exactly-one constraint.
-DomainVar makeDomainVar(Solver& solver, int domain);
 
 /// A push/pop-style activation-literal layer: clauses added through a group
 /// carry the negated guard literal, so they only constrain solves that pass

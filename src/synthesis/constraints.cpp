@@ -10,14 +10,14 @@ namespace lclgrid::synthesis {
 namespace {
 
 struct PairHash {
-  std::size_t operator()(const TilePair& p) const {
+  std::size_t operator()(const VarPair& p) const {
     return std::hash<long long>()(
         (static_cast<long long>(p.a) << 32) ^ static_cast<long long>(p.b));
   }
 };
 
 struct CrossHash {
-  std::size_t operator()(const TileCross& c) const {
+  std::size_t operator()(const VarCross& c) const {
     std::size_t h = std::hash<int>()(c.centre);
     auto mix = [&h](int v) {
       h ^= std::hash<int>()(v) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -37,7 +37,6 @@ ConstraintSystem buildConstraints(const GridLcl& lcl,
   const tiles::TileShape shape = tileSet.shape();
   const int k = tileSet.k();
   ConstraintSystem system;
-  system.edgeDecomposable = lcl.isEdgeDecomposable();
 
   auto requireTile = [&](std::uint64_t bits) {
     int index = tileSet.indexOf(bits);
@@ -48,7 +47,7 @@ ConstraintSystem buildConstraints(const GridLcl& lcl,
     return index;
   };
 
-  if (system.edgeDecomposable) {
+  if (lcl.isEdgeDecomposable()) {
     // Horizontal edges: enumerate h x (w+1) windows; the west tile is
     // columns [0, w), the east tile columns [1, w+1).
     {
@@ -58,11 +57,11 @@ ConstraintSystem buildConstraints(const GridLcl& lcl,
       }
       auto wideTiles = tiles::enumerateTiles(k, wide.height, wide.width);
       system.overlapPatterns += wideTiles.size();
-      std::unordered_set<TilePair, PairHash> seen;
+      std::unordered_set<VarPair, PairHash> seen;
       for (int i = 0; i < wideTiles.size(); ++i) {
         std::uint64_t bits = wideTiles.pattern(i);
-        TilePair pair{requireTile(tiles::subPattern(bits, wide, 0, 0, shape)),
-                      requireTile(tiles::subPattern(bits, wide, 0, 1, shape))};
+        VarPair pair{requireTile(tiles::subPattern(bits, wide, 0, 0, shape)),
+                     requireTile(tiles::subPattern(bits, wide, 0, 1, shape))};
         if (seen.insert(pair).second) system.horizontal.push_back(pair);
       }
     }
@@ -75,12 +74,12 @@ ConstraintSystem buildConstraints(const GridLcl& lcl,
       }
       auto tallTiles = tiles::enumerateTiles(k, tall.height, tall.width);
       system.overlapPatterns += tallTiles.size();
-      std::unordered_set<TilePair, PairHash> seen;
+      std::unordered_set<VarPair, PairHash> seen;
       for (int i = 0; i < tallTiles.size(); ++i) {
         std::uint64_t bits = tallTiles.pattern(i);
         int northTile = requireTile(tiles::subPattern(bits, tall, 0, 0, shape));
         int southTile = requireTile(tiles::subPattern(bits, tall, 1, 0, shape));
-        TilePair pair{southTile, northTile};  // a south of b
+        VarPair pair{southTile, northTile};  // a south of b
         if (seen.insert(pair).second) system.vertical.push_back(pair);
       }
     }
@@ -96,10 +95,10 @@ ConstraintSystem buildConstraints(const GridLcl& lcl,
   }
   auto superTiles = tiles::enumerateTiles(k, super.height, super.width);
   system.overlapPatterns += superTiles.size();
-  std::unordered_set<TileCross, CrossHash> seen;
+  std::unordered_set<VarCross, CrossHash> seen;
   for (int i = 0; i < superTiles.size(); ++i) {
     std::uint64_t bits = superTiles.pattern(i);
-    TileCross cross;
+    VarCross cross;
     cross.centre = requireTile(tiles::subPattern(bits, super, 1, 1, shape));
     cross.north = requireTile(tiles::subPattern(bits, super, 0, 1, shape));
     cross.south = requireTile(tiles::subPattern(bits, super, 2, 1, shape));

@@ -18,34 +18,18 @@
 #include <vector>
 
 #include "lcl/grid_lcl.hpp"
+#include "lcl/lcl_cnf.hpp"
 #include "tiles/tile.hpp"
 
 namespace lclgrid::synthesis {
 
-/// A binary constraint: tiles (a, b) adjacent horizontally (a west of b) or
-/// vertically (a south of b).
-struct TilePair {
-  int a = 0;
-  int b = 0;
-  bool operator==(const TilePair&) const = default;
-};
-
-/// A 5-ary constraint: the tiles of a node and its four neighbours.
-struct TileCross {
-  int centre = 0;
-  int north = 0;
-  int east = 0;
-  int south = 0;
-  int west = 0;
-  bool operator==(const TileCross&) const = default;
-};
-
+/// The synthesis CSP's constraints over tile indices, as the clause
+/// generator's pairs and crosses (lcl/lcl_cnf.hpp).
 struct ConstraintSystem {
-  // Exactly one of the two lists is populated, per the problem type.
-  bool edgeDecomposable = false;
-  std::vector<TilePair> horizontal;  // a west of b
-  std::vector<TilePair> vertical;    // a south of b
-  std::vector<TileCross> crosses;
+  // Edge-decomposable problems populate the pair lists, the rest crosses.
+  std::vector<VarPair> horizontal;  // a west of b
+  std::vector<VarPair> vertical;    // a south of b
+  std::vector<VarCross> crosses;
   long long overlapPatterns = 0;  // enumeration size diagnostics
 };
 

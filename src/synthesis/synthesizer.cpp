@@ -6,7 +6,7 @@
 #include <string>
 #include <string_view>
 
-#include "sat/cnf.hpp"
+#include "lcl/lcl_cnf.hpp"
 #include "support/telemetry.hpp"
 #include "support/timing.hpp"
 #include "tiles/enumerator.hpp"
@@ -52,112 +52,9 @@ std::vector<tiles::TileShape> candidateShapes(const GridLcl& lcl, int k,
 
 namespace {
 
-/// One-hot label variables for every tile, with the exactly-one constraints
-/// routed through `add` so the incremental path can guard them with its
-/// activation literal. The fresh path's `add` is a plain solver.addClause,
-/// which reproduces makeDomainVar() clause for clause.
-template <typename AddClause>
-std::vector<sat::DomainVar> makeTileLabels(sat::Solver& solver, int tileCount,
-                                           int sigma, AddClause&& add) {
-  std::vector<sat::DomainVar> label;
-  label.reserve(static_cast<std::size_t>(tileCount));
-  std::vector<int> atLeastOne;
-  for (int t = 0; t < tileCount; ++t) {
-    sat::DomainVar dv(solver, sigma);
-    atLeastOne.clear();
-    for (int v = 0; v < sigma; ++v) atLeastOne.push_back(dv.is(v));
-    add(atLeastOne);
-    for (int a = 0; a < sigma; ++a) {
-      for (int b = a + 1; b < sigma; ++b) {
-        add({dv.isNot(a), dv.isNot(b)});
-      }
-    }
-    label.push_back(dv);
-  }
-  return label;
-}
-
-/// Emits every blocking clause of the synthesis CSP through `add`; shared by
-/// the fresh and incremental paths so both encode the identical instance.
-/// Returns the number of blocking clauses (the attempt's clauseCount).
-template <typename AddClause>
-long long encodeConstraints(const GridLcl& lcl,
-                            const ConstraintSystem& constraints,
-                            const std::vector<sat::DomainVar>& label,
-                            AddClause&& add) {
-  const int sigma = lcl.sigma();
-  long long clauses = 0;
-
-  if (constraints.edgeDecomposable) {
-    for (const TilePair& pair : constraints.horizontal) {
-      for (int a = 0; a < sigma; ++a) {
-        for (int b = 0; b < sigma; ++b) {
-          if (lcl.horizontalOk(a, b)) continue;
-          add({label[static_cast<std::size_t>(pair.a)].isNot(a),
-               label[static_cast<std::size_t>(pair.b)].isNot(b)});
-          ++clauses;
-        }
-      }
-    }
-    for (const TilePair& pair : constraints.vertical) {
-      for (int a = 0; a < sigma; ++a) {
-        for (int b = 0; b < sigma; ++b) {
-          if (lcl.verticalOk(a, b)) continue;
-          add({label[static_cast<std::size_t>(pair.a)].isNot(a),
-               label[static_cast<std::size_t>(pair.b)].isNot(b)});
-          ++clauses;
-        }
-      }
-    }
-    return clauses;
-  }
-
-  // One blocking clause per forbidden table row and tile cross; the
-  // compiled table walks only the dependent positions (fully-allowed
-  // rows are skipped a word at a time). Uncompiled problems fall back
-  // to the seed's sigma^5 predicate enumeration.
-  const std::uint8_t deps = lcl.deps();
-  const bool useN = deps & kDepN, useE = deps & kDepE;
-  const bool useS = deps & kDepS, useW = deps & kDepW;
-  std::vector<int> clause;
-  for (const TileCross& cross : constraints.crosses) {
-    auto blockTuple = [&](int c, int n, int e, int s, int w) {
-      clause.clear();
-      clause.push_back(label[static_cast<std::size_t>(cross.centre)].isNot(c));
-      if (useN)
-        clause.push_back(label[static_cast<std::size_t>(cross.north)].isNot(n));
-      if (useE)
-        clause.push_back(label[static_cast<std::size_t>(cross.east)].isNot(e));
-      if (useS)
-        clause.push_back(label[static_cast<std::size_t>(cross.south)].isNot(s));
-      if (useW)
-        clause.push_back(label[static_cast<std::size_t>(cross.west)].isNot(w));
-      add(clause);
-      ++clauses;
-    };
-    if (lcl.hasTable()) {
-      lcl.table().forEachForbidden(blockTuple);
-    } else {
-      for (int c = 0; c < sigma; ++c) {
-        for (int n = 0; n < (useN ? sigma : 1); ++n) {
-          for (int e = 0; e < (useE ? sigma : 1); ++e) {
-            for (int s = 0; s < (useS ? sigma : 1); ++s) {
-              for (int w = 0; w < (useW ? sigma : 1); ++w) {
-                if (!lcl.allows(c, n, e, s, w)) blockTuple(c, n, e, s, w);
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-  return clauses;
-}
-
 /// The fresh-regime attempt: encode (k, shape) into the throwaway `solver`
-/// with unconditional clauses and solve. The incremental regime reuses the
-/// same generators (makeTileLabels / encodeConstraints) through its
-/// activation-gated ClauseGroup instead.
+/// with unconditional clauses and solve. The incremental regime emits the
+/// same clauses through its activation-gated ClauseGroup.
 SynthesisAttempt attemptOn(const GridLcl& lcl, int k, tiles::TileShape shape,
                            std::int64_t satConflictBudget,
                            sat::Solver& solver) {
@@ -182,8 +79,10 @@ SynthesisAttempt attemptOn(const GridLcl& lcl, int k, tiles::TileShape shape,
     return finish();
   }
 
-  auto label = makeTileLabels(solver, tileSet.size(), lcl.sigma(), add);
-  attempt.clauseCount = encodeConstraints(lcl, constraints, label, add);
+  auto label = oneHotLabels(solver, tileSet.size(), lcl.sigma(), add);
+  attempt.clauseCount =
+      encodeLcl(lcl, constraints.horizontal, constraints.vertical,
+                constraints.crosses, label, add);
 
   sat::Result outcome = solver.solve(satConflictBudget);
   attempt.satConflicts = solver.conflicts();
@@ -285,8 +184,10 @@ SynthesisAttempt IncrementalSynthesizer::attemptShape(
     activeGroup_.addClause(solver_, clause);
   };
   active_.label =
-      makeTileLabels(solver_, active_.tileSet.size(), lcl_.sigma(), add);
-  active_.clauseCount = encodeConstraints(lcl_, constraints, active_.label, add);
+      oneHotLabels(solver_, active_.tileSet.size(), lcl_.sigma(), add);
+  active_.clauseCount =
+      encodeLcl(lcl_, constraints.horizontal, constraints.vertical,
+                constraints.crosses, active_.label, add);
   active_.encodable = true;
   return solveActive(satConflictBudget, startTime);
 }

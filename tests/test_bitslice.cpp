@@ -25,6 +25,7 @@
 
 #include "grid/torus2d.hpp"
 #include "grid/torusd.hpp"
+#include "helpers/problem_registry.hpp"
 #include "helpers/verify_request.hpp"
 #include "lcl/grid_lcl_d.hpp"
 #include "lcl/label_planes.hpp"
@@ -47,26 +48,6 @@ class GateGuard {
  private:
   bool saved_;
 };
-
-/// Same family as tests/test_lcl_table.cpp: every concrete problem class of
-/// the paper with a compiled table.
-std::vector<GridLcl> problemRegistry() {
-  std::vector<GridLcl> registry;
-  for (int k = 2; k <= 5; ++k) registry.push_back(problems::vertexColouring(k));
-  registry.push_back(problems::maximalIndependentSet());
-  registry.push_back(problems::independentSet());
-  registry.push_back(problems::maximalMatching());
-  registry.push_back(problems::edgeColouring(3));
-  registry.push_back(problems::edgeColouring(4));
-  registry.push_back(problems::orientation({2}));
-  registry.push_back(problems::orientation({1, 3}));
-  registry.push_back(problems::orientation({0, 4}));
-  registry.push_back(problems::orientation({0, 1, 3}));
-  registry.push_back(problems::noHorizontalOnePair());
-  registry.push_back(problems::weakColouring(3, 1));
-  registry.push_back(problems::weakColouring(2, 4));
-  return registry;
-}
 
 std::vector<int> randomLabels(long long count, int range, std::uint32_t seed) {
   std::mt19937 rng(seed);

@@ -18,6 +18,7 @@
 
 #include "engine/family_sweep.hpp"
 #include "grid/torus2d.hpp"
+#include "helpers/problem_registry.hpp"
 #include "lcl/global_solver.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/verify_api.hpp"
@@ -26,26 +27,6 @@
 using namespace lclgrid;
 
 namespace {
-
-/// Every concrete problem class of the paper with a compiled table; same
-/// family as tests/test_engine.cpp and tests/test_lcl_table.cpp.
-std::vector<GridLcl> problemRegistry() {
-  std::vector<GridLcl> registry;
-  for (int k = 2; k <= 5; ++k) registry.push_back(problems::vertexColouring(k));
-  registry.push_back(problems::maximalIndependentSet());
-  registry.push_back(problems::independentSet());
-  registry.push_back(problems::maximalMatching());
-  registry.push_back(problems::edgeColouring(3));
-  registry.push_back(problems::edgeColouring(4));
-  registry.push_back(problems::orientation({2}));
-  registry.push_back(problems::orientation({1, 3}));
-  registry.push_back(problems::orientation({0, 4}));
-  registry.push_back(problems::orientation({0, 1, 3}));
-  registry.push_back(problems::noHorizontalOnePair());
-  registry.push_back(problems::weakColouring(3, 1));
-  registry.push_back(problems::weakColouring(2, 4));
-  return registry;
-}
 
 std::string canonical(const synthesis::OracleReport& report, int sigma) {
   std::ostringstream os;

@@ -14,32 +14,13 @@
 #include "engine/family_sweep.hpp"
 #include "engine/thread_pool.hpp"
 #include "grid/torus2d.hpp"
+#include "helpers/problem_registry.hpp"
 #include "helpers/verify_request.hpp"
 #include "lcl/problems.hpp"
 
 using namespace lclgrid;
 
 namespace {
-
-/// Same family as tests/test_lcl_table.cpp: every concrete problem class of
-/// the paper with a compiled table.
-std::vector<GridLcl> problemRegistry() {
-  std::vector<GridLcl> registry;
-  for (int k = 2; k <= 5; ++k) registry.push_back(problems::vertexColouring(k));
-  registry.push_back(problems::maximalIndependentSet());
-  registry.push_back(problems::independentSet());
-  registry.push_back(problems::maximalMatching());
-  registry.push_back(problems::edgeColouring(3));
-  registry.push_back(problems::edgeColouring(4));
-  registry.push_back(problems::orientation({2}));
-  registry.push_back(problems::orientation({1, 3}));
-  registry.push_back(problems::orientation({0, 4}));
-  registry.push_back(problems::orientation({0, 1, 3}));
-  registry.push_back(problems::noHorizontalOnePair());
-  registry.push_back(problems::weakColouring(3, 1));
-  registry.push_back(problems::weakColouring(2, 4));
-  return registry;
-}
 
 std::vector<int> randomLabels(int count, int sigma, std::uint32_t seed,
                               bool withGarbage = false) {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "cycle/cycle_lcl.hpp"
+#include "helpers/problem_registry.hpp"
 #include "helpers/verify_request.hpp"
 #include "lcl/combinators.hpp"
 #include "lcl/grid_lcl.hpp"
@@ -19,25 +20,6 @@
 
 namespace lclgrid {
 namespace {
-
-/// Every radius-1 problem the library ships, at representative parameters.
-std::vector<GridLcl> problemRegistry() {
-  std::vector<GridLcl> registry;
-  for (int k = 2; k <= 5; ++k) registry.push_back(problems::vertexColouring(k));
-  registry.push_back(problems::maximalIndependentSet());
-  registry.push_back(problems::independentSet());
-  registry.push_back(problems::maximalMatching());
-  registry.push_back(problems::edgeColouring(3));
-  registry.push_back(problems::edgeColouring(4));
-  registry.push_back(problems::orientation({2}));
-  registry.push_back(problems::orientation({1, 3}));
-  registry.push_back(problems::orientation({0, 4}));
-  registry.push_back(problems::orientation({0, 1, 3}));
-  registry.push_back(problems::noHorizontalOnePair());
-  registry.push_back(problems::weakColouring(3, 1));
-  registry.push_back(problems::weakColouring(2, 4));
-  return registry;
-}
 
 /// Reference projection data computed with the seed's sigma^5 brute force
 /// over the raw predicate (no table involved).

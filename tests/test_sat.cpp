@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "lcl/lcl_cnf.hpp"
 #include "sat/cnf.hpp"
 #include "sat/dimacs.hpp"
 #include "sat/solver.hpp"
@@ -654,8 +655,9 @@ TEST(SatSolver, GraphColouringTriangle) {
   // Triangle with 2 colours: UNSAT; with 3 colours: SAT.
   for (int colours = 2; colours <= 3; ++colours) {
     Solver solver;
-    std::vector<DomainVar> node;
-    for (int v = 0; v < 3; ++v) node.push_back(makeDomainVar(solver, colours));
+    const std::vector<DomainVar> node = oneHotLabels(
+        solver, 3, colours,
+        [&](const std::vector<int>& clause) { solver.addClause(clause); });
     for (int u = 0; u < 3; ++u) {
       for (int v = u + 1; v < 3; ++v) {
         for (int c = 0; c < colours; ++c) {
@@ -668,9 +670,16 @@ TEST(SatSolver, GraphColouringTriangle) {
   }
 }
 
+/// One one-hot variable over [0, domain) with its exactly-one clauses.
+DomainVar oneHotVar(Solver& solver, int domain) {
+  return oneHotLabels(solver, 1, domain, [&](const std::vector<int>& clause) {
+    solver.addClause(clause);
+  })[0];
+}
+
 TEST(CnfBuilder, DomainVarDecodes) {
   Solver solver;
-  DomainVar dv = makeDomainVar(solver, 5);
+  DomainVar dv = oneHotVar(solver, 5);
   solver.addClause({dv.is(3)});
   ASSERT_EQ(solver.solve(), Result::Sat);
   EXPECT_EQ(dv.decode(solver), 3);
@@ -678,7 +687,7 @@ TEST(CnfBuilder, DomainVarDecodes) {
 
 TEST(CnfBuilder, ExactlyOneExcludesPairs) {
   Solver solver;
-  DomainVar dv = makeDomainVar(solver, 4);
+  DomainVar dv = oneHotVar(solver, 4);
   solver.addClause({dv.is(1)});
   solver.addClause({dv.is(2)});
   EXPECT_EQ(solver.solve(), Result::Unsat);

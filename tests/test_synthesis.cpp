@@ -265,7 +265,6 @@ TEST(Constraints, EdgeDecomposableUsesPairConstraints) {
   auto lcl = problems::vertexColouring(4);
   auto tileSet = tiles::enumerateTiles(1, 3, 2);
   auto system = buildConstraints(lcl, tileSet);
-  EXPECT_TRUE(system.edgeDecomposable);
   EXPECT_FALSE(system.horizontal.empty());
   EXPECT_FALSE(system.vertical.empty());
   EXPECT_TRUE(system.crosses.empty());
@@ -275,7 +274,8 @@ TEST(Constraints, GeneralProblemsUseSuperWindows) {
   auto lcl = problems::maximalIndependentSet();
   auto tileSet = tiles::enumerateTiles(1, 3, 2);
   auto system = buildConstraints(lcl, tileSet);
-  EXPECT_FALSE(system.edgeDecomposable);
+  EXPECT_TRUE(system.horizontal.empty());
+  EXPECT_TRUE(system.vertical.empty());
   EXPECT_FALSE(system.crosses.empty());
 }
 
