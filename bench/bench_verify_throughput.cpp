@@ -27,12 +27,14 @@
 // selects, i.e. what an unconfigured caller gets.
 //
 // The --mmap mode adds the fourth tier (docs/perf.md): each 2D sweep also
-// writes its labelling to the on-disk LCLLABv1 format (row by row -- no
+// writes its labelling to the on-disk LCLLABv2 format (row by row -- no
 // full-grid staging buffer beyond the labels the sweep already holds) and
 // measures a streaming request (VerifyRequest::file) on the memory-mapped
-// file, serial and sharded. Those rows additionally report peak_rss_kb (getrusage high-water
-// mark), the bounded-memory claim's measurable form: with --mmap-only the
-// resident peak stays at the rolling window, independent of grid size.
+// file, serial and sharded. Those rows additionally report peak_rss_kb
+// (getrusage high-water mark), the bounded-memory claim's measurable form:
+// with --mmap-only the resident peak stays at the rolling window,
+// independent of grid size; and sigma and file_bytes, the file's size on
+// disk (24 + lines * planes * words * 8 bytes).
 //
 // Usage: bench_verify_throughput [n] [min_seconds] [--threads N]
 //                                [--dims LIST] [--smoke]
@@ -58,6 +60,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -172,6 +175,8 @@ struct PathResult {
   long long passes = 0;
   std::int64_t violations = 0;  // checksum: must match within a sweep
   long long peakRssKb = 0;      // recorded on the mmap paths only
+  long long fileBytes = 0;      // the labelling file's size (mmap paths)
+  int sigma = 0;                // the file's alphabet (mmap paths)
   const char* simd = nullptr;   // the SIMD rung of a ladder row
 };
 
@@ -412,6 +417,8 @@ int main(int argc, char** argv) {
             }
             writer.close();
           }
+          const auto fileBytes =
+              static_cast<long long>(std::filesystem::file_size(path));
           StreamLabelling mapped(path);
           const VerifyRequest streamSerial =
               countRequest(mapped, lcl, {}, nullptr);
@@ -428,6 +435,10 @@ int main(int argc, char** argv) {
               }));
           results.back().lanes = threads;
           results.back().peakRssKb = peakRssKb();
+          for (std::size_t i = results.size() - 2; i < results.size(); ++i) {
+            results[i].fileBytes = fileBytes;
+            results[i].sigma = lcl.sigma();
+          }
           std::remove(path.c_str());
         }
         for (std::size_t i = first; i < results.size(); ++i) {
@@ -537,6 +548,8 @@ int main(int argc, char** argv) {
     json.key("violations").value(result.violations);
     if (result.path == "mmap_stream" || result.path == "mmap_stream_sharded") {
       json.key("peak_rss_kb").value(result.peakRssKb);
+      json.key("sigma").value(result.sigma);
+      json.key("file_bytes").value(result.fileBytes);
     }
     if (result.simd != nullptr) json.key("simd").value(result.simd);
     const double functionalRate =

@@ -79,8 +79,37 @@ run_json -t d3 bench_verify_throughput 24 0.02 --threads 2 --dims 3
 run_json -t d4 bench_verify_throughput 32 0.02 --threads 2 --dims 4
 # The streaming (out-of-core) tier: a tiny --mmap sweep writes the on-disk
 # labelling, verifies it from the mapping serial + sharded, and reports the
-# peak_rss_kb / nodes_per_sec_per_core columns check_bench_json.py gates.
-run_json -t mmap bench_verify_throughput --smoke --threads 2 --dims 2 --mmap
+# peak_rss_kb / nodes_per_sec_per_core columns check_bench_json.py gates,
+# and the file's size, which must be the LCLLABv2 size
+# 24 + lines * planes * words * 8 (planes = ceil(log2 sigma), words =
+# ceil(n / 64)). The JSON is captured to a scratch directory when
+# BENCH_JSON_DIR is unset.
+check_mmap_file_bytes() {
+  python3 - "$1" <<'PY'
+import json
+import sys
+
+doc = json.load(open(sys.argv[1]))
+rows = [r for r in doc["results"]
+        if str(r.get("path", "")).startswith("mmap_stream")]
+if not rows:
+    sys.exit("bench_smoke: the mmap run has no mmap_stream rows")
+for row in rows:
+    n, sigma = row["torus_n"], row.get("sigma", 0)
+    planes = max(1, (sigma - 1).bit_length())
+    expected = 24 + n * planes * ((n + 63) // 64) * 8
+    if row.get("file_bytes") != expected:
+        sys.exit(f"bench_smoke: {row['problem']} n={n} {row['path']}: "
+                 f"file_bytes {row.get('file_bytes')} != {expected}")
+print(f"bench_smoke: {len(rows)} mmap rows record the LCLLABv2 file size")
+PY
+}
+mmap_dir="${BENCH_JSON_DIR:-$(mktemp -d)}"
+BENCH_JSON_DIR="$mmap_dir" run_json -t mmap bench_verify_throughput --smoke --threads 2 --dims 2 --mmap
+if [ -x "$build/bench_verify_throughput" ]; then
+  check_mmap_file_bytes "$mmap_dir/bench_verify_throughput-mmap.json"
+fi
+[ -n "${BENCH_JSON_DIR:-}" ] || rm -rf "$mmap_dir"
 # The SIMD ladder: the 2D serial bitsliced rows run once per rung up to the
 # process's tier (check_bench_json.py requires exactly that ladder, with a
 # simd field per row); capped runs must stop the ladder at their cap.

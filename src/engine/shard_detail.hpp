@@ -190,7 +190,7 @@ inline std::optional<std::int64_t> bitslicePass(ThreadPool* pool,
 
 // --- the alphabet scan -----------------------------------------------------
 
-/// Alphabet check of the table tier, tier pins and the streaming frontier.
+/// Alphabet check of the in-core table tier and tier pins.
 /// A serial scan in front of the sharded kernel would be a material Amdahl
 /// fraction (the kernel itself is only a few loads per node), so with a
 /// pool the scan is sharded too, chunks after the first out-of-range find
@@ -215,16 +215,18 @@ inline bool allInRange(ThreadPool* pool, std::int64_t grain,
 // in-core engine at every lane count.
 
 /// One streaming pass over `file` (already validated against `lcl`),
-/// serial when `pool` is null and sharded per slab otherwise.
+/// serial when `pool` is null and sharded per slab otherwise. Pair-planes
+/// plans read the mapped planes in place, the frontier checking tail bits
+/// and (sigma not a power of two) labels >= sigma on the planes; every
+/// other tier reads the decoded image, the frontier decoding the rows it
+/// admits and checking their labels.
 inline std::int64_t streamPass(ThreadPool* pool, std::int64_t grain,
                                const StreamLabelling& file,
                                const GridLclD& lcl, const StreamWindow& window,
                                bool stopAtFirst) {
   const int n = file.n();
   const TorusD torus(file.dims(), n);
-  const int* labels = file.labels();
-  const std::span<const int> all(labels,
-                                 static_cast<std::size_t>(file.size()));
+  stream_verify_detail::DecodedLabels decoded(file);
   stream_verify_detail::StreamPass pass;
   pass.file = &file;
   pass.window =
@@ -232,31 +234,47 @@ inline std::int64_t streamPass(ThreadPool* pool, std::int64_t grain,
   pass.wrapKeep = stream_verify_detail::wrapWindowRows(file.dims(), n);
   pass.dropBehind = window.dropBehind;
   pass.tablePath = lcl.hasTable();
+  pass.decoded = &decoded;
   stream_verify_detail::applyCheckpointConfig(
       pass, file, window, lcl.hasTable() ? lcl.table().fingerprint() : 0);
-  if (pass.tablePath) {
-    // Streaming only selects the rolling row kernel (d = 2 through the
-    // delegated table), which reads the raw labels: no plane buffer.
-    const bool sliced = stream_verify_detail::streamUsesBitsliceD(file, lcl);
-    pass.rowsInRange = [&, n](long long begin, long long end) {
-      return allInRange(pool, grain, torus, lcl.sigma(),
-                        all.subspan(static_cast<std::size_t>(begin * n),
-                                    static_cast<std::size_t>((end - begin) * n)));
-    };
-    pass.kernelRows = [&, sliced](long long begin, long long end, bool stop) {
-      static const LabelPlanes kNoPlanes;
-      return violationsOver(
-          pool, begin, end, grain, stop,
-          [&](std::int64_t s, std::int64_t t, bool sliceStop) {
-            return sliced ? verifier_detail::bitsliceViolationLinesD(
-                                lcl.table(), torus, kNoPlanes, labels, s, t,
-                                sliceStop)
-                          : verifier_detail::tableViolationLinesD(
-                                lcl.table(), torus, labels, s, t, sliceStop);
-          });
-    };
-  }
+  const bool sliced = stream_verify_detail::streamUsesBitsliceD(file, lcl);
+  const bool inPlace = sliced && verifier_detail::hasPairPlanesPlanD(lcl);
+  const LabelPlanes mapped =
+      inPlace ? LabelPlanes::view(file.line(0), n, file.lines(), file.planes())
+              : LabelPlanes();
+  pass.admitRows = [&](long long begin, long long end, bool check) {
+    if (check && inPlace) {
+      return !file.linesChecked() ||
+             !anyItem(pool, begin, end, grain,
+                      [&](std::int64_t s, std::int64_t t) {
+                        return !file.linesClean(s, t);
+                      });
+    }
+    decoded.reserve();
+    return !anyItem(pool, begin, end, grain,
+                    [&](std::int64_t s, std::int64_t t) {
+                      return !decoded.decode(s, t) && check;
+                    });
+  };
+  pass.kernelRows = [&](long long begin, long long end, bool stop) {
+    static const LabelPlanes kNoPlanes;
+    return violationsOver(
+        pool, begin, end, grain, stop,
+        [&](std::int64_t s, std::int64_t t, bool sliceStop) {
+          if (inPlace) {
+            return verifier_detail::planesViolationLinesD(
+                lcl.table(), torus, mapped, s, t, sliceStop);
+          }
+          const int* labels = decoded.all().data();
+          return sliced ? verifier_detail::bitsliceViolationLinesD(
+                              lcl.table(), torus, kNoPlanes, labels, s, t,
+                              sliceStop)
+                        : verifier_detail::tableViolationLinesD(
+                              lcl.table(), torus, labels, s, t, sliceStop);
+        });
+  };
   pass.functionalRows = [&, n](long long begin, long long end, bool stop) {
+    const std::span<const int> all = decoded.all();
     return violationsOver(
         pool, begin * n, end * n, nodeGrain(grain, torus), stop,
         [&](std::int64_t s, std::int64_t t, bool sliceStop) {

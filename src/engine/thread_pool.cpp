@@ -27,10 +27,13 @@ ThreadPool::ThreadPool(int threads) {
   for (int i = 0; i < workerCount; ++i) {
     workers_.push_back(std::make_unique<Worker>());
   }
+  static const telemetry::Counter started =
+      telemetry::counter("pool.threads_started");
   threads_.reserve(static_cast<std::size_t>(workerCount));
   for (int i = 0; i < workerCount; ++i) {
     threads_.emplace_back(
         [this, i]() { workerLoop(static_cast<std::size_t>(i)); });
+    started.increment();
   }
 }
 

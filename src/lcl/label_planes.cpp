@@ -404,8 +404,19 @@ LabelPlanes::LabelPlanes(int n, long long rows, int planes)
   data_.assign(static_cast<std::size_t>(rows) * planes_ * words_, 0);
 }
 
+LabelPlanes LabelPlanes::view(const std::uint64_t* words, int n,
+                              long long rows, int planes) {
+  LabelPlanes view(n, 0, planes);
+  view.rows_ = rows;
+  view.view_ = words;
+  return view;
+}
+
 unsigned LabelPlanes::setRows(std::span<const int> labels,
                               long long rowBegin, long long rowEnd) {
+  if (view_ != nullptr) {
+    throw std::logic_error("LabelPlanes::setRows: a view is read-only");
+  }
   if (static_cast<long long>(labels.size()) !=
       rows_ * static_cast<long long>(n_)) {
     throw std::invalid_argument("LabelPlanes::setRows: labelling size");

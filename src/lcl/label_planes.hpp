@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace lclgrid {
@@ -193,6 +194,12 @@ class LabelPlanes {
   LabelPlanes() = default;
   LabelPlanes(int n, long long rows, int planes);
 
+  /// A read-only view of `rows` rows already laid out as above at `words`
+  /// (a mapped LCLLABv2 payload): nothing is copied or owned, and setRows
+  /// on a view throws.
+  static LabelPlanes view(const std::uint64_t* words, int n, long long rows,
+                          int planes);
+
   int n() const { return n_; }
   long long rows() const { return rows_; }
   int planes() const { return planes_; }
@@ -200,14 +207,12 @@ class LabelPlanes {
 
   /// Plane-major word buffer of one row (planes() * wordsPerRow() words).
   std::uint64_t* row(long long r) {
-    return words_ == 0 ? nullptr
-                       : data_.data() + static_cast<std::size_t>(r) *
-                                            planes_ * words_;
+    return const_cast<std::uint64_t*>(std::as_const(*this).row(r));
   }
   const std::uint64_t* row(long long r) const {
     return words_ == 0 ? nullptr
-                       : data_.data() + static_cast<std::size_t>(r) *
-                                            planes_ * words_;
+                       : (view_ != nullptr ? view_ : data_.data()) +
+                             static_cast<std::size_t>(r) * planes_ * words_;
   }
 
   /// Transposes rows [rowBegin, rowEnd) of a flat row-major labelling
@@ -226,6 +231,7 @@ class LabelPlanes {
   int planes_ = 0;
   std::size_t words_ = 0;
   std::vector<std::uint64_t> data_;
+  const std::uint64_t* view_ = nullptr;  // non-null: a view, data_ empty
 };
 
 }  // namespace lclgrid

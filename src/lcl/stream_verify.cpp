@@ -1,11 +1,13 @@
 // The streaming out-of-core verifier's library half (lcl/stream_verify.hpp):
-// the on-disk format (writer + memory-mapped reader) and the slab-walking
-// pass the engine drives. The kernels themselves are the verifier_detail
-// slices of the in-core engine, run zero-copy on the mapped payload, so
-// counts are bit-identical by construction.
+// the on-disk format (writer + memory-mapped reader), the decoded int32
+// image and the slab-walking pass the engine drives. The kernels themselves
+// are the verifier_detail slices of the in-core engine, run on the mapped
+// planes in place or on the decoded image, so counts are bit-identical by
+// construction.
 #include "lcl/stream_verify.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
@@ -25,13 +27,16 @@
 
 namespace lclgrid {
 
-// The payload is consumed in place as int32 labels.
+// The decoded image holds int32 labels.
 static_assert(sizeof(int) == 4, "labelling files assume 32-bit int");
 
 namespace {
 
 using stream_format::kHeaderBytes;
 using stream_format::kMagic;
+
+/// Packed lines the writer stages per fwrite: ~64 KiB.
+constexpr std::size_t kStageBytes = std::size_t{1} << 16;
 
 std::FILE* asFile(void* file) { return static_cast<std::FILE*>(file); }
 
@@ -61,7 +66,7 @@ std::uint64_t get64le(const unsigned char* in) {
 }
 
 /// n^dims with an overflow guard (the node count must also leave room for
-/// the 4x byte size of the payload).
+/// the 4x byte size of the decoded image).
 long long nodeCount(int n, int dims) {
   constexpr long long kMaxNodes = std::numeric_limits<long long>::max() / 8;
   long long nodes = 1;
@@ -82,18 +87,36 @@ void checkHeaderFields(int sigma, int dims, int n) {
   }
 }
 
+/// Words of one packed line: planes * wordsPerRow(n).
+std::size_t lineWords(int planes, int n) {
+  return static_cast<std::size_t>(planes) * bitslice::wordsPerRow(n);
+}
+
+/// Payload bytes of `lines` packed lines, with an overflow guard.
+std::size_t payloadBytes(long long lines, int planes, int n) {
+  std::size_t bytes = 0;
+  if (__builtin_mul_overflow(static_cast<std::size_t>(lines),
+                             lineWords(planes, n) * 8, &bytes) ||
+      bytes > std::numeric_limits<std::size_t>::max() - kHeaderBytes) {
+    throw std::runtime_error("labelling file: payload size overflows");
+  }
+  return bytes;
+}
+
 }  // namespace
 
 // --- writer ----------------------------------------------------------------
 
 StreamLabellingWriter::StreamLabellingWriter(const std::string& path,
                                              int sigma, int dims, int n)
-    : path_(path) {
+    : path_(path), n_(n) {
   if (sigma < 1 || dims < 1 || n < 1) {
     throw std::invalid_argument(
         "StreamLabellingWriter: sigma, dims and side must be positive");
   }
   expected_ = nodeCount(n, dims);
+  planes_ = bitslice::planeCount(sigma);
+  lineWords_ = lineWords(planes_, n);
   std::FILE* file = std::fopen(path.c_str(), "wb");
   if (file == nullptr) {
     throw std::runtime_error("StreamLabellingWriter: cannot open '" + path +
@@ -117,26 +140,81 @@ StreamLabellingWriter::~StreamLabellingWriter() {
   if (!closed_ && file_ != nullptr) std::fclose(asFile(file_));
 }
 
+void StreamLabellingWriter::packLine(const int* labels,
+                                     std::uint64_t* out) const {
+  unsigned maxLabel = 0;
+  if (planes_ <= 8) {
+    maxLabel = bitslice::transposeRow(labels, n_, planes_, out);
+  } else {
+    // Beyond transposeRow's 8 planes a scalar loop will do: such
+    // alphabets are far past every compiled tier.
+    const std::size_t W = bitslice::wordsPerRow(n_);
+    std::fill(out, out + lineWords_, 0);
+    for (int x = 0; x < n_; ++x) {
+      const unsigned label = static_cast<unsigned>(labels[x]);
+      maxLabel = std::max(maxLabel, label);
+      for (int b = 0; b < planes_; ++b) {
+        out[static_cast<std::size_t>(b) * W +
+            static_cast<std::size_t>(x / 64)] |=
+            static_cast<std::uint64_t>((label >> b) & 1u) << (x % 64);
+      }
+    }
+  }
+  // transposeRow's max ranks a negative label above every alphabet.
+  if ((maxLabel >> planes_) != 0) {
+    throw std::invalid_argument(
+        "StreamLabellingWriter: a label outside [0, " +
+        std::to_string(1ULL << planes_) + ") cannot be stored in " +
+        std::to_string(planes_) + " planes '" + path_ + "'");
+  }
+}
+
+void StreamLabellingWriter::flushLines(std::size_t lines) {
+  if (lines == 0) return;
+  const std::size_t words = lines * lineWords_;
+  std::size_t stored;
+  if constexpr (std::endian::native == std::endian::little) {
+    stored = std::fwrite(staged_.data(), sizeof(std::uint64_t), words,
+                         asFile(file_));
+  } else {
+    stored = 0;
+    unsigned char bytes[8];
+    for (std::size_t i = 0; i < words; ++i) {
+      put64le(bytes, staged_[i]);
+      if (std::fwrite(bytes, 1, 8, asFile(file_)) != 8) break;
+      ++stored;
+    }
+  }
+  written_ += static_cast<long long>(stored / lineWords_) * n_;
+  if (stored != words) {
+    throw std::runtime_error("StreamLabellingWriter: write failed '" + path_ +
+                             "': " + std::strerror(errno));
+  }
+}
+
 void StreamLabellingWriter::appendLabels(std::span<const int> labels) {
   if (closed_ || file_ == nullptr) {
     throw std::logic_error("StreamLabellingWriter: writer is closed");
   }
-  if (written_ + static_cast<long long>(labels.size()) > expected_) {
+  if (written() + static_cast<long long>(labels.size()) > expected_) {
     throw std::runtime_error(
         "StreamLabellingWriter: more labels than side^dims '" + path_ + "'");
   }
+  const std::size_t n = static_cast<std::size_t>(n_);
   {
-    // Injected disk failure: a short write counts the clamped prefix as
-    // stored (the real partial-fwrite shape) and both fail typed.
+    // Injected disk failure: a short write counts the whole lines its
+    // byte budget covers as stored (the real partial-fwrite shape) and
+    // both fail typed.
     namespace fp = support::faultpoint;
     const auto fault = FAULT_POINT("stream.writer_append");
     if (fault.action == fp::Action::kErrno ||
         fault.action == fp::Action::kShort) {
       if (fault.action == fp::Action::kShort) {
-        const auto clamp = std::min<long long>(
-            fault.arg / static_cast<long long>(sizeof(int)),
-            static_cast<long long>(labels.size()));
-        written_ += clamp;
+        const auto lineBytes = static_cast<long long>(lineWords_ * 8);
+        written_ += std::min<long long>(
+                        fault.arg / lineBytes,
+                        static_cast<long long>(labels.size() / n)) *
+                    n_;
       }
       throw std::runtime_error(
           "StreamLabellingWriter: write failed '" + path_ + "': " +
@@ -144,24 +222,42 @@ void StreamLabellingWriter::appendLabels(std::span<const int> labels) {
                                                            : ENOSPC));
     }
   }
-  std::size_t stored;
-  if constexpr (std::endian::native == std::endian::little) {
-    stored = std::fwrite(labels.data(), sizeof(int), labels.size(),
-                         asFile(file_));
-  } else {
-    stored = 0;
-    unsigned char bytes[4];
-    for (int label : labels) {
-      put32le(bytes, static_cast<std::uint32_t>(label));
-      if (std::fwrite(bytes, 1, 4, asFile(file_)) != 4) break;
-      ++stored;
+  const std::size_t stageLines =
+      std::max<std::size_t>(1, kStageBytes / (lineWords_ * 8));
+  staged_.resize(stageLines * lineWords_);
+  std::size_t staged = 0;
+  std::size_t i = 0;
+  while (i < labels.size()) {
+    const int* line;
+    if (pending_.empty() && labels.size() - i >= n) {
+      line = labels.data() + i;
+      i += n;
+    } else {
+      const std::size_t take =
+          std::min(n - pending_.size(), labels.size() - i);
+      const auto from = labels.begin() + static_cast<std::ptrdiff_t>(i);
+      pending_.insert(pending_.end(), from,
+                      from + static_cast<std::ptrdiff_t>(take));
+      i += take;
+      if (pending_.size() < n) break;
+      line = pending_.data();
+    }
+    try {
+      packLine(line, staged_.data() + staged * lineWords_);
+    } catch (const std::invalid_argument&) {
+      // The lines before the offending one are stored; it and the rest of
+      // the call are not.
+      pending_.clear();
+      flushLines(staged);
+      throw;
+    }
+    pending_.clear();
+    if (++staged == stageLines) {
+      flushLines(staged);
+      staged = 0;
     }
   }
-  written_ += static_cast<long long>(stored);
-  if (stored != labels.size()) {
-    throw std::runtime_error("StreamLabellingWriter: write failed '" + path_ +
-                             "': " + std::strerror(errno));
-  }
+  flushLines(staged);
 }
 
 void StreamLabellingWriter::close() {
@@ -169,10 +265,10 @@ void StreamLabellingWriter::close() {
   closed_ = true;
   std::FILE* file = asFile(file_);
   file_ = nullptr;
-  if (written_ != expected_) {
+  if (written() != expected_) {
     if (file != nullptr) std::fclose(file);
     throw std::runtime_error(
-        "StreamLabellingWriter: wrote " + std::to_string(written_) +
+        "StreamLabellingWriter: wrote " + std::to_string(written()) +
         " labels, expected " + std::to_string(expected_) + " '" + path_ + "'");
   }
   if (file == nullptr || std::fclose(file) != 0) {
@@ -194,14 +290,16 @@ StreamLabelling::StreamLabelling(const std::string& path) : file_(path) {
   if constexpr (std::endian::native != std::endian::little) {
     throw std::runtime_error(
         "StreamLabelling: big-endian hosts are not supported (the payload "
-        "is consumed in place as little-endian int32)");
+        "is read in place as little-endian uint64 words)");
   }
   if (file_.size() < kHeaderBytes) {
     throw std::runtime_error("labelling file: truncated header '" + path +
                              "'");
   }
   if (std::memcmp(file_.data(), kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("labelling file: bad magic '" + path + "'");
+    throw std::runtime_error(
+        "labelling file: bad magic (not LCLLABv2; older formats must be "
+        "rewritten with StreamLabellingWriter) '" + path + "'");
   }
   const std::byte* header = file_.data();
   const std::uint32_t sigma = get32le(header + 8);
@@ -219,25 +317,106 @@ StreamLabelling::StreamLabelling(const std::string& path) : file_(path) {
   dims_ = static_cast<int>(dims);
   n_ = static_cast<int>(n);
   checkHeaderFields(sigma_, dims_, n_);
+  planes_ = bitslice::planeCount(sigma_);
   size_ = nodeCount(n_, dims_);
-  const std::size_t expectedBytes =
-      kHeaderBytes + static_cast<std::size_t>(size_) * sizeof(int);
-  if (file_.size() != expectedBytes) {
+  if (file_.size() - kHeaderBytes != payloadBytes(lines(), planes_, n_)) {
     throw std::runtime_error(
         "labelling file: payload size mismatch (truncated or trailing "
         "bytes) '" + path + "'");
   }
 }
 
-const int* StreamLabelling::labels() const {
-  return reinterpret_cast<const int*>(file_.data() + kHeaderBytes);
+const std::uint64_t* StreamLabelling::line(long long line) const {
+  return reinterpret_cast<const std::uint64_t*>(file_.data() + kHeaderBytes) +
+         static_cast<std::size_t>(line) * lineWords(planes_, n_);
 }
 
-void StreamLabelling::dropRows(long long rowBegin, long long rowEnd) const {
-  if (rowEnd <= rowBegin) return;
-  const std::size_t rowBytes = static_cast<std::size_t>(n_) * sizeof(int);
-  file_.dropRange(kHeaderBytes + static_cast<std::size_t>(rowBegin) * rowBytes,
-                  static_cast<std::size_t>(rowEnd - rowBegin) * rowBytes);
+bool StreamLabelling::linesClean(long long lineBegin,
+                                 long long lineEnd) const {
+  const bool tailBits = n_ % 64 != 0;
+  const bool aboveSigma = (1LL << planes_) != sigma_;
+  const std::size_t W = bitslice::wordsPerRow(n_);
+  const std::uint64_t tail = bitslice::rowTailMask(n_);
+  const auto top = static_cast<std::uint64_t>(sigma_ - 1);
+  for (long long l = lineBegin; l < lineEnd; ++l) {
+    const std::uint64_t* planes = line(l);
+    if (tailBits) {
+      for (int b = 0; b < planes_; ++b) {
+        if ((planes[static_cast<std::size_t>(b) * W + W - 1] & ~tail) != 0) {
+          return false;
+        }
+      }
+    }
+    if (!aboveSigma) continue;
+    // label > sigma - 1, bit-serially from the top plane: `above` gathers
+    // the lanes already greater, `equal` those still tied.
+    for (std::size_t w = 0; w < W; ++w) {
+      std::uint64_t above = 0;
+      std::uint64_t equal = ~std::uint64_t{0};
+      for (int b = planes_ - 1; b >= 0; --b) {
+        const std::uint64_t bits = planes[static_cast<std::size_t>(b) * W + w];
+        if ((top >> b) & 1u) {
+          equal &= bits;
+        } else {
+          above |= equal & bits;
+          equal &= ~bits;
+        }
+      }
+      if ((above & (w + 1 == W ? tail : ~std::uint64_t{0})) != 0) return false;
+    }
+  }
+  return true;
+}
+
+void StreamLabelling::decodeLines(long long lineBegin, long long lineEnd,
+                                  int* out) const {
+  if (planes_ > 8) {
+    for (long long l = lineBegin; l < lineEnd; ++l) {
+      bitslice::untransposeRow(
+          line(l), n_, planes_,
+          out + static_cast<std::size_t>(l - lineBegin) * n_);
+    }
+    return;
+  }
+  // Eight labels at a time: byte j of kSpread[v] holds bit j of v, so
+  // plane b's byte of eight lane bits, spread and shifted by b, ORs bit b
+  // into each of the eight labels' bytes.
+  static constexpr auto kSpread = [] {
+    std::array<std::uint64_t, 256> spread{};
+    for (std::size_t v = 0; v < 256; ++v) {
+      for (int j = 0; j < 8; ++j) {
+        spread[v] |= static_cast<std::uint64_t>((v >> j) & 1u) << (8 * j);
+      }
+    }
+    return spread;
+  }();
+  const std::size_t W = bitslice::wordsPerRow(n_);
+  for (long long l = lineBegin; l < lineEnd; ++l) {
+    const std::uint64_t* planes = line(l);
+    int* row = out + static_cast<std::size_t>(l - lineBegin) * n_;
+    for (int x0 = 0; x0 < n_; x0 += 8) {
+      const std::size_t w = static_cast<std::size_t>(x0) / 64;
+      const int shift = x0 % 64;
+      std::uint64_t bytes = 0;
+      for (int b = 0; b < planes_; ++b) {
+        bytes |= kSpread[(planes[static_cast<std::size_t>(b) * W + w] >>
+                          shift) & 0xffu]
+                 << b;
+      }
+      const int count = std::min(8, n_ - x0);
+      for (int j = 0; j < count; ++j) {
+        row[x0 + j] = static_cast<int>((bytes >> (8 * j)) & 0xffu);
+      }
+    }
+  }
+}
+
+void StreamLabelling::dropRows(long long lineBegin, long long lineEnd) const {
+  if (lineEnd <= lineBegin) return;
+  const std::size_t lineBytes = lineWords(planes_, n_) * 8;
+  file_.dropRange(
+      kHeaderBytes + static_cast<std::size_t>(lineBegin) * lineBytes,
+      static_cast<std::size_t>(lineEnd - lineBegin) * lineBytes);
 }
 
 std::uint64_t StreamLabelling::fingerprint() const {
@@ -374,8 +553,38 @@ long long wrapWindowRows(int dims, int n) {
 }
 
 bool streamUsesBitsliceD(const StreamLabelling& file, const GridLclD& lcl) {
-  return lcl.hasTable() && lcl.dims() == 2 &&
-         verifier_detail::bitsliceSelectedD(lcl, file.size());
+  return verifier_detail::bitsliceSelectedD(lcl, file.size());
+}
+
+void DecodedLabels::reserve() {
+  if (image_.size() == 0) {
+    image_ = support::MmapFile::anonymous(
+        static_cast<std::size_t>(file_->size()) * sizeof(int));
+  }
+}
+
+bool DecodedLabels::decode(long long lineBegin, long long lineEnd) const {
+  const std::size_t n = static_cast<std::size_t>(file_->n());
+  int* out = reinterpret_cast<int*>(image_.writableData()) +
+             static_cast<std::size_t>(lineBegin) * n;
+  file_->decodeLines(lineBegin, lineEnd, out);
+  return verifier_detail::allLabelsInRange(
+      file_->sigma(),
+      std::span<const int>(
+          out, static_cast<std::size_t>(lineEnd - lineBegin) * n));
+}
+
+std::span<const int> DecodedLabels::all() const {
+  return {reinterpret_cast<const int*>(image_.data()),
+          static_cast<std::size_t>(file_->size())};
+}
+
+void DecodedLabels::dropRows(long long lineBegin, long long lineEnd) const {
+  if (lineEnd <= lineBegin || image_.size() == 0) return;
+  const std::size_t lineBytes =
+      static_cast<std::size_t>(file_->n()) * sizeof(int);
+  image_.dropRange(static_cast<std::size_t>(lineBegin) * lineBytes,
+                   static_cast<std::size_t>(lineEnd - lineBegin) * lineBytes);
 }
 
 void checkStreamD(const StreamLabelling& file, const GridLclD& lcl) {
@@ -434,7 +643,7 @@ void checkpointSlab(const StreamPass& pass, bool functionalPhase,
 std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
   const StreamLabelling& file = *pass.file;
   const long long lines = file.lines();
-  bool table = pass.tablePath;
+  const long long keep = pass.wrapKeep;
   // Checkpointing covers count passes only: verify early-exits, is cheap
   // to rerun, and its "first violation" short-circuit would make resumed
   // totals meaningless.
@@ -459,12 +668,12 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
     ~RssAtExit() { gauge.max(support::peakRssKb()); }
   } rssAtExit{rssGauge};
 
-  // Resume: a fingerprint-matching checkpoint restores the cursor, the
-  // validation frontier and the running total. Bit-identity needs no slab
-  // alignment -- totals are exact int64 sums over disjoint row ranges, so
-  // any partition of [0, lines) yields the identical count.
+  // Resume: a fingerprint-matching checkpoint restores the cursor and the
+  // running total. Bit-identity needs no slab alignment -- totals are exact
+  // int64 sums over disjoint row ranges, so any partition of [0, lines)
+  // yields the identical count.
+  bool table = pass.tablePath;
   long long startRow = 0;
-  long long startFrontier = 0;
   std::int64_t startTotal = 0;
   bool resumeFunctional = false;
   if (checkpointing) {
@@ -474,7 +683,6 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
           loaded->nextRow <= lines && loaded->frontier <= lines &&
           (loaded->functionalPhase || table)) {
         startRow = loaded->nextRow;
-        startFrontier = loaded->frontier;
         startTotal = loaded->total;
         resumeFunctional = loaded->functionalPhase;
         resumeCounter.increment();
@@ -482,94 +690,81 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
     }
   }
 
-  std::int64_t total = 0;
-  if (table && !resumeFunctional) {
-    // The wrap stash is read by the first slab's cyclic neighbours before
-    // the validation cursor reaches it, so it is validated up front (a
-    // resumed pass revalidates it -- cheap, and robust to a file swapped
-    // underneath the checkpoint).
-    const long long tailBegin = std::max(0LL, lines - pass.wrapKeep);
-    if (!pass.rowsInRange(tailBegin, lines)) table = false;
-  }
-  if (table && !resumeFunctional) {
-    // Rows [0, frontier) -- plus the wrap stash above -- are known
-    // in-range; the frontier stays one wrap window ahead of the kernel so
-    // no table row is ever indexed by an unvalidated label.
-    long long frontier = startFrontier;
-    // Rows [0, wrapKeep) stay pinned.
-    long long dropCursor = std::max(pass.wrapKeep, startRow);
+  // One walk over the slabs from `begin0` with running total `total`, on
+  // the table kernels (the validation frontier checks what it admits;
+  // nullopt when a row is unfit) or on the functional tier. Rows are
+  // admitted one wrap window ahead of the kernel, so no kernel reads an
+  // unchecked row; the last wrap window is admitted up front (the first
+  // slab's cyclic neighbours), and a resumed walk re-admits the first one
+  // (the final slab's), which stays pinned while the pages behind the
+  // cursor are dropped.
+  const auto walk = [&](bool functional, long long begin0,
+                        std::int64_t total) -> std::optional<std::int64_t> {
+    const bool check = !functional;
+    if (!pass.admitRows(std::max(0LL, lines - keep), lines, check)) {
+      return std::nullopt;
+    }
+    long long admitted = std::max(0LL, begin0 - keep);
+    if (admitted <= keep) {
+      admitted = 0;
+    } else if (!pass.admitRows(0, keep, check)) {
+      return std::nullopt;
+    }
+    long long dropCursor = std::max(keep, begin0);
     long long slabsSinceCheckpoint = 0;
-    total = startTotal;
-    for (long long begin = startRow; begin < lines; begin += pass.window) {
+    for (long long begin = begin0; begin < lines; begin += pass.window) {
       const long long end = std::min(lines, begin + pass.window);
-      const long long need = std::min(lines, end + pass.wrapKeep);
-      if (frontier < need) {
-        if (!pass.rowsInRange(frontier, need)) {
-          table = false;
-          break;
-        }
-        frontier = need;
+      const long long need = std::min(lines, end + keep);
+      if (admitted < need) {
+        if (!pass.admitRows(admitted, need, check)) return std::nullopt;
+        admitted = need;
       }
       {
         slabCounter.increment();
         telemetry::ScopedSpan slabSpan("stream/slab");
         (void)FAULT_POINT("stream.slab");
-        total += pass.kernelRows(begin, end, stopAtFirst);
+        total += functional ? pass.functionalRows(begin, end, stopAtFirst)
+                            : pass.kernelRows(begin, end, stopAtFirst);
       }
       if (stopAtFirst && total > 0) return total;
       if (pass.dropBehind) {
-        const long long dropEnd = end - pass.wrapKeep;
+        const long long dropEnd = end - keep;
         if (dropEnd > dropCursor) {
           file.dropRows(dropCursor, dropEnd);
+          if (pass.decoded != nullptr) {
+            pass.decoded->dropRows(dropCursor, dropEnd);
+          }
           droppedRows.add(dropEnd - dropCursor);
           dropCursor = dropEnd;
         }
       }
-      if (checkpointing && ++slabsSinceCheckpoint >= pass.checkpointEverySlabs) {
+      if (checkpointing &&
+          ++slabsSinceCheckpoint >= pass.checkpointEverySlabs) {
         slabsSinceCheckpoint = 0;
-        checkpointSlab(pass, /*functionalPhase=*/false, end, frontier, total);
+        checkpointSlab(pass, functional, end, functional ? 0 : admitted,
+                       total);
       }
     }
-    if (table) {
+    return total;
+  };
+
+  if (table && !resumeFunctional) {
+    if (const std::optional<std::int64_t> total =
+            walk(/*functional=*/false, startRow, startTotal)) {
       if (checkpointing) removeStreamCheckpoint(pass.checkpointPath);
-      return total;
+      return *total;
     }
   }
-  // Functional fallback: an uncompiled problem, or an out-of-range label
-  // surfaced mid-stream -- the whole pass restarts on the predicate loop,
-  // mirroring the in-core engine's whole-labelling tier choice (dropped
-  // pages are simply paged back in). A table-phase crash between the
-  // fallback and the first functional checkpoint resumes into the table
-  // phase, rediscovers the out-of-range label and falls back again --
-  // always to the same functional-from-zero restart.
-  const long long functionalStart = resumeFunctional ? startRow : 0;
-  total = resumeFunctional ? startTotal : 0;
-  long long dropCursor = std::max(pass.wrapKeep, functionalStart);
-  long long slabsSinceCheckpoint = 0;
-  for (long long begin = functionalStart; begin < lines;
-       begin += pass.window) {
-    const long long end = std::min(lines, begin + pass.window);
-    {
-      slabCounter.increment();
-      telemetry::ScopedSpan slabSpan("stream/slab");
-      (void)FAULT_POINT("stream.slab");
-      total += pass.functionalRows(begin, end, stopAtFirst);
-    }
-    if (stopAtFirst && total > 0) return total;
-    if (pass.dropBehind) {
-      const long long dropEnd = end - pass.wrapKeep;
-      if (dropEnd > dropCursor) {
-        file.dropRows(dropCursor, dropEnd);
-        droppedRows.add(dropEnd - dropCursor);
-        dropCursor = dropEnd;
-      }
-    }
-    if (checkpointing && ++slabsSinceCheckpoint >= pass.checkpointEverySlabs) {
-      slabsSinceCheckpoint = 0;
-      checkpointSlab(pass, /*functionalPhase=*/true, end, /*frontier=*/0,
-                     total);
-    }
-  }
+  // Functional fallback: an uncompiled problem, or an unfit row surfaced
+  // mid-stream -- the whole pass restarts on the predicate loop, mirroring
+  // the in-core engine's whole-labelling tier choice (dropped lines are
+  // simply decoded again). A table-phase crash between the fallback and
+  // the first functional checkpoint resumes into the table phase,
+  // rediscovers the unfit row and falls back again -- always to the same
+  // functional-from-zero restart.
+  const std::int64_t total =
+      *walk(/*functional=*/true, resumeFunctional ? startRow : 0,
+            resumeFunctional ? startTotal : 0);
   if (checkpointing) removeStreamCheckpoint(pass.checkpointPath);
   return total;
 }

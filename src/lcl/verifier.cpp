@@ -416,43 +416,62 @@ template <bool StopAtFirst>
   return bad;
 }
 
+/// Where pairPlanesViolations reads its rows: `labels`, a row-major int32
+/// labelling, transposed row by row into the kernel's scratch (raising
+/// maxLabel), or `planes`, rows already in the LabelPlanes layout (a mapped
+/// LCLLABv2 payload, whose labels the streaming frontier has checked) read
+/// in place. Rows wrap cyclically modulo nRows.
+struct PlaneRows {
+  const int* labels = nullptr;
+  const std::uint64_t* planes = nullptr;
+  int nRows = 0;
+};
+
 /// Bit-sliced kernel, pair-planes shape, over grid rows [yBegin, yEnd) of
-/// an nRows x n row-major labelling (rows wrap cyclically, so a shard is
-/// self-contained). Rows are transposed into rolling prev/cur/next
-/// bit-plane buffers; the h/v pair networks then decide 64 nodes per word:
-/// node x of row y is feasible iff
+/// `rows` (rows wrap cyclically, so a shard is self-contained). A rolling
+/// prev/cur/next window of plane rows feeds the h/v pair networks, which
+/// decide 64 nodes per word: node x of row y is feasible iff
 ///   H(c[x-1], c[x]) & H(c[x], c[x+1]) & V(c[y-1][x], c) & V(c, c[y+1][x]),
 /// where the west stream is the east stream shifted one bit and the
 /// down stream is the previous row's up stream (both rolled, so every
 /// pair network evaluates once per row).
 template <bool StopAtFirst>
 [[gnu::noinline]] std::int64_t pairPlanesViolations(
-    const bitslice::BitslicePlan& plan, int n, int nRows, const int* labels,
+    const bitslice::BitslicePlan& plan, int n, const PlaneRows& rows,
     int yBegin, int yEnd, unsigned& maxLabel) {
   const int B = plan.planes;
   const std::size_t W = bitslice::wordsPerRow(n);
+  const std::size_t rowWords = static_cast<std::size_t>(B) * W;
   const std::uint64_t tail = bitslice::rowTailMask(n);
-  std::vector<std::uint64_t> store(
-      (static_cast<std::size_t>(B) * 4 + 4) * W);
-  std::uint64_t* prevP = store.data();
-  std::uint64_t* curP = prevP + static_cast<std::size_t>(B) * W;
-  std::uint64_t* nextP = curP + static_cast<std::size_t>(B) * W;
-  std::uint64_t* eastP = nextP + static_cast<std::size_t>(B) * W;
-  std::uint64_t* hEast = eastP + static_cast<std::size_t>(B) * W;
+  std::vector<std::uint64_t> store(rowWords * 4 + 4 * W);
+  std::uint64_t* scratch[3] = {store.data(), store.data() + rowWords,
+                               store.data() + 2 * rowWords};
+  std::uint64_t* eastP = store.data() + 3 * rowWords;
+  std::uint64_t* hEast = eastP + rowWords;
   std::uint64_t* hWest = hEast + W;
   std::uint64_t* vUp = hWest + W;
   std::uint64_t* vPrev = vUp + W;
-  const auto rowAt = [&](int y) {
-    const int wrapped = y < 0 ? y + nRows : (y >= nRows ? y - nRows : y);
-    return labels + static_cast<std::size_t>(wrapped) * n;
+  const auto rowAt = [&](int y, std::uint64_t* into) -> const std::uint64_t* {
+    const int wrapped =
+        y < 0 ? y + rows.nRows : (y >= rows.nRows ? y - rows.nRows : y);
+    if (rows.planes != nullptr) {
+      return rows.planes + static_cast<std::size_t>(wrapped) * rowWords;
+    }
+    maxLabel = std::max(
+        maxLabel,
+        bitslice::transposeRow(
+            rows.labels + static_cast<std::size_t>(wrapped) * n, n, B, into));
+    return into;
   };
-  maxLabel = std::max(bitslice::transposeRow(rowAt(yBegin - 1), n, B, prevP),
-                      bitslice::transposeRow(rowAt(yBegin), n, B, curP));
+  maxLabel = 0;
+  // Transposed rows y - 1, y and y + 1 live in scratch[prev/cur/next].
+  int prev = 0, cur = 1, next = 2;
+  const std::uint64_t* prevP = rowAt(yBegin - 1, scratch[prev]);
+  const std::uint64_t* curP = rowAt(yBegin, scratch[cur]);
   plan.v.eval(prevP, curP, W, vPrev);  // bit x = V(c[y-1][x], c[y][x])
   std::int64_t bad = 0;
   for (int y = yBegin; y < yEnd; ++y) {
-    maxLabel =
-        std::max(maxLabel, bitslice::transposeRow(rowAt(y + 1), n, B, nextP));
+    const std::uint64_t* nextP = rowAt(y + 1, scratch[next]);
     for (int b = 0; b < B; ++b) {
       bitslice::shiftUpCyclic(curP + static_cast<std::size_t>(b) * W,
                               eastP + static_cast<std::size_t>(b) * W, n);
@@ -469,11 +488,12 @@ template <bool StopAtFirst>
         bad += std::popcount(violated);
       }
     }
-    std::uint64_t* spare = prevP;
-    prevP = curP;
     curP = nextP;
-    nextP = spare;
     std::swap(vPrev, vUp);
+    const int spare = prev;
+    prev = cur;
+    cur = next;
+    next = spare;
   }
   return bad;
 }
@@ -763,8 +783,9 @@ std::int64_t bitsliceViolations(const bitslice::BitslicePlan& plan, int n,
       return colouringViolations<StopAtFirst>(n, nRows, labels, yBegin, yEnd,
                                               maxLabel);
     }
-    return pairPlanesViolations<StopAtFirst>(plan, n, nRows, labels, yBegin,
-                                             yEnd, maxLabel);
+    return pairPlanesViolations<StopAtFirst>(
+        plan, n, PlaneRows{.labels = labels, .nRows = nRows}, yBegin, yEnd,
+        maxLabel);
   }
   return nibbleViolations<StopAtFirst>(plan.nibble, n, nRows, labels, yBegin,
                                        yEnd, maxLabel);
@@ -866,6 +887,18 @@ std::int64_t bitsliceViolationRows(const LclTable& table, int n, int nRows,
                                       read);
   if (maxLabel != nullptr) *maxLabel = std::max(*maxLabel, read);
   return bad;
+}
+
+std::int64_t pairPlanesViolationRows(const LclTable& table, int n, int nRows,
+                                     const std::uint64_t* planes, int yBegin,
+                                     int yEnd, bool stopAtFirst) {
+  const bitslice::BitslicePlan& plan = *table.bitslicePlan();
+  const PlaneRows rows{.planes = planes, .nRows = nRows};
+  unsigned unused = 0;
+  return stopAtFirst ? pairPlanesViolations<true>(plan, n, rows, yBegin, yEnd,
+                                                  unused)
+                     : pairPlanesViolations<false>(plan, n, rows, yBegin,
+                                                   yEnd, unused);
 }
 
 }  // namespace verifier_detail

@@ -116,6 +116,17 @@ std::int64_t bitsliceViolationRows(const LclTable& table, int n, int nRows,
                                    bool stopAtFirst,
                                    unsigned* maxLabel = nullptr);
 
+/// Violations of the pair-planes kernel on grid rows [yBegin, yEnd) of a
+/// labelling already in the LabelPlanes layout: `planes` holds nRows rows
+/// of planeCount(sigma) planes of wordsPerRow(n) words, read in place (a
+/// mapped LCLLABv2 payload). The table's plan must be the pair-planes kind
+/// (vertex colouring included), every label must lie in [0, sigma) and
+/// every row's tail bits must be zero -- the streaming frontier checks
+/// both. Counts are bit-identical to bitsliceViolationRows.
+std::int64_t pairPlanesViolationRows(const LclTable& table, int n, int nRows,
+                                     const std::uint64_t* planes, int yBegin,
+                                     int yEnd, bool stopAtFirst);
+
 /// d-dimensional slices (src/lcl/verifier_d.cpp). A "line" is a contiguous
 /// run of n nodes along axis 0; lines are indexed row-major over the outer
 /// axes (axis 1 fastest), so a line range is a slab along the outermost
@@ -160,6 +171,24 @@ std::int64_t bitsliceViolationLinesD(const LclTableD& table,
                                      const int* labels, long long lineBegin,
                                      long long lineEnd, bool stopAtFirst,
                                      unsigned* maxLabel = nullptr);
+
+/// True iff the problem's plan reads bit-planes: the d = 2 delegated
+/// table's pair-planes plan (vertex colouring included) or a per-axis plan
+/// (d >= 3). Exactly these problems stream zero-copy from a mapped
+/// LCLLABv2 payload (planesViolationLinesD); the nibble tier needs packed
+/// int32 rows.
+bool hasPairPlanesPlanD(const GridLclD& lcl);
+
+/// Violations of the pair-planes kernels on lines [lineBegin, lineEnd) of
+/// a labelling already in the LabelPlanes layout (one plane row per line,
+/// e.g. a LabelPlanes::view of a mapped LCLLABv2 payload), under the
+/// preconditions of pairPlanesViolationRows: d = 2 runs the 2D row kernel
+/// on the rows in place, d >= 3 the staged line kernel. Counts are
+/// bit-identical to bitsliceViolationLinesD.
+std::int64_t planesViolationLinesD(const LclTableD& table, const TorusD& torus,
+                                   const LabelPlanes& planes,
+                                   long long lineBegin, long long lineEnd,
+                                   bool stopAtFirst);
 
 /// Violations of the functional fallback on nodes [vBegin, vEnd).
 std::int64_t functionalViolationRangeD(const TorusD& torus,

@@ -271,6 +271,26 @@ std::int64_t bitsliceViolationLinesD(const LclTableD& table,
         static_cast<int>(lineBegin), static_cast<int>(lineEnd), stopAtFirst,
         maxLabel);
   }
+  return planesViolationLinesD(table, torus, planes, lineBegin, lineEnd,
+                               stopAtFirst);
+}
+
+bool hasPairPlanesPlanD(const GridLclD& lcl) {
+  if (!hasBitslicePlanD(lcl)) return false;
+  const LclTable* table2d = lcl.table().as2d();
+  return table2d == nullptr || table2d->bitslicePlan()->kind ==
+                                   bitslice::BitslicePlan::Kind::kPairPlanes;
+}
+
+std::int64_t planesViolationLinesD(const LclTableD& table, const TorusD& torus,
+                                   const LabelPlanes& planes,
+                                   long long lineBegin, long long lineEnd,
+                                   bool stopAtFirst) {
+  if (const LclTable* table2d = table.as2d()) {
+    return pairPlanesViolationRows(
+        *table2d, torus.n(), static_cast<int>(planes.rows()), planes.row(0),
+        static_cast<int>(lineBegin), static_cast<int>(lineEnd), stopAtFirst);
+  }
   const bitslice::BitslicePlanD& plan = *table.bitslicePlanD();
   return stopAtFirst ? planesLineViolations<true>(plan, torus, planes,
                                                   lineBegin, lineEnd)

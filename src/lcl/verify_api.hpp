@@ -31,7 +31,9 @@
 // gate, and throws std::invalid_argument when the problem/instance cannot
 // run it (no compiled table, no bit-slice plan, out-of-range labels).
 // Streaming requests (a file or labellingPath) always report
-// VerifyTier::kStream and accept only kAuto.
+// VerifyTier::kStream and accept only kAuto. Their files hold packed
+// bit-planes, so a label outside [0, 2^ceil(log2 sigma)) never reaches a
+// streamed verify: StreamLabellingWriter rejects it.
 //
 // Thread-safety: a request only reads the torus, the problem and the label
 // buffers; uncompiled problems must carry re-entrant predicates (every
@@ -84,7 +86,7 @@ struct VerifyRequest {
   const GridLcl* problem = nullptr;
   const GridLclD* problemD = nullptr;
 
-  // --- instance: inline labels over a torus, or an LCLLABv1 file ------------
+  // --- instance: inline labels over a torus, or an LCLLABv2 file ------------
   /// Geometry for inline labels (torus for GridLcl, torusD for GridLclD).
   const Torus2D* torus = nullptr;
   const TorusD* torusD = nullptr;
@@ -92,7 +94,9 @@ struct VerifyRequest {
   /// (a whole multiple, at least one); a batch runs one labelling per work
   /// item, and options.engine.grain then counts labellings.
   std::span<const int> labels;
-  /// An already-open LCLLABv1 labelling (streamed zero-copy), or ...
+  /// An already-open LCLLABv2 labelling (packed bit-planes, streamed: the
+  /// plane kernels read the mapping in place, the other tiers a decoded
+  /// window; lcl/stream_verify.hpp), or ...
   const StreamLabelling* file = nullptr;
   /// ... a path to open one for the duration of the call.
   std::string labellingPath;

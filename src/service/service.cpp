@@ -170,6 +170,9 @@ VerificationService::VerificationService(ServiceConfig config)
   config_.engineThreads = std::max(1, config_.engineThreads);
   config_.maxQueuedPerClient = std::max(1, config_.maxQueuedPerClient);
   config_.maxConnections = std::max(1, config_.maxConnections);
+  if (config_.engineThreads > 1) {
+    enginePool_ = std::make_unique<engine::ThreadPool>(config_.engineThreads);
+  }
 }
 
 VerificationService::~VerificationService() { stop(); }
@@ -629,6 +632,9 @@ VerifyResultFrame VerificationService::runVerify(
                          : static_cast<int>(frame.threads);
   request.options.engine.threads =
       std::clamp(askedThreads, 1, config_.engineThreads);
+  if (request.options.engine.threads > 1) {
+    request.options.engine.pool = enginePool_.get();
+  }
 
   std::optional<TorusD> torus;
   if (frame.labelling == LabellingKind::kPath) {

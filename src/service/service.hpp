@@ -29,9 +29,9 @@
 // default engineThreads = 1) runs a request inline on its worker, with no
 // pool -- the daemon's parallelism is across requests (serviceThreads),
 // which is the high-QPS regime. More lanes parallelise single large
-// requests instead, on the global pool when the count equals
-// engine::defaultThreads() and otherwise at a private-pool setup cost per
-// request (engine::PoolHandle).
+// requests instead, on the one ThreadPool(engineThreads) the daemon builds
+// at construction and shares between its workers, so no request creates a
+// thread.
 #pragma once
 
 #include <atomic>
@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "engine/family_sweep.hpp"
+#include "engine/thread_pool.hpp"
 #include "lcl/grid_lcl.hpp"
 #include "lcl/grid_lcl_d.hpp"
 #include "service/protocol.hpp"
@@ -228,6 +229,8 @@ class VerificationService {
 
   ProblemCache problems_;
   engine::ReportCache reports_;
+  /// The multi-lane requests' pool (null when engineThreads == 1).
+  std::unique_ptr<engine::ThreadPool> enginePool_;
 
   mutable std::mutex countersMutex_;
   ServiceCounters counters_;

@@ -107,10 +107,32 @@ MmapFile::MmapFile(const std::string& path) {
 
 MmapFile::~MmapFile() { reset(); }
 
+MmapFile MmapFile::anonymous(std::size_t bytes) {
+  MmapFile scratch;
+  scratch.writable_ = true;
+  if (bytes == 0) return scratch;
+#if defined(LCLGRID_HAVE_MMAP)
+  void* mapping = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (mapping == MAP_FAILED) throwErrno("mmap", "<anonymous>");
+#if defined(MADV_HUGEPAGE)
+  // Fewer, larger first-touch faults; advisory like every madvise here.
+  (void)::madvise(mapping, bytes, MADV_HUGEPAGE);
+#endif
+  scratch.data_ = static_cast<std::byte*>(mapping);
+  scratch.mapped_ = true;
+#else
+  scratch.data_ = new std::byte[bytes]();
+#endif
+  scratch.size_ = bytes;
+  return scratch;
+}
+
 MmapFile::MmapFile(MmapFile&& other) noexcept
     : data_(std::exchange(other.data_, nullptr)),
       size_(std::exchange(other.size_, 0)),
-      mapped_(std::exchange(other.mapped_, false)) {}
+      mapped_(std::exchange(other.mapped_, false)),
+      writable_(std::exchange(other.writable_, false)) {}
 
 MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
   if (this != &other) {
@@ -118,6 +140,7 @@ MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
     mapped_ = std::exchange(other.mapped_, false);
+    writable_ = std::exchange(other.writable_, false);
   }
   return *this;
 }
@@ -130,6 +153,7 @@ void MmapFile::reset() noexcept {
   data_ = nullptr;
   size_ = 0;
   mapped_ = false;
+  writable_ = false;
 }
 
 void MmapFile::dropRange(std::size_t offset, std::size_t length) const {

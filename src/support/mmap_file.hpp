@@ -1,4 +1,4 @@
-// Read-only memory-mapped files for the out-of-core verification tier
+// Memory-mapped files for the out-of-core verification tier
 // (lcl/stream_verify.hpp). An MmapFile maps a whole file into the address
 // space with a sequential-access hint, so the streaming kernels can walk
 // labellings far larger than RAM: the OS pages data in ahead of the read
@@ -24,6 +24,14 @@ class MmapFile {
   explicit MmapFile(const std::string& path);
   ~MmapFile();
 
+  /// A writable, zero-filled anonymous mapping of `bytes` bytes, reserved
+  /// up front and backed lazily: only the pages written become resident,
+  /// and dropRange returns them (a dropped page reads back as zeros). The
+  /// streaming tier decodes packed labellings into one. Throws
+  /// std::runtime_error when the address space cannot be reserved; heap
+  /// memory (fully backed) without <sys/mman.h>.
+  static MmapFile anonymous(std::size_t bytes);
+
   MmapFile(MmapFile&& other) noexcept;
   MmapFile& operator=(MmapFile&& other) noexcept;
   MmapFile(const MmapFile&) = delete;
@@ -31,6 +39,9 @@ class MmapFile {
 
   bool isOpen() const { return data_ != nullptr || size_ == 0; }
   const std::byte* data() const { return data_; }
+  /// The bytes of an anonymous() mapping (nullptr for a file: those map
+  /// read-only).
+  std::byte* writableData() const { return writable_ ? data_ : nullptr; }
   std::size_t size() const { return size_; }
 
   /// Advises the OS that [offset, offset + length) will not be needed
@@ -46,6 +57,7 @@ class MmapFile {
   std::byte* data_ = nullptr;
   std::size_t size_ = 0;
   bool mapped_ = false;  // true: munmap on destruction; false: heap buffer
+  bool writable_ = false;  // an anonymous() mapping
 };
 
 }  // namespace lclgrid::support

@@ -744,7 +744,7 @@ TEST(ColouringKernel, SeamAndShardBoundaryClashesMatchFunctional) {
 }
 
 TEST(ColouringKernel, StreamedLabellingsMatchFunctional) {
-  // The same labellings from LCLLABv1 files, in slabs of three rows so the
+  // The same labellings from LCLLABv2 files, in slabs of three rows so the
   // passes cross slab boundaries, at 1 and 4 lanes on every rung.
   GateGuard gate;
   TierGuard guard;

@@ -26,6 +26,7 @@
 #include "service/problem_registry.hpp"
 #include "service/service.hpp"
 #include "support/faultpoint.hpp"
+#include "support/telemetry.hpp"
 
 using namespace lclgrid;
 using service::ServiceClient;
@@ -180,6 +181,51 @@ TEST(ServiceDaemon, VerifyMatchesLocalEngine) {
   daemon.stop();
 }
 
+TEST(ServiceDaemon, MultiLaneRequestsShareOneEnginePool) {
+  // The daemon builds its ThreadPool(engineThreads) once; no request --
+  // one lane inline, two lanes on that pool, in-core or streamed -- starts
+  // a pool thread of its own.
+  if (!support::telemetry::kCompiledIn) GTEST_SKIP() << "telemetry off";
+  const auto threadsStarted = [] {
+    for (const auto& counter : support::telemetry::snapshotMetrics().counters) {
+      if (counter.name == "pool.threads_started") return counter.value;
+    }
+    return std::int64_t{0};
+  };
+  const int n = 64;
+  std::vector<int> labels = properFourColouring(n);
+  labels[100] = labels[101];
+  const std::int64_t expect =
+      countViolations(Torus2D(n), problems::vertexColouring(4), labels);
+  const std::string path = tempName("service_pool");
+  writeLabellingFile(path, 4, 2, n, labels);
+  for (int engineThreads : {1, 2}) {
+    ServiceConfig config = testConfig();
+    config.engineThreads = engineThreads;
+    const std::int64_t before = threadsStarted();
+    VerificationService daemon(config);
+    EXPECT_EQ(threadsStarted() - before, engineThreads - 1);
+    daemon.start();
+    ServiceClient client = ServiceClient::connectTcp(daemon.port());
+    const std::int64_t started = threadsStarted();
+    for (int i = 0; i < 8; ++i) {
+      service::VerifyRequestFrame frame = verifyFrame("vc:4", n, labels);
+      frame.threads = static_cast<std::uint32_t>(1 + i % 2);
+      if (i % 4 == 3) {
+        frame.labelling = service::LabellingKind::kPath;
+        frame.path = path;
+        frame.labels = {};
+      }
+      const auto result = client.verify(frame);
+      ASSERT_TRUE(result.has_value());
+      EXPECT_EQ(result->violations, expect) << "request " << i;
+    }
+    EXPECT_EQ(threadsStarted(), started) << "engineThreads=" << engineThreads;
+    daemon.stop();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(ServiceDaemon, FingerprintReferenceAndUnknownFingerprint) {
   VerificationService daemon(testConfig());
   daemon.start();
@@ -236,7 +282,7 @@ TEST(ServiceDaemon, BatchAndDProblemAndPathRequests) {
   ASSERT_TRUE(resultD.has_value());
   EXPECT_TRUE(resultD->feasible);
 
-  // Path request: the daemon opens the LCLLABv1 file itself (stream tier).
+  // Path request: the daemon opens the LCLLABv2 file itself (stream tier).
   const std::string path = tempName("service_stream");
   const std::vector<int> labels = properFourColouring(8);
   writeLabellingFile(path, 4, 2, 8, labels);

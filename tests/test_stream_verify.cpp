@@ -1,15 +1,18 @@
-// The streaming (out-of-core) verifier tier: on-disk format round-trips,
-// bit-identical agreement with the in-core functional tier across window
-// geometries, kernel tiers and lane counts, the out-of-range functional
-// fallback, and the reader's error paths. The format is load-bearing for the zero-copy
-// claim -- the mapped payload must be byte-identical to the in-core label
-// buffer -- so the round-trip tests compare entire label vectors, not
-// counts.
+// The streaming (out-of-core) verifier tier: the LCLLABv2 format contract
+// (round-trips, chunking-independent bytes, the payload size, the writer's
+// range check, the retired v1 magic), bit-identical agreement with the
+// in-core functional tier across window geometries, kernel tiers and lane
+// counts, the out-of-range functional fallback, the reader's error paths,
+// and seeded hostile files. The format is load-bearing for the zero-copy
+// claim -- the plane kernels read the mapped payload in place -- so the
+// round-trip tests compare entire label vectors, not counts.
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -18,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "grid/torus2d.hpp"
+#include "engine/thread_pool.hpp"
 #include "grid/torusd.hpp"
 #include "helpers/verify_request.hpp"
 #include "lcl/grid_lcl_d.hpp"
@@ -99,11 +103,13 @@ VerifyResult streamed(const StreamLabelling& file, const Lcl& lcl, bool count,
   return verify(request);
 }
 
+constexpr unsigned char kMagicV2[8] = {'L', 'C', 'L', 'L', 'A', 'B', 'v', '2'};
+
 /// Writes a file whose header fields are given verbatim (no validation),
-/// for the reader error-path tests.
+/// followed by `payload`, for the reader error-path tests.
 void writeRawFile(const std::string& path, const unsigned char magic[8],
                   std::uint32_t sigma, std::uint32_t dims, std::uint32_t n,
-                  std::uint32_t reserved, const std::vector<int>& labels) {
+                  std::uint32_t reserved, const std::string& payload) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   ASSERT_TRUE(out.good());
   out.write(reinterpret_cast<const char*>(magic), 8);
@@ -118,8 +124,34 @@ void writeRawFile(const std::string& path, const unsigned char magic[8],
   put32(dims);
   put32(n);
   put32(reserved);
-  for (int label : labels) put32(static_cast<std::uint32_t>(label));
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   ASSERT_TRUE(out.good());
+}
+
+std::string readBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void writeBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// The LCLLABv2 payload size: lines * B * W * 8 bytes.
+std::uintmax_t payloadBytes(int sigma, int dims, int n) {
+  std::uintmax_t lines = 1;
+  for (int a = 1; a < dims; ++a) lines *= static_cast<std::uintmax_t>(n);
+  return lines * static_cast<std::uintmax_t>(bitslice::planeCount(sigma)) *
+         bitslice::wordsPerRow(n) * 8;
+}
+
+/// The whole labelling of a mapped file, decoded.
+std::vector<int> decodeAll(const StreamLabelling& file) {
+  std::vector<int> labels(static_cast<std::size_t>(file.size()));
+  file.decodeLines(0, file.lines(), labels.data());
+  return labels;
 }
 
 }  // namespace
@@ -137,9 +169,7 @@ TEST(StreamFormat, WriterReaderRoundTrip2D) {
     EXPECT_EQ(mapped.n(), n);
     EXPECT_EQ(mapped.size(), static_cast<long long>(n) * n);
     EXPECT_EQ(mapped.lines(), n);
-    const std::vector<int> back(mapped.labels(),
-                                mapped.labels() + mapped.size());
-    EXPECT_EQ(back, labels) << "n=" << n;
+    EXPECT_EQ(decodeAll(mapped), labels) << "n=" << n;
   }
 }
 
@@ -155,9 +185,7 @@ TEST(StreamFormat, WriterReaderRoundTripD) {
     StreamLabelling mapped(file.str());
     EXPECT_EQ(mapped.dims(), dims);
     EXPECT_EQ(mapped.size(), size);
-    const std::vector<int> back(mapped.labels(),
-                                mapped.labels() + mapped.size());
-    EXPECT_EQ(back, labels) << "dims=" << dims;
+    EXPECT_EQ(decodeAll(mapped), labels) << "dims=" << dims;
   }
 }
 
@@ -177,13 +205,92 @@ TEST(StreamFormat, IncrementalWriterMatchesOneShot) {
     EXPECT_EQ(writer.written(), static_cast<long long>(n) * n);
     writer.close();
   }
-  std::ifstream a(oneShot.str(), std::ios::binary);
-  std::ifstream b(rowByRow.str(), std::ios::binary);
-  const std::string bytesA((std::istreambuf_iterator<char>(a)),
-                           std::istreambuf_iterator<char>());
-  const std::string bytesB((std::istreambuf_iterator<char>(b)),
-                           std::istreambuf_iterator<char>());
-  EXPECT_EQ(bytesA, bytesB);
+  EXPECT_EQ(readBytes(oneShot.str()), readBytes(rowByRow.str()));
+}
+
+TEST(StreamFormat, LineSplittingChunkingsWriteIdenticalBytes) {
+  // Chunks that end mid-line, span lines or cover several lines buffer
+  // and pack alike: the bytes depend on the labels alone. sigma = 300
+  // takes the writer's scalar packer (9 planes), the others transposeRow.
+  const int n = 37;
+  for (int sigma : {3, 5, 300}) {
+    const std::vector<int> labels =
+        randomLabels(static_cast<long long>(n) * n, sigma,
+                     static_cast<std::uint32_t>(sigma));
+    TempFile oneShot("chunks-oneshot");
+    writeLabellingFile(oneShot.str(), sigma, 2, n, labels);
+    const std::string expected = readBytes(oneShot.str());
+    EXPECT_EQ(decodeAll(StreamLabelling(oneShot.str())), labels);
+    for (std::size_t chunk : {1, 7, 36, 37, 38, 100, 1000}) {
+      TempFile chunked("chunks");
+      StreamLabellingWriter writer(chunked.str(), sigma, 2, n);
+      for (std::size_t i = 0; i < labels.size(); i += chunk) {
+        writer.appendLabels(std::span<const int>(labels).subspan(
+            i, std::min(chunk, labels.size() - i)));
+      }
+      EXPECT_EQ(writer.written(), static_cast<long long>(labels.size()));
+      writer.close();
+      EXPECT_EQ(readBytes(chunked.str()), expected)
+          << "sigma=" << sigma << " chunk=" << chunk;
+    }
+  }
+}
+
+TEST(StreamFormat, PayloadIsLinesTimesPlanesTimesWords) {
+  for (int dims : {2, 3, 4}) {
+    const int n = dims == 2 ? 70 : (dims == 3 ? 9 : 5);
+    long long size = 1;
+    for (int a = 0; a < dims; ++a) size *= n;
+    for (int sigma : {1, 2, 3, 4, 5, 8, 9, 70}) {
+      TempFile file("payload");
+      writeLabellingFile(file.str(), sigma, dims, n,
+                         randomLabels(size, sigma, 7u));
+      EXPECT_EQ(std::filesystem::file_size(file.str()),
+                stream_format::kHeaderBytes + payloadBytes(sigma, dims, n))
+          << "dims=" << dims << " sigma=" << sigma;
+      const StreamLabelling mapped(file.str());
+      EXPECT_EQ(mapped.planes(), bitslice::planeCount(sigma));
+    }
+  }
+  // sigma <= 4 on a 9216-torus: 2 planes of 144 words per line, 16x below
+  // the 4 bytes per label of an int32 payload.
+  EXPECT_EQ(stream_format::kHeaderBytes + payloadBytes(4, 2, 9216),
+            21233688u);
+}
+
+TEST(StreamFormat, ReaderRejectsV1NamingV2) {
+  const unsigned char v1[8] = {'L', 'C', 'L', 'L', 'A', 'B', 'v', '1'};
+  TempFile file("v1");
+  writeRawFile(file.str(), v1, 3, 2, 2, 0, std::string(16, '\0'));
+  try {
+    StreamLabelling mapped(file.str());
+    FAIL() << "an LCLLABv1 file opened";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::strstr(error.what(), "LCLLABv2"), nullptr) << error.what();
+  }
+}
+
+TEST(StreamFormat, WriterRejectsLabelsOutsidePlanes) {
+  // sigma = 3 stores 2 planes: 3 is out of alphabet but storable (the
+  // verifiers report it), -1 and 4 = 2^B are not.
+  for (int bad : {-1, 4}) {
+    TempFile file("rejects");
+    StreamLabellingWriter writer(file.str(), 3, 2, 4);
+    writer.appendLabels(std::vector<int>{0, 1, 2, 3});
+    EXPECT_THROW(writer.appendLabels(std::vector<int>{0, 1, bad, 2}),
+                 std::invalid_argument)
+        << "label " << bad;
+    // The stored line stays; the offending one is not stored.
+    EXPECT_EQ(writer.written(), 4);
+  }
+  TempFile file("rejects5");
+  StreamLabellingWriter writer(file.str(), 5, 1, 3);
+  EXPECT_THROW(writer.appendLabels(std::vector<int>{7, 8, 0}),
+               std::invalid_argument);
+  writer.appendLabels(std::vector<int>{7, 6, 5});
+  writer.close();
+  EXPECT_EQ(decodeAll(StreamLabelling(file.str())),
+            (std::vector<int>{7, 6, 5}));
 }
 
 TEST(StreamFormat, WriterCloseRejectsShortPayload) {
@@ -197,14 +304,14 @@ TEST(StreamFormat, WriterCloseRejectsShortPayload) {
 TEST(StreamFormat, ReaderRejectsBadMagic) {
   const unsigned char wrong[8] = {'L', 'C', 'L', 'L', 'A', 'B', 'v', '9'};
   TempFile file("badmagic");
-  writeRawFile(file.str(), wrong, 3, 2, 2, 0, {0, 1, 2, 0});
+  writeRawFile(file.str(), wrong, 3, 2, 2, 0, std::string(32, '\0'));
   EXPECT_THROW(StreamLabelling{file.str()}, std::runtime_error);
 }
 
 TEST(StreamFormat, ReaderRejectsTruncatedHeader) {
   TempFile file("shorthdr");
   std::ofstream out(file.str(), std::ios::binary);
-  out.write("LCLLABv1\x03\x00", 10);
+  out.write("LCLLABv2\x03\x00", 10);
   out.close();
   EXPECT_THROW(StreamLabelling{file.str()}, std::runtime_error);
 }
@@ -216,8 +323,7 @@ TEST(StreamFormat, ReaderRejectsTruncatedPayload) {
   TempFile file("shortpay");
   writeLabellingFile(file.str(), 3, 2, n, labels);
   std::filesystem::resize_file(
-      file.str(), stream_format::kHeaderBytes +
-                      4 * (static_cast<std::uintmax_t>(n) * n - 1));
+      file.str(), stream_format::kHeaderBytes + payloadBytes(3, 2, n) - 1);
   EXPECT_THROW(StreamLabelling{file.str()}, std::runtime_error);
 }
 
@@ -233,20 +339,27 @@ TEST(StreamFormat, ReaderRejectsTrailingBytes) {
 }
 
 TEST(StreamFormat, ReaderRejectsBadHeaderFields) {
-  const unsigned char magic[8] = {'L', 'C', 'L', 'L', 'A', 'B', 'v', '1'};
+  // Each payload has the size the other fields would call for.
+  const unsigned char* magic = kMagicV2;
   {
     TempFile file("zerosigma");
-    writeRawFile(file.str(), magic, 0, 2, 2, 0, {0, 0, 0, 0});
+    writeRawFile(file.str(), magic, 0, 2, 2, 0, std::string(16, '\0'));
     EXPECT_THROW(StreamLabelling{file.str()}, std::runtime_error);
   }
   {
     TempFile file("zerodims");
-    writeRawFile(file.str(), magic, 3, 0, 2, 0, {0});
+    writeRawFile(file.str(), magic, 3, 0, 2, 0, std::string(16, '\0'));
     EXPECT_THROW(StreamLabelling{file.str()}, std::runtime_error);
   }
   {
     TempFile file("reserved");
-    writeRawFile(file.str(), magic, 3, 2, 2, 7, {0, 0, 0, 0});
+    writeRawFile(file.str(), magic, 3, 2, 2, 7, std::string(32, '\0'));
+    EXPECT_THROW(StreamLabelling{file.str()}, std::runtime_error);
+  }
+  {
+    TempFile file("hugeside");
+    writeRawFile(file.str(), magic, 3, 4, 0x7fffffffu, 0,
+                 std::string(32, '\0'));
     EXPECT_THROW(StreamLabelling{file.str()}, std::runtime_error);
   }
   {
@@ -350,7 +463,7 @@ TEST(StreamVerify, ThreadedCountsAreBitIdentical2D) {
 
 TEST(StreamVerifyD, MatchesInCoreOnTorusD) {
   GateGuard guard;
-  for (int dims : {1, 2, 3}) {
+  for (int dims : {1, 2, 3, 4}) {
     std::vector<GridLclD> registry;
     registry.push_back(problems_d::vertexColouring(dims, 4));
     registry.push_back(problems_d::xorParity(dims));
@@ -447,4 +560,137 @@ TEST(StreamVerifyDetail, WindowGeometry) {
   EXPECT_EQ(wrapWindowRows(2, 9), 1);
   EXPECT_EQ(wrapWindowRows(3, 9), 9);
   EXPECT_EQ(wrapWindowRows(4, 9), 81);
+}
+
+namespace {
+
+/// Either front end's problem as the engine's GridLclD.
+const GridLclD& asD(const GridLcl& lcl) { return lcl.asD(); }
+const GridLclD& asD(const GridLclD& lcl) { return lcl; }
+
+/// One hostile mutant of a valid file: `bytes` either fails to open with
+/// std::runtime_error or opens and then verifies, in count and verify mode
+/// at 1 and 8 lanes, to the in-core functional count of the labelling it
+/// decodes to. Returns whether it opened.
+template <typename Lcl>
+bool mutantMatchesFunctional(const std::string& bytes, const Lcl& lcl,
+                             engine::ThreadPool& pool,
+                             const std::string& what) {
+  TempFile file("hostile");
+  writeBytes(file.str(), bytes);
+  std::optional<StreamLabelling> mapped;
+  try {
+    mapped.emplace(file.str());
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+  // No single header edit reaches another shape with a matching payload.
+  EXPECT_EQ(mapped->sigma(), lcl.sigma()) << what;
+  EXPECT_EQ(mapped->dims(), asD(lcl).dims()) << what;
+  const std::vector<int> labels = decodeAll(*mapped);
+  const TorusD torus(mapped->dims(), mapped->n());
+  const std::int64_t reference =
+      verify(verifyRequest(torus, asD(lcl), labels, /*count=*/true, 1,
+                           TierPin::kFunctional))
+          .violations;
+  for (int threads : {1, 8}) {
+    for (bool count : {true, false}) {
+      VerifyRequest request =
+          verifyRequest(*mapped, lcl, {}, count, threads);
+      if (threads > 1) request.options.engine.pool = &pool;
+      request.options.window.rows = 3;
+      const VerifyResult result = verify(request);
+      EXPECT_EQ(result.feasible, reference == 0)
+          << what << " threads=" << threads << " count=" << count;
+      if (count) {
+        EXPECT_EQ(result.violations, reference)
+            << what << " threads=" << threads;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+TEST(StreamHostileFiles, MutantsThrowTypedOrMatchFunctional) {
+  // Seeded mutants of valid files on each streamed tier -- in-place planes
+  // in 2D and 3D (sigma = 3: the frontier checks labels >= sigma and tail
+  // bits on the planes), the decoded nibble and table tiers -- with header
+  // and payload bit flips, set tail bits, truncation and trailing bytes.
+  GateGuard guard;
+  bitslice::setEnabled(true);
+  engine::ThreadPool pool(8);
+  std::mt19937 rng(20261021u);
+  int opened = 0;
+  int rejected = 0;
+  int tailOpened = 0;
+  const auto mutate = [&](const std::string& valid, int n, int planes,
+                          const auto& lcl) {
+    const std::size_t header = stream_format::kHeaderBytes;
+    const std::size_t W = bitslice::wordsPerRow(n);
+    const std::size_t lines = (valid.size() - header) / (planes * W * 8);
+    for (int round = 0; round < 48; ++round) {
+      std::string bytes = valid;
+      std::string what;
+      const int kind = round % 6;
+      if (kind == 0) {
+        const std::size_t bit = rng() % (header * 8);
+        bytes[bit / 8] = static_cast<char>(bytes[bit / 8] ^ (1 << (bit % 8)));
+        what = "header bit " + std::to_string(bit);
+      } else if (kind == 1 || kind == 2) {
+        for (int flip = 0; flip < kind; ++flip) {
+          const std::size_t bit = rng() % ((bytes.size() - header) * 8);
+          bytes[header + bit / 8] = static_cast<char>(
+              bytes[header + bit / 8] ^ (1 << (bit % 8)));
+          what += "payload bit " + std::to_string(bit) + " ";
+        }
+      } else if (kind == 3) {
+        // A tail bit past n in some plane's last word (none when 64 | n);
+        // every other one at bit n itself, which the plane kernels' cyclic
+        // east shift would carry into the line's last node.
+        if (n % 64 == 0) continue;
+        const std::size_t line = rng() % lines;
+        const std::size_t plane = rng() % static_cast<std::size_t>(planes);
+        const int x = round % 12 == 3
+                          ? n % 64
+                          : n % 64 + static_cast<int>(rng() % (64 - n % 64));
+        const std::size_t word =
+            header + ((line * planes + plane) * W + W - 1) * 8;
+        bytes[word + static_cast<std::size_t>(x / 8)] = static_cast<char>(
+            bytes[word + static_cast<std::size_t>(x / 8)] | (1 << (x % 8)));
+        what = "tail bit line " + std::to_string(line);
+      } else if (kind == 4) {
+        bytes.resize(bytes.size() - 1 - rng() % 16);
+        what = "truncated";
+      } else {
+        bytes.append(1 + rng() % 16, '\x5a');
+        what = "trailing bytes";
+      }
+      if (mutantMatchesFunctional(bytes, lcl, pool, what)) {
+        ++opened;
+        if (kind == 3) ++tailOpened;
+      } else {
+        ++rejected;
+      }
+    }
+  };
+  const auto base = [&](const auto& lcl, int n, std::uint32_t seed) {
+    long long size = 1;
+    const int dims = asD(lcl).dims();
+    for (int a = 0; a < dims; ++a) size *= n;
+    TempFile file("hostile-base");
+    writeLabellingFile(file.str(), lcl.sigma(), dims, n,
+                       randomLabels(size, lcl.sigma(), seed));
+    mutate(readBytes(file.str()), n, bitslice::planeCount(lcl.sigma()), lcl);
+  };
+  base(problems::vertexColouring(3), 37, 1u);
+  base(problems::weakColouring(3, 1), 37, 2u);
+  base(problems::maximalIndependentSet(), 23, 3u);
+  base(problems_d::vertexColouring(3, 3), 9, 4u);
+  base(problems_d::monotoneAxis(3, 0, 3), 7, 5u);
+  EXPECT_GT(opened, 0);
+  EXPECT_GT(rejected, 0);
+  // Tail bits are the frontier's to find, not the O(1) open's.
+  EXPECT_GT(tailOpened, 0);
 }

@@ -11,6 +11,7 @@
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <string>
 #include <type_traits>
@@ -452,18 +453,27 @@ TEST(VerifyApi, UncompiledProblemsMatchBruteForceInCoreAndStreamed) {
     feasible[static_cast<std::size_t>(v)] =
         (torus.xOf(v) + 2 * torus.yOf(v)) % 6;
   }
+  // Out of alphabet in-core: -1 and 1000 cannot be stored in the file's
+  // 7 planes, so the writer rejects that labelling; 70 and 127 can, and
+  // stream as out-of-alphabet labels.
   std::vector<int> poisoned = feasible;
   poisoned[0] = kSigma;
   poisoned[17] = -1;
   poisoned[nodes - 1] = 1000;
+  std::vector<int> storable = feasible;
+  storable[0] = kSigma;
+  storable[nodes - 1] = 127;
   std::vector<int> swapped = feasible;  // the pattern mirrored east-west
   for (int v = 0; v < torus.size(); ++v) {
     swapped[static_cast<std::size_t>(v)] =
         (6 - torus.xOf(v) % 6 + 2 * torus.yOf(v)) % 6;
   }
   const std::string path = tempPath("verify_api_uncompiled");
+  EXPECT_THROW(writeLabellingFile(path, kSigma, 2, torus.n(), poisoned),
+               std::invalid_argument);
   for (const std::vector<int>& labels :
-       {feasible, poisoned, swapped, randomLabels(kSigma, nodes, 11)}) {
+       {feasible, poisoned, storable, swapped,
+        randomLabels(kSigma, nodes, 11)}) {
     std::int64_t expect = 0;
     for (int v = 0; v < torus.size(); ++v) {
       const int c = labels[static_cast<std::size_t>(v)];
@@ -476,15 +486,23 @@ TEST(VerifyApi, UncompiledProblemsMatchBruteForceInCoreAndStreamed) {
         ++expect;
       }
     }
-    writeLabellingFile(path, kSigma, 2, torus.n(), labels);
-    const StreamLabelling file(path);
+    const bool streams = labels != poisoned;
+    std::optional<StreamLabelling> file;
+    if (streams) {
+      writeLabellingFile(path, kSigma, 2, torus.n(), labels);
+      file.emplace(path);
+    }
     for (bool count : {false, true}) {
       for (int threads : {1, 2, 8}) {
-        const VerifyResult inCore =
-            verify(verifyRequest(torus, problem, labels, count, threads));
-        const VerifyResult streamed =
-            verify(verifyRequest(file, problem, {}, count, threads));
-        for (const VerifyResult& result : {inCore, streamed}) {
+        std::vector<VerifyResult> results = {
+            verify(verifyRequest(torus, problem, labels, count, threads))};
+        EXPECT_EQ(results[0].tier, VerifyTier::kFunctional);
+        if (streams) {
+          results.push_back(
+              verify(verifyRequest(*file, problem, {}, count, threads)));
+          EXPECT_EQ(results[1].tier, VerifyTier::kStream);
+        }
+        for (const VerifyResult& result : results) {
           EXPECT_EQ(result.feasible, expect == 0)
               << "count=" << count << " threads=" << threads;
           EXPECT_EQ(result.fingerprint, 0u);
@@ -492,8 +510,6 @@ TEST(VerifyApi, UncompiledProblemsMatchBruteForceInCoreAndStreamed) {
             EXPECT_EQ(result.violations, expect) << "threads=" << threads;
           }
         }
-        EXPECT_EQ(inCore.tier, VerifyTier::kFunctional);
-        EXPECT_EQ(streamed.tier, VerifyTier::kStream);
       }
     }
   }
