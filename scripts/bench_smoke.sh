@@ -115,6 +115,12 @@ fi
 # simd field per row); capped runs must stop the ladder at their cap.
 LCLGRID_SIMD=0 run_json -t simd0 bench_verify_throughput --smoke --threads 2 --dims 2
 LCLGRID_SIMD=1 run_json -t simd1 bench_verify_throughput --smoke --threads 2 --dims 2
+# n = 1100 (17 whole words and a ragged tail) takes the byte-lane rungs'
+# lockstep-run path, which n = 32 never reaches; the bench exits non-zero
+# when a rung's count differs from the functional tier's. ~1 s per run.
+run_json -t runs bench_verify_throughput 1100 0.01 --threads 2 --dims 2
+LCLGRID_SIMD=0 run_json -t runs-simd0 bench_verify_throughput 1100 0.01 --threads 2 --dims 2
+LCLGRID_SIMD=1 run_json -t runs-simd1 bench_verify_throughput 1100 0.01 --threads 2 --dims 2
 # The LCLGRID_BITSLICE=0 escape hatch must keep the bench (and the auto-
 # selected batched paths) healthy; bash scopes the prefixed variable to
 # this one call.

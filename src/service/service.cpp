@@ -453,7 +453,7 @@ void VerificationService::admit(Task task) {
                          : config_.maxQueuedPerClient;
   // Only this connection's reader increments, so load-then-add is not a
   // race against other admissions for the same client.
-  if (conn.inflight.load(std::memory_order_acquire) >= budget) {
+  if (conn.admitted.load(std::memory_order_acquire) >= budget) {
     {
       std::lock_guard lock(countersMutex_);
       ++counters_.busyRejections;
@@ -462,7 +462,9 @@ void VerificationService::admit(Task task) {
     sendFrame(conn, wire::FrameType::kBusy, task.requestId, {});
     return;
   }
+  conn.admitted.fetch_add(1, std::memory_order_acq_rel);
   conn.inflight.fetch_add(1, std::memory_order_acq_rel);
+  task.holdsSlot = true;
   task.admitted = std::chrono::steady_clock::now();
   std::size_t depth;
   {
@@ -525,6 +527,7 @@ void VerificationService::workerLoop() {
       (void)FAULT_POINT("service.dispatch");
       execute(task);
     }
+    releaseSlot(task);
     executing_.fetch_sub(1, std::memory_order_relaxed);
     Connection& conn = *task.conn;
     if (conn.inflight.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
@@ -535,7 +538,6 @@ void VerificationService::workerLoop() {
 }
 
 void VerificationService::execute(Task& task) {
-  Connection& conn = *task.conn;
   requestCounter_.increment();
   {
     std::lock_guard lock(countersMutex_);
@@ -546,30 +548,29 @@ void VerificationService::execute(Task& task) {
   try {
     switch (task.type) {
       case wire::FrameType::kPing:
-        sendFrame(conn, wire::FrameType::kPong, task.requestId, {});
+        reply(task, wire::FrameType::kPong, {});
         break;
       case wire::FrameType::kVerify: {
         const VerifyRequestFrame request = decodeVerifyRequest(task.payload);
         const VerifyResultFrame result = runVerify(request);
         const std::vector<std::uint8_t> payload = encodeVerifyResult(result);
-        sendFrame(conn, wire::FrameType::kVerifyResult, task.requestId,
-                  payload);
+        reply(task, wire::FrameType::kVerifyResult, payload);
         break;
       }
       case wire::FrameType::kClassify: {
         const ClassifyRequestFrame request =
             decodeClassifyRequest(task.payload);
         const std::string json = runClassify(request);
-        sendFrame(conn, wire::FrameType::kClassifyResult, task.requestId,
-                  {reinterpret_cast<const std::uint8_t*>(json.data()),
-                   json.size()});
+        reply(task, wire::FrameType::kClassifyResult,
+              {reinterpret_cast<const std::uint8_t*>(json.data()),
+               json.size()});
         break;
       }
       case wire::FrameType::kStats: {
         const std::string json = statsJson();
-        sendFrame(conn, wire::FrameType::kStatsResult, task.requestId,
-                  {reinterpret_cast<const std::uint8_t*>(json.data()),
-                   json.size()});
+        reply(task, wire::FrameType::kStatsResult,
+              {reinterpret_cast<const std::uint8_t*>(json.data()),
+               json.size()});
         break;
       }
       default:
@@ -581,7 +582,8 @@ void VerificationService::execute(Task& task) {
       ++counters_.errors;
     }
     errorCounter_.increment();
-    sendError(conn, task.requestId, error.what());
+    releaseSlot(task);
+    sendError(*task.conn, task.requestId, error.what());
   }
 }
 
@@ -593,7 +595,19 @@ void VerificationService::sendTimeout(Task& task) {
     ++counters_.timeouts;
   }
   timeoutCounter_.increment();
-  sendFrame(*task.conn, wire::FrameType::kTimeout, task.requestId, {});
+  reply(task, wire::FrameType::kTimeout, {});
+}
+
+void VerificationService::reply(Task& task, wire::FrameType type,
+                                std::span<const std::uint8_t> payload) {
+  releaseSlot(task);
+  sendFrame(*task.conn, type, task.requestId, payload);
+}
+
+void VerificationService::releaseSlot(Task& task) {
+  if (std::exchange(task.holdsSlot, false)) {
+    task.conn->admitted.fetch_sub(1, std::memory_order_acq_rel);
+  }
 }
 
 VerifyResultFrame VerificationService::runVerify(

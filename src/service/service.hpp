@@ -142,6 +142,12 @@ class VerificationService {
   struct Connection {
     int fd = -1;
     std::mutex writeMutex;
+    /// Admitted requests not yet answered: the budget maxQueuedPerClient
+    /// bounds. A slot is released before its reply is written, so a client
+    /// that sends its next request on the reply always finds it free.
+    std::atomic<int> admitted{0};
+    /// Admitted requests whose worker has not finished with the connection
+    /// (their reply may still be in write).
     std::atomic<int> inflight{0};
     /// Set by the reader on exit; the side that observes inflight == 0
     /// afterwards closes the fd (reader or the last worker, whichever is
@@ -156,6 +162,8 @@ class VerificationService {
     std::vector<std::uint8_t> payload;
     /// Admission time; the worker enforces requestDeadlineMs against it.
     std::chrono::steady_clock::time_point admitted;
+    /// The task still holds its client's admission slot.
+    bool holdsSlot = false;
   };
 
   /// Compiled problems by spec string, with a fingerprint index maintained
@@ -189,6 +197,11 @@ class VerificationService {
   void closeConnection(Connection& conn);
   /// Answers a task kTimeout without executing it; counts it.
   void sendTimeout(Task& task);
+  /// Releases the task's admission slot (once), then writes its reply.
+  void reply(Task& task, wire::FrameType type,
+             std::span<const std::uint8_t> payload);
+  /// Gives the task's admission slot back; a no-op once it has.
+  void releaseSlot(Task& task);
 
   VerifyResultFrame runVerify(const VerifyRequestFrame& frame);
   std::string runClassify(const ClassifyRequestFrame& frame);

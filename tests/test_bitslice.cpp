@@ -511,14 +511,16 @@ TEST(SimdTier, NotEqualFeasibleAndSingleViolationAgreeAcrossTiers) {
 TEST(SimdTier, NibbleKernelCountsMatchAcrossTiers) {
   // weakColouring(3, 1) compiles the nibble LUT (non-decomposable,
   // sigma <= 4). 131 nodes per row = 16 full byte-words + 3 tail lanes for
-  // the AVX2 gather, one full 64-lane stride + tail for AVX-512.
+  // the AVX2 gather, one full 64-lane stride + tail for AVX-512. 1024 and
+  // 1100 are packed as lockstep runs of the byte-lane rungs (16 whole
+  // words; 17 and a ragged tail).
   GateGuard gate;
   TierGuard guard;
   bitslice::setEnabled(true);
   const GridLcl lcl = problems::weakColouring(3, 1);
   ASSERT_EQ(lcl.table().bitslicePlan()->kind,
             bitslice::BitslicePlan::Kind::kNibbleLut);
-  for (int n : {67, 131}) {
+  for (int n : {67, 131, 1024, 1100}) {
     Torus2D torus(n);
     for (std::uint32_t seed : {21u, 22u, 23u}) {
       std::vector<int> labels = randomLabels(torus.size(), lcl.sigma(),
@@ -793,4 +795,113 @@ TEST(ColouringKernel, StreamedLabellingsMatchFunctional) {
       }
     }
   }
+}
+
+// --- interleaved row runs ------------------------------------------------------
+// The byte-lane rungs read a row of 16 or more whole words as 4 runs in
+// lockstep, each run starting from a west carry read off the row. The
+// widths split evenly (1024; 1300 with a ragged tail word), leave whole
+// words after the runs (1100: one and a ragged tail; 1216: three), or fall
+// one word short of the split (1023).
+
+namespace {
+
+constexpr int kInterleavedWidths[] = {1023, 1024, 1100, 1216, 1300};
+
+/// label = (x + 2y) mod 4: row neighbours differ by 1 and column neighbours
+/// by 2, so a node that copies its west neighbour clashes with it alone.
+std::vector<int> rowStepColouring(int n) {
+  std::vector<int> labels(static_cast<std::size_t>(n) * n);
+  for (int y = 0; y < n; ++y) {
+    for (int x = 0; x < n; ++x) {
+      labels[static_cast<std::size_t>(y) * n + x] = (x + 2 * y) % 4;
+    }
+  }
+  return labels;
+}
+
+}  // namespace
+
+TEST(ColouringKernel, InterleavedRowRunsMatchFunctional) {
+  const GridLcl lcl = problems::vertexColouring(4);
+  for (int n : kInterleavedWidths) {
+    const Torus2D torus(n);
+    const std::vector<int> base = rowStepColouring(n);
+    const std::int64_t baseBad =
+        runColouring(torus, lcl, base, true, 1, TierPin::kFunctional)
+            .violations;
+    expectColouringMatchesFunctional(torus, lcl, base,
+                                     "n=" + std::to_string(n) + " base");
+    expectColouringMatchesFunctional(
+        torus, lcl,
+        randomLabels(torus.size(), 4, static_cast<std::uint32_t>(n)),
+        "n=" + std::to_string(n) + " random");
+    // One clash at every word seam x (each run seam is one), west of it
+    // (x - 2 <-> x - 1), across it (x - 1 <-> x) or east of it
+    // (x <-> x + 1); seam j sits on row 7j, so the clashes spread over
+    // rows and shards.
+    for (int side : {-1, 0, 1}) {
+      std::vector<int> labels = base;
+      std::int64_t clashes = 0;
+      for (int x = 64; x + 2 < n; x += 64) {
+        const std::size_t node =
+            static_cast<std::size_t>(7 * (x / 64)) * n + x + side;
+        labels[node] = labels[node - 1];
+        ++clashes;
+      }
+      const std::string what =
+          "n=" + std::to_string(n) + " side=" + std::to_string(side);
+      ASSERT_EQ(runColouring(torus, lcl, labels, true, 1, TierPin::kFunctional)
+                    .violations,
+                baseBad + 2 * clashes)
+          << what;
+      expectColouringMatchesFunctional(torus, lcl, labels, what);
+    }
+  }
+}
+
+TEST(SimdTier, NibbleStreamedAtInterleavedWidthMatchesFunctional) {
+  // weak:3:1 from an LCLLABv2 file: the stream decodes its slabs into an
+  // int32 image, which the nibble tier packs through the byte-lane rungs,
+  // at n = 1100 as lockstep runs with a ragged tail word.
+  GateGuard gate;
+  TierGuard guard;
+  bitslice::setEnabled(true);
+  const GridLcl lcl = problems::weakColouring(3, 1);
+  const int n = 1100;
+  const Torus2D torus(n);
+  const std::string path = tempLabellingPath(n, 3);
+  // A proper 3-colouring (n != 1 mod 3) is feasible; random labels are not.
+  const std::vector<std::vector<int>> labellings = {
+      diagonalColouring(n, 3), randomLabels(torus.size(), 3, 31u)};
+  for (std::size_t i = 0; i < labellings.size(); ++i) {
+    const std::vector<int>& labels = labellings[i];
+    writeLabellingFile(path, 3, 2, n, labels);
+    for (bool count : {false, true}) {
+      const VerifyResult reference =
+          runColouring(torus, lcl, labels, count, 1, TierPin::kFunctional);
+      ASSERT_EQ(reference.feasible, i == 0);
+      for (bitslice::SimdTier rung : kRungs) {
+        bitslice::setSimdTier(rung);
+        for (int threads : {1, 4}) {
+          VerifyRequest request;
+          request.problem = &lcl;
+          request.labellingPath = path;
+          request.options.countViolations = count;
+          request.options.engine.threads = threads;
+          request.options.window.rows = 64;
+          const VerifyResult result = verify(request);
+          EXPECT_EQ(result.feasible, reference.feasible)
+              << "labelling=" << i << " count=" << count
+              << " rung=" << static_cast<int>(rung) << " threads=" << threads;
+          if (count) {
+            EXPECT_EQ(result.violations, reference.violations)
+                << "labelling=" << i << " rung=" << static_cast<int>(rung)
+                << " threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
 }

@@ -496,6 +496,31 @@ TEST(ServiceDaemon, OverloadAnswersExplicitBusyNeverSilent) {
   daemon.stop();
 }
 
+TEST(ServiceDaemon, SequentialRoundTripsNeverBusyAtBudgetOne) {
+  // A client that sends each frame only once the previous reply arrived
+  // never has more than one request admitted, so a budget of 1 must admit
+  // every one of them: the admission slot is free before the reply lands.
+  ServiceConfig config = testConfig();
+  config.serviceThreads = 1;
+  config.maxQueuedPerClient = 1;
+  VerificationService daemon(config);
+  daemon.start();
+  ServiceClient client = ServiceClient::connectTcp(daemon.port());
+  const int roundTrips = 2000;
+  int busy = 0;
+  for (int i = 0; i < roundTrips; ++i) {
+    client.sendFrame(wire::FrameType::kPing, static_cast<std::uint32_t>(i),
+                     {});
+    const auto reply = client.receive();
+    ASSERT_TRUE(reply.has_value()) << "round trip " << i << " went missing";
+    ASSERT_EQ(reply->requestId, static_cast<std::uint32_t>(i));
+    if (reply->type == wire::FrameType::kBusy) ++busy;
+  }
+  EXPECT_EQ(busy, 0);
+  EXPECT_EQ(daemon.counters().busyRejections, 0);
+  daemon.stop();
+}
+
 TEST(ServiceDaemon, ConcurrentClientsDeterministicAcrossServiceThreads) {
   const int n = 8;
   const Torus2D torus(n);
