@@ -78,36 +78,50 @@ void captureArena(Arm& arm, const sat::SolverStats& stats) {
   arm.liveLiterals = stats.liveLiterals;
 }
 
-std::string ladderVerdict(const synthesis::SynthesisResult& result) {
-  if (result.success) return "sat";
-  return result.attempts.empty() ? "none"
-                                 : result.attempts.back().failureReason;
-}
-
 // --- scenario: full synthesis ladder, fresh vs incremental -----------------
 
-Arm runLadder(const GridLcl& lcl, int maxK, bool incremental) {
-  synthesis::SynthesisOptions options;
-  options.maxK = maxK;
-  options.incremental = incremental;
+/// The ladder of synthesize() with a fresh solver per (k, shape): the
+/// candidateShapes of k = 1..maxK in order, up to the first success.
+Arm runLadderFresh(const GridLcl& lcl, int maxK) {
+  const synthesis::SynthesisOptions options{.maxK = maxK};
   auto start = std::chrono::steady_clock::now();
   Arm arm;
-  synthesis::SynthesisResult result;
-  if (incremental) {
-    // Drive IncrementalSynthesizer directly (synthesize() delegates to it
-    // in this regime) so the live solver's arena columns are readable once
-    // the ladder finishes.
-    synthesis::IncrementalSynthesizer live(lcl);
-    result = live.run(options);
-    captureArena(arm, live.solver().snapshotStats());
-  } else {
-    result = synthesis::synthesize(lcl, options);
+  arm.verdict = "none";
+  for (int k = 1; k <= maxK && arm.verdict != "sat"; ++k) {
+    for (const tiles::TileShape& shape :
+         synthesis::candidateShapes(lcl, k, options.tryWiderShapes)) {
+      const synthesis::SynthesisAttempt attempt =
+          synthesis::synthesizeForShape(lcl, k, shape,
+                                        options.satConflictBudget);
+      arm.conflicts += attempt.satConflicts;
+      arm.verdict = attempt.success ? "sat" : attempt.failureReason;
+      if (attempt.success) break;
+    }
   }
+  arm.seconds = secondsSince(start);
+  return arm;
+}
+
+/// synthesize()'s own ladder, on an IncrementalSynthesizer driven directly
+/// so the live solver's arena columns are readable once the ladder ends.
+Arm runLadderIncremental(const GridLcl& lcl, int maxK) {
+  const synthesis::SynthesisOptions options{.maxK = maxK};
+  auto start = std::chrono::steady_clock::now();
+  Arm arm;
+  synthesis::IncrementalSynthesizer live(lcl);
+  const synthesis::SynthesisResult result = live.run(options);
+  captureArena(arm, live.solver().snapshotStats());
   arm.seconds = secondsSince(start);
   for (const auto& attempt : result.attempts) {
     arm.conflicts += attempt.satConflicts;
   }
-  arm.verdict = ladderVerdict(result);
+  if (result.success) {
+    arm.verdict = "sat";
+  } else {
+    arm.verdict = result.attempts.empty()
+                      ? "none"
+                      : result.attempts.back().failureReason;
+  }
   return arm;
 }
 
@@ -317,8 +331,8 @@ int main(int argc, char** argv) {
     if (!smoke) cases.push_back({problems::vertexColouring(4), 3});
     cases.push_back({problems::orientation({1, 3, 4}), 1});
     for (const Case& c : cases) {
-      Arm fresh = runLadder(c.lcl, c.maxK, /*incremental=*/false);
-      Arm incremental = runLadder(c.lcl, c.maxK, /*incremental=*/true);
+      Arm fresh = runLadderFresh(c.lcl, c.maxK);
+      Arm incremental = runLadderIncremental(c.lcl, c.maxK);
       emitResult(json, "synthesis_ladder",
                  c.lcl.name() + " maxK=" + std::to_string(c.maxK), fresh,
                  incremental);

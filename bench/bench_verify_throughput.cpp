@@ -21,10 +21,12 @@
 // construction, before any timed region; the table fingerprint is recorded
 // up front and asserted unchanged after the sweep, so the JSON measures
 // kernel throughput only -- a path that recompiled (or mutated) the table
-// would fail the run. The "table" paths pin the row-pointer kernel and the
-// "bitsliced" paths pin the bit-sliced kernel via bitslice::setEnabled;
-// the batched paths run whatever the process default (LCLGRID_BITSLICE)
-// selects, i.e. what an unconfigured caller gets.
+// would fail the run. The "table" paths pin the row-pointer kernel on the
+// request (TierPin::kTable). The "bitsliced" paths run only where automatic
+// selection picks the bit-sliced kernel (verifier_detail::bitsliceSelectedD)
+// and send unpinned requests, so they time what an unconfigured caller
+// gets: a kBitsliced pin would add the range scan that the automatic path
+// folds into its transpose. The batched paths run automatic selection too.
 //
 // The --mmap mode adds the fourth tier (docs/perf.md): each 2D sweep also
 // writes its labelling to the on-disk LCLLABv2 format (row by row -- no
@@ -85,11 +87,13 @@ namespace {
 
 /// A count-mode request for `lcl` over `instance` (a Torus2D or TorusD
 /// carrying `labels`, or a mapped StreamLabelling): serial, or sharded on
-/// `pool` when given. Every timed path sends one of these.
+/// `pool` when given, on the `pin`ned tier. Every timed path sends one of
+/// these.
 template <typename Instance, typename Lcl>
 VerifyRequest countRequest(const Instance& instance, const Lcl& lcl,
                            std::span<const int> labels,
-                           engine::ThreadPool* pool) {
+                           engine::ThreadPool* pool,
+                           TierPin pin = TierPin::kAuto) {
   VerifyRequest request;
   if constexpr (std::is_same_v<Lcl, GridLcl>) {
     request.problem = &lcl;
@@ -105,6 +109,7 @@ VerifyRequest countRequest(const Instance& instance, const Lcl& lcl,
   }
   request.labels = labels;
   request.options.countViolations = true;
+  request.options.tier = pin;
   if (pool != nullptr) {
     request.options.engine.threads = pool->lanes();
     request.options.engine.pool = pool;
@@ -299,9 +304,6 @@ int main(int argc, char** argv) {
   engine::ThreadPool pool(threads);
   const int batchSize = 8;
   const int colours = 4;
-  // What an unconfigured caller's auto-selection picks (LCLGRID_BITSLICE);
-  // restored around the explicitly pinned table/bitsliced paths.
-  const bool defaultBitslice = bitslice::enabled();
   // The top of the SIMD ladder; restored after every ladder sweep.
   const bitslice::SimdTier topRung = bitslice::simdTier();
 
@@ -342,22 +344,24 @@ int main(int argc, char** argv) {
           const VerifyRequest serial =
               countRequest(torus, lcl, labels, nullptr);
           const VerifyRequest sharded = countRequest(torus, lcl, labels, &pool);
+          const VerifyRequest tableSerial =
+              countRequest(torus, lcl, labels, nullptr, TierPin::kTable);
+          const VerifyRequest tableSharded =
+              countRequest(torus, lcl, labels, &pool, TierPin::kTable);
           results.push_back(
               measure(dims, n, "functional", nodes, minSeconds, [&]() {
                 return functionalCountViolations(torus, lcl.predicate(),
                                                  lcl.sigma(), labels);
               }));
-          bitslice::setEnabled(false);  // pin the row-pointer kernel
           results.push_back(
               measure(dims, n, "table", nodes, minSeconds, [&]() {
-                return verify(serial).violations;
+                return verify(tableSerial).violations;
               }));
           results.push_back(
               measure(dims, n, "table_sharded", nodes, minSeconds, [&]() {
-                return verify(sharded).violations;
+                return verify(tableSharded).violations;
               }));
           results.back().lanes = threads;
-          bitslice::setEnabled(true);  // pin the bit-sliced kernel
           if (verifier_detail::bitsliceSelectedD(lcl.asD(), torus.size())) {
             for (int rung = 0; rung <= static_cast<int>(topRung); ++rung) {
               bitslice::setSimdTier(static_cast<bitslice::SimdTier>(rung));
@@ -374,10 +378,9 @@ int main(int argc, char** argv) {
                 }));
             results.back().lanes = threads;
           }
-          bitslice::setEnabled(defaultBitslice);
 
           // Batched paths: 8 labellings back-to-back through one call, on
-          // the process-default kernel selection.
+          // automatic selection.
           std::vector<int> batch;
           batch.reserve(labels.size() * static_cast<std::size_t>(batchSize));
           for (int i = 0; i < batchSize; ++i) {
@@ -469,16 +472,18 @@ int main(int argc, char** argv) {
           }));
       const VerifyRequest serial = countRequest(torus, lcl, labels, nullptr);
       const VerifyRequest sharded = countRequest(torus, lcl, labels, &pool);
-      bitslice::setEnabled(false);
+      const VerifyRequest tableSerial =
+          countRequest(torus, lcl, labels, nullptr, TierPin::kTable);
+      const VerifyRequest tableSharded =
+          countRequest(torus, lcl, labels, &pool, TierPin::kTable);
       results.push_back(measure(dims, side, "table", nodes, minSeconds, [&]() {
-        return verify(serial).violations;
+        return verify(tableSerial).violations;
       }));
       results.push_back(
           measure(dims, side, "table_sharded", nodes, minSeconds, [&]() {
-            return verify(sharded).violations;
+            return verify(tableSharded).violations;
           }));
       results.back().lanes = threads;
-      bitslice::setEnabled(true);
       if (verifier_detail::bitsliceSelectedD(lcl, torus.size())) {
         results.push_back(
             measure(dims, side, "bitsliced", nodes, minSeconds, [&]() {
@@ -490,7 +495,6 @@ int main(int argc, char** argv) {
             }));
         results.back().lanes = threads;
       }
-      bitslice::setEnabled(defaultBitslice);
       for (std::size_t i = first; i < results.size(); ++i) {
         results[i].problem = lcl.name();
         checksumOk =
@@ -524,7 +528,6 @@ int main(int argc, char** argv) {
   json.key("batch").value(batchSize);
   json.key("threads").value(threads);
   json.key("min_seconds").value(minSeconds);
-  json.key("bitslice_default").value(defaultBitslice);
   json.key("simd_tier").value(kRungNames[static_cast<int>(topRung)]);
   json.key("mmap").value(mmapMode);
   json.key("mmap_only").value(mmapOnly);

@@ -12,9 +12,7 @@
 # same repo schema, so scripts/check_bench_json.py validates both. When
 # BENCH_TRACE_DIR is set, each entry also writes a Chrome trace
 # (--trace-out) to $BENCH_TRACE_DIR/<name>[-tag].trace.json, validated by
-# scripts/check_trace_json.py. With -DLCLGRID_TELEMETRY=OFF the binaries
-# warn and write no telemetry files, which both checkers tolerate (they
-# only scan files that exist).
+# scripts/check_trace_json.py.
 #
 # Usage: [BENCH_JSON_DIR=dir] [BENCH_TRACE_DIR=dir] scripts/bench_smoke.sh
 #        [build-dir]   (build-dir default: build)
@@ -121,10 +119,6 @@ LCLGRID_SIMD=1 run_json -t simd1 bench_verify_throughput --smoke --threads 2 --d
 run_json -t runs bench_verify_throughput 1100 0.01 --threads 2 --dims 2
 LCLGRID_SIMD=0 run_json -t runs-simd0 bench_verify_throughput 1100 0.01 --threads 2 --dims 2
 LCLGRID_SIMD=1 run_json -t runs-simd1 bench_verify_throughput 1100 0.01 --threads 2 --dims 2
-# The LCLGRID_BITSLICE=0 escape hatch must keep the bench (and the auto-
-# selected batched paths) healthy; bash scopes the prefixed variable to
-# this one call.
-LCLGRID_BITSLICE=0 run_json -t bitslice-off bench_verify_throughput --smoke --threads 2
 run_json bench_family_sweep --smoke --threads 2
 run_json bench_sat --smoke
 # The verification service daemon: an in-process daemon on an ephemeral

@@ -197,7 +197,6 @@ std::string sweepReportJson(const SweepReport& report,
   json.key("threads").value(report.threads);
   json.key("problems").value(static_cast<int>(report.entries.size()));
   json.key("cache_by_fingerprint").value(options.cacheByFingerprint);
-  json.key("incremental_sat").value(options.oracle.synthesis.incremental);
   json.key("max_k").value(options.oracle.synthesis.maxK);
   json.key("probe_sizes").beginArray();
   for (int n : options.oracle.probeSizes) json.value(n);

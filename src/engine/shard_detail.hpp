@@ -232,12 +232,11 @@ inline std::int64_t streamPass(ThreadPool* pool, std::int64_t grain,
   pass.window =
       stream_verify_detail::resolveWindowRows(n, file.lines(), window.rows);
   pass.wrapKeep = stream_verify_detail::wrapWindowRows(file.dims(), n);
-  pass.dropBehind = window.dropBehind;
   pass.tablePath = lcl.hasTable();
   pass.decoded = &decoded;
   stream_verify_detail::applyCheckpointConfig(
       pass, file, window, lcl.hasTable() ? lcl.table().fingerprint() : 0);
-  const bool sliced = stream_verify_detail::streamUsesBitsliceD(file, lcl);
+  const bool sliced = verifier_detail::bitsliceSelectedD(lcl, file.size());
   const bool inPlace = sliced && verifier_detail::hasPairPlanesPlanD(lcl);
   const LabelPlanes mapped =
       inPlace ? LabelPlanes::view(file.line(0), n, file.lines(), file.planes())

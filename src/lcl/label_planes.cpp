@@ -13,9 +13,9 @@
 #if defined(__SSE2__)
 #include <immintrin.h>
 #if defined(__GNUC__) || defined(__clang__)
-#define LCLGRID_BITSLICE_AVX2 1
+#define LCLGRID_PLANES_AVX2 1
 #if defined(__x86_64__)
-#define LCLGRID_BITSLICE_AVX512 1
+#define LCLGRID_PLANES_AVX512 1
 #endif
 #endif
 #endif
@@ -26,17 +26,8 @@ namespace bitslice {
 
 namespace {
 
-// -1 = not yet read from the environment; 0/1 afterwards (or after an
-// explicit setEnabled override).
-std::atomic<int> gEnabled{-1};
-
-int readEnv() {
-  const char* value = std::getenv("LCLGRID_BITSLICE");
-  return (value != nullptr && value[0] == '0' && value[1] == '\0') ? 0 : 1;
-}
-
-// The SIMD cap, same publication scheme: -1 = not yet read from
-// LCLGRID_SIMD; 0/1/2 afterwards.
+// The SIMD cap: -1 = not yet read from LCLGRID_SIMD; 0/1/2 afterwards (or
+// after an explicit setSimdTier override).
 std::atomic<int> gSimdCap{-1};
 
 int readSimdEnv() {
@@ -48,7 +39,7 @@ int readSimdEnv() {
   return 2;
 }
 
-#if defined(LCLGRID_BITSLICE_AVX2)
+#if defined(LCLGRID_PLANES_AVX2)
 
 /// AVX2 clone of transposeRow's whole aligned body (one dispatched call
 /// per row so the accumulators stay in registers): 32 labels per step,
@@ -106,9 +97,9 @@ bool avx2Supported() {
 #endif
 }
 
-#endif  // LCLGRID_BITSLICE_AVX2
+#endif  // LCLGRID_PLANES_AVX2
 
-#if defined(LCLGRID_BITSLICE_AVX512)
+#if defined(LCLGRID_PLANES_AVX512)
 
 bool avx512Supported() {
   // The lumped subsets the verifier's AVX-512 kernels use: foundation +
@@ -120,31 +111,12 @@ bool avx512Supported() {
   return supported;
 }
 
-#endif  // LCLGRID_BITSLICE_AVX512
+#endif  // LCLGRID_PLANES_AVX512
 
 }  // namespace
 
-bool enabled() {
-  int state = gEnabled.load(std::memory_order_relaxed);
-  if (state < 0) {
-    // First reader publishes the environment value -- unless a concurrent
-    // setEnabled() got there first, in which case its override wins.
-    int expected = -1;
-    const int fromEnv = readEnv();
-    state = gEnabled.compare_exchange_strong(expected, fromEnv,
-                                             std::memory_order_relaxed)
-                ? fromEnv
-                : expected;
-  }
-  return state != 0;
-}
-
-void setEnabled(bool value) {
-  gEnabled.store(value ? 1 : 0, std::memory_order_relaxed);
-}
-
 bool avx2Available() {
-#if defined(LCLGRID_BITSLICE_AVX2)
+#if defined(LCLGRID_PLANES_AVX2)
   return avx2Supported();
 #else
   return false;
@@ -152,7 +124,7 @@ bool avx2Available() {
 }
 
 bool avx512Available() {
-#if defined(LCLGRID_BITSLICE_AVX512)
+#if defined(LCLGRID_PLANES_AVX512)
   return avx512Supported();
 #else
   return false;
@@ -187,7 +159,7 @@ unsigned transposeRow(const int* labels, int n, int planes,
   const std::size_t W = wordsPerRow(n);
   std::size_t wBegin = 0;
   unsigned maxLabel = 0;
-#if defined(LCLGRID_BITSLICE_AVX2)
+#if defined(LCLGRID_PLANES_AVX2)
   if (simdTier() >= SimdTier::kAvx2) {
     maxLabel = transposeRowAvx2(labels, n, planes, out, W);
     wBegin = static_cast<std::size_t>(n) / 64;  // full words done

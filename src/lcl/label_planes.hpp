@@ -24,8 +24,7 @@
 // The kernels that consume these live in lcl/verifier.cpp (2D rolling-row
 // kernel) and lcl/verifier_d.cpp (TorusD line kernel); selection between
 // the bit-sliced, row-pointer and functional tiers is automatic -- see
-// docs/perf.md. LCLGRID_BITSLICE=0 (or bitslice::setEnabled(false)) is the
-// escape hatch back to the row-pointer kernel.
+// docs/perf.md -- and a request pins one tier with TierPin.
 #pragma once
 
 #include <array>
@@ -38,12 +37,6 @@
 namespace lclgrid {
 
 namespace bitslice {
-
-/// Process-wide kernel gate. Initialised once from the LCLGRID_BITSLICE
-/// environment variable ("0" disables, anything else enables); benches and
-/// tests override it to pin a specific kernel. Thread-safe.
-bool enabled();
-void setEnabled(bool value);
 
 /// SIMD width ladder of the bit-sliced machinery: the row transpose and
 /// the word kernels in lcl/verifier.cpp runtime-dispatch up to this tier.
@@ -59,7 +52,8 @@ enum class SimdTier {
 /// The effective tier: min(cap, what this CPU and build support). The cap
 /// initialises once from LCLGRID_SIMD ("0" scalar, "1" AVX2, anything
 /// else uncapped); setSimdTier overrides it (tests force the fallback
-/// paths with it). Thread-safe, same publication scheme as enabled().
+/// paths with it). Thread-safe: the first reader publishes the
+/// environment value unless an override got there first.
 SimdTier simdTier();
 void setSimdTier(SimdTier cap);
 

@@ -552,10 +552,6 @@ long long wrapWindowRows(int dims, int n) {
   return rows;
 }
 
-bool streamUsesBitsliceD(const StreamLabelling& file, const GridLclD& lcl) {
-  return verifier_detail::bitsliceSelectedD(lcl, file.size());
-}
-
 void DecodedLabels::reserve() {
   if (image_.size() == 0) {
     image_ = support::MmapFile::anonymous(
@@ -605,7 +601,6 @@ void applyCheckpointConfig(StreamPass& pass, const StreamLabelling& file,
                            std::uint64_t problemFingerprint) {
   if (window.checkpointPath.empty()) return;
   pass.checkpointPath = window.checkpointPath;
-  pass.checkpointEverySlabs = std::max(1LL, window.checkpointEverySlabs);
   pass.labellingFingerprint = file.fingerprint();
   pass.problemFingerprint = problemFingerprint;
 }
@@ -711,7 +706,6 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
       return std::nullopt;
     }
     long long dropCursor = std::max(keep, begin0);
-    long long slabsSinceCheckpoint = 0;
     for (long long begin = begin0; begin < lines; begin += pass.window) {
       const long long end = std::min(lines, begin + pass.window);
       const long long need = std::min(lines, end + keep);
@@ -727,20 +721,16 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
                             : pass.kernelRows(begin, end, stopAtFirst);
       }
       if (stopAtFirst && total > 0) return total;
-      if (pass.dropBehind) {
-        const long long dropEnd = end - keep;
-        if (dropEnd > dropCursor) {
-          file.dropRows(dropCursor, dropEnd);
-          if (pass.decoded != nullptr) {
-            pass.decoded->dropRows(dropCursor, dropEnd);
-          }
-          droppedRows.add(dropEnd - dropCursor);
-          dropCursor = dropEnd;
+      const long long dropEnd = end - keep;
+      if (dropEnd > dropCursor) {
+        file.dropRows(dropCursor, dropEnd);
+        if (pass.decoded != nullptr) {
+          pass.decoded->dropRows(dropCursor, dropEnd);
         }
+        droppedRows.add(dropEnd - dropCursor);
+        dropCursor = dropEnd;
       }
-      if (checkpointing &&
-          ++slabsSinceCheckpoint >= pass.checkpointEverySlabs) {
-        slabsSinceCheckpoint = 0;
+      if (checkpointing) {
         checkpointSlab(pass, functional, end, functional ? 0 : admitted,
                        total);
       }

@@ -164,23 +164,21 @@ class StreamLabelling {
   long long size_ = 0;
 };
 
-/// Slab geometry of a streaming pass. rows == 0 picks a slab of ~8 MiB of
-/// payload (at least one row); dropBehind toggles the madvise reclamation
-/// (off: the page cache decides, resident set may grow to the file size).
+/// Slab geometry of a streaming pass. rows == 0 picks the slab
+/// resolveWindowRows sizes as ~8 MiB of int32 labels (at least one row;
+/// 0.5 MiB of LCLLABv2 planes for sigma <= 4). Lines behind the cursor are
+/// always dropped (madvise), so the resident set stays near one slab.
 struct StreamWindow {
   long long rows = 0;
-  bool dropBehind = true;
   /// Crash-safe resume (count passes only -- verify early-exits and is
   /// cheap to rerun): when non-empty, the pass maintains a sidecar
   /// checkpoint file at this path, written atomically (tmp + fsync +
-  /// rename) at slab boundaries and removed on completion. A pass finding
+  /// rename) after every slab and removed on completion. A pass finding
   /// a checkpoint whose labelling and problem fingerprints match resumes
   /// from the recorded cursor; counts are bit-identical to an
   /// uninterrupted run because totals are exact int64 sums over disjoint
   /// row ranges (docs/robustness.md).
   std::string checkpointPath = {};
-  /// Checkpoint cadence: write every this many slabs (>= 1).
-  long long checkpointEverySlabs = 1;
 };
 
 /// The sidecar checkpoint record of a resumable streaming count pass
@@ -266,7 +264,6 @@ struct StreamPass {
   const StreamLabelling* file = nullptr;
   long long window = 1;
   long long wrapKeep = 1;
-  bool dropBehind = true;
   bool tablePath = false;
   /// Makes rows [rowBegin, rowEnd) readable by the next phase's slices
   /// (decoding them when that phase reads int32 labels). With `check` (the
@@ -288,11 +285,9 @@ struct StreamPass {
   /// together with the mapped lines.
   const DecodedLabels* decoded = nullptr;
   /// Crash-safe resume (StreamWindow::checkpointPath): count passes load a
-  /// fingerprint-matching checkpoint at entry, write one every
-  /// checkpointEverySlabs slabs, and remove it on completion. Ignored for
-  /// stopAtFirst passes.
+  /// fingerprint-matching checkpoint at entry, write one after every slab,
+  /// and remove it on completion. Ignored for stopAtFirst passes.
   std::string checkpointPath;
-  long long checkpointEverySlabs = 1;
   std::uint64_t labellingFingerprint = 0;
   std::uint64_t problemFingerprint = 0;
 };
@@ -305,13 +300,6 @@ void applyCheckpointConfig(StreamPass& pass, const StreamLabelling& file,
                            std::uint64_t problemFingerprint);
 
 std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst);
-
-/// True iff a streaming table path runs a bit-sliced kernel (the same at
-/// every lane count): the in-core selection rule
-/// (verifier_detail::bitsliceSelectedD), whose pair-planes plans read the
-/// mapped planes in place at every dimension and whose nibble plan (d = 2,
-/// sigma <= 4) reads the decoded image.
-bool streamUsesBitsliceD(const StreamLabelling& file, const GridLclD& lcl);
 
 /// Request validation: the file's dims and sigma must match the problem's
 /// (std::invalid_argument otherwise). A 2D problem arrives as its d = 2

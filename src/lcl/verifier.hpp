@@ -24,8 +24,7 @@
 //    transpose also checks the alphabet, so this tier runs without a
 //    separate range scan; a count that meets an out-of-alphabet label
 //    reruns on the functional tier (verifier_detail::resolveBitslicePass).
-//    LCLGRID_BITSLICE=0 (or bitslice::setEnabled(false)) falls back to the
-//    row-pointer kernel; every tier produces identical counts.
+// Every tier produces identical counts; a request pins one with TierPin.
 //
 // Every slice takes a range of rows, lines or nodes and a stopAtFirst flag
 // (return at most 1, at the first violation), so a shard of a sharded pass
@@ -144,13 +143,12 @@ std::int64_t tableViolationLinesD(const LclTableD& table, const TorusD& torus,
 /// True iff the problem's compiled table carries a bit-slice plan: the
 /// d = 2 delegated table's 2D plan (the rolling row kernel runs directly on
 /// the labels) or a per-axis plan (the staged line kernel below). A
-/// kBitsliced tier pin needs exactly this; the plan is compiled whatever
-/// the LCLGRID_BITSLICE gate says.
+/// kBitsliced tier pin needs exactly this.
 bool hasBitslicePlanD(const GridLclD& lcl);
 
 /// True iff in-range labellings of this problem at this instance size run
-/// the bit-sliced kernel: the gate is on, the instance clears the setup
-/// floor (bitslice::kMinNodesForBitslice) and hasBitslicePlanD holds.
+/// the bit-sliced kernel: the instance clears the setup floor
+/// (bitslice::kMinNodesForBitslice) and hasBitslicePlanD holds.
 bool bitsliceSelectedD(const GridLclD& lcl, long long nodes);
 
 /// Plane buffer sized for the staged d >= 3 line kernel (lineCountD rows

@@ -249,8 +249,7 @@ bool hasBitslicePlanD(const GridLclD& lcl) {
 }
 
 bool bitsliceSelectedD(const GridLclD& lcl, long long nodes) {
-  return bitslice::enabled() && nodes >= bitslice::kMinNodesForBitslice &&
-         hasBitslicePlanD(lcl);
+  return nodes >= bitslice::kMinNodesForBitslice && hasBitslicePlanD(lcl);
 }
 
 LabelPlanes bitsliceMakePlanesD(const TorusD& torus, const LclTableD& table) {

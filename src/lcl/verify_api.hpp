@@ -27,9 +27,9 @@
 //
 // Tier selection and pinning: by default (TierPin::kAuto) the request runs
 // the tier the engine selects per docs/perf.md. A pinned tier runs exactly
-// that kernel, bypassing the bit-slice node floor and the LCLGRID_BITSLICE
-// gate, and throws std::invalid_argument when the problem/instance cannot
-// run it (no compiled table, no bit-slice plan, out-of-range labels).
+// that kernel, bypassing the bit-slice node floor, and throws
+// std::invalid_argument when the problem/instance cannot run it (no
+// compiled table, no bit-slice plan, out-of-range labels).
 // Streaming requests (a file or labellingPath) always report
 // VerifyTier::kStream and accept only kAuto. Their files hold packed
 // bit-planes, so a label outside [0, 2^ceil(log2 sigma)) never reaches a

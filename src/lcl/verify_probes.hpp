@@ -2,8 +2,7 @@
 // (support/telemetry.hpp): the engine's tier dispatch
 // (engine/verify_api.cpp, engine/shard_detail.hpp) and the streaming pass
 // (stream_verify.cpp) funnel through recordCall() so the four tiers share
-// one set of counter names. All of this compiles to nothing with
-// -DLCLGRID_TELEMETRY=OFF.
+// one set of counter names.
 #pragma once
 
 #include <cstddef>

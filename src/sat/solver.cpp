@@ -558,7 +558,7 @@ Result Solver::solve(const std::vector<int>& assumptions,
   // Per-call telemetry export, on every return path: the deltas of the
   // cumulative counters feed the process counters, the live clause-database
   // size the gauges. O(1) per solve (the live fields are maintained
-  // incrementally), and compiled away with LCLGRID_TELEMETRY=OFF.
+  // incrementally).
   struct TelemetryExport {
     Solver& self;
     SolverStats before;

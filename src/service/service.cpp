@@ -762,10 +762,9 @@ std::string VerificationService::statsJson() const {
   cacheObject("report_cache", reportStats);
   service.endObject();
   // The telemetry snapshot is already a complete JSON document; splice it
-  // in verbatim ("null" when telemetry is compiled out).
-  std::string metrics = telemetry::metricsJson();
-  if (metrics.empty()) metrics = "null";
-  return "{\"metrics\":" + metrics + ",\"service\":" + service.str() + "}";
+  // in verbatim.
+  return "{\"metrics\":" + telemetry::metricsJson() +
+         ",\"service\":" + service.str() + "}";
 }
 
 // --- response writers -------------------------------------------------------

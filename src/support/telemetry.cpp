@@ -1,7 +1,5 @@
 #include "support/telemetry.hpp"
 
-#if LCLGRID_TELEMETRY_ENABLED
-
 #include <atomic>
 #include <algorithm>
 #include <array>
@@ -464,12 +462,3 @@ std::int64_t droppedTraceEvents() noexcept {
 
 }  // namespace lclgrid::support::telemetry
 
-#else  // telemetry compiled out: keep the TU non-empty for strict linkers.
-
-namespace lclgrid::support::telemetry {
-namespace {
-[[maybe_unused]] constexpr int kTranslationUnitAnchor = 0;
-}
-}  // namespace lclgrid::support::telemetry
-
-#endif  // LCLGRID_TELEMETRY_ENABLED

@@ -24,11 +24,6 @@
 //                        `path` at process exit
 //   LCLGRID_METRICS=path write the metrics snapshot to `path` at exit
 //
-// Building with -DLCLGRID_TELEMETRY=OFF defines LCLGRID_TELEMETRY_DISABLED
-// and compiles every probe in this header to an empty inline body (no
-// registry, no thread-locals, no atomics), so fully instrumented code pays
-// nothing. kCompiledIn tells callers (and tests) which world they are in.
-//
 // Probe naming scheme (see docs/observability.md): dot-separated
 // lowercase_underscore components, "<layer>.<metric>" for counters/gauges
 // ("verify.nodes.bitsliced", "pool.steals", "sat.conflicts") and
@@ -41,17 +36,11 @@
 #include <string_view>
 #include <vector>
 
-#if defined(LCLGRID_TELEMETRY_DISABLED)
-#define LCLGRID_TELEMETRY_ENABLED 0
-#else
-#define LCLGRID_TELEMETRY_ENABLED 1
-#endif
-
 namespace lclgrid::support::telemetry {
 
-inline constexpr bool kCompiledIn = LCLGRID_TELEMETRY_ENABLED != 0;
-
-#if LCLGRID_TELEMETRY_ENABLED
+/// Always true: the probes are part of every build. Kept for readers of
+/// bench documents that record it.
+inline constexpr bool kCompiledIn = true;
 
 /// Handle to a named monotonic counter. Cheap to copy; obtain via
 /// counter(name) (idempotent -- the same name always yields the same slot).
@@ -192,81 +181,6 @@ void clearTrace();
 /// Spans dropped because a per-thread buffer hit its cap (bounded memory:
 /// kMaxEventsPerThread). Exported into the trace document's metadata.
 std::int64_t droppedTraceEvents() noexcept;
-
-#else  // LCLGRID_TELEMETRY_ENABLED == 0: every probe is an inline no-op.
-
-class Counter {
- public:
-  Counter() = default;
-  void add(std::int64_t) const noexcept {}
-  void increment() const noexcept {}
-};
-
-class Gauge {
- public:
-  Gauge() = default;
-  void set(std::int64_t) const noexcept {}
-  void max(std::int64_t) const noexcept {}
-};
-
-class Histogram {
- public:
-  Histogram() = default;
-  void record(std::int64_t) const noexcept {}
-};
-
-inline Counter counter(std::string_view) { return {}; }
-inline Gauge gauge(std::string_view) { return {}; }
-inline Histogram histogram(std::string_view) { return {}; }
-
-inline bool traceEnabled() noexcept { return false; }
-inline void setTraceEnabled(bool) noexcept {}
-
-class ScopedSpan {
- public:
-  explicit ScopedSpan(const char*) noexcept {}
-  explicit ScopedSpan(std::string) noexcept {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-};
-
-struct CounterValue {
-  std::string name;
-  std::int64_t value = 0;
-};
-struct GaugeValue {
-  std::string name;
-  std::int64_t value = 0;
-};
-struct HistogramValue {
-  std::string name;
-  std::int64_t count = 0;
-  std::int64_t sum = 0;
-  std::int64_t min = 0;
-  std::int64_t max = 0;
-};
-struct MetricsSnapshot {
-  std::vector<CounterValue> counters;
-  std::vector<GaugeValue> gauges;
-  std::vector<HistogramValue> histograms;
-};
-inline MetricsSnapshot snapshotMetrics() { return {}; }
-inline std::string metricsJson() { return {}; }
-inline bool writeMetricsFile(const std::string&) { return false; }
-
-struct TraceEvent {
-  std::string name;
-  int tid = 0;
-  std::uint64_t startNs = 0;
-  std::uint64_t durNs = 0;
-};
-inline std::vector<TraceEvent> snapshotTrace() { return {}; }
-inline std::string chromeTraceJson() { return {}; }
-inline bool writeTraceFile(const std::string&) { return false; }
-inline void clearTrace() {}
-inline std::int64_t droppedTraceEvents() noexcept { return 0; }
-
-#endif  // LCLGRID_TELEMETRY_ENABLED
 
 }  // namespace lclgrid::support::telemetry
 

@@ -1,6 +1,5 @@
 #include "synthesis/oracle.hpp"
 
-#include "grid/torus2d.hpp"
 #include "lcl/global_solver.hpp"
 
 namespace lclgrid::synthesis {
@@ -19,22 +18,14 @@ OracleReport classifyOnGrid(const GridLcl& lcl, const OracleOptions& options) {
   OracleReport report;
 
   // Feasibility probe first: it both detects parity-obstructed problems and
-  // provides evidence for the "global" verdict. The incremental regime
-  // holds every probed size on one live solver (FeasibilityProber);
-  // verdicts are identical to the fresh-per-size reference path, which is
-  // kept for the differential suite and the LCLGRID_INCREMENTAL_SAT=0
-  // escape hatch.
+  // provides evidence for the "global" verdict. One live solver holds every
+  // probed size (FeasibilityProber); its verdicts match a fresh
+  // solveGlobally per size, the reference the differential suite checks.
   bool unsolvableSomewhere = false;
-  std::optional<FeasibilityProber> prober;
-  if (options.synthesis.incremental) prober.emplace(lcl);
+  FeasibilityProber prober(lcl);
   for (int n : options.probeSizes) {
-    GlobalSolveResult probe;
-    if (prober) {
-      probe = prober->probe(n, options.probeConflictBudget);
-    } else {
-      Torus2D torus(n);
-      probe = solveGlobally(torus, lcl, 0, options.probeConflictBudget);
-    }
+    const GlobalSolveResult probe =
+        prober.probe(n, options.probeConflictBudget);
     // An undecided probe (budget exhausted) is reported as feasible=true in
     // the sense of "not proven unsolvable".
     bool feasible = probe.feasible || !probe.decided;

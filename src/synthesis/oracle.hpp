@@ -12,11 +12,9 @@
 // Thread-safety contract: classifyOnGrid is re-entrant -- it composes the
 // feasibility probes and synthesize, both of which keep all mutable state
 // local (see lcl/global_solver.hpp, synthesis/synthesizer.hpp,
-// sat/solver.hpp). In the incremental regime (the default; toggled by
-// OracleOptions::synthesis.incremental / LCLGRID_INCREMENTAL_SAT) each
-// classification owns one live FeasibilityProber and one
-// IncrementalSynthesizer for its whole ladder -- one solver per task,
-// never shared across pool threads. The engine's FamilySweep runs one
+// sat/solver.hpp). Each classification owns one live FeasibilityProber
+// and one IncrementalSynthesizer for its whole ladder -- one solver per
+// task, never shared across pool threads. The engine's FamilySweep runs one
 // classification per pool thread with no shared locks on the hot path.
 #pragma once
 

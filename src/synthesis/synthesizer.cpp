@@ -1,10 +1,8 @@
 #include "synthesis/synthesizer.hpp"
 
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "lcl/lcl_cnf.hpp"
 #include "support/telemetry.hpp"
@@ -12,11 +10,6 @@
 #include "tiles/enumerator.hpp"
 
 namespace lclgrid::synthesis {
-
-bool incrementalSatDefault() {
-  const char* env = std::getenv("LCLGRID_INCREMENTAL_SAT");
-  return env == nullptr || std::string_view(env) != "0";
-}
 
 std::vector<tiles::TileShape> candidateShapes(const GridLcl& lcl, int k,
                                               bool wider) {
@@ -50,14 +43,13 @@ std::vector<tiles::TileShape> candidateShapes(const GridLcl& lcl, int k,
   return shapes;
 }
 
-namespace {
-
-/// The fresh-regime attempt: encode (k, shape) into the throwaway `solver`
-/// with unconditional clauses and solve. The incremental regime emits the
-/// same clauses through its activation-gated ClauseGroup.
-SynthesisAttempt attemptOn(const GridLcl& lcl, int k, tiles::TileShape shape,
-                           std::int64_t satConflictBudget,
-                           sat::Solver& solver) {
+// The fresh attempt: encode (k, shape) into a throwaway solver with
+// unconditional clauses and solve. IncrementalSynthesizer emits the same
+// clauses through its activation-gated ClauseGroup.
+SynthesisAttempt synthesizeForShape(const GridLcl& lcl, int k,
+                                    tiles::TileShape shape,
+                                    std::int64_t satConflictBudget) {
+  sat::Solver solver;
   auto add = [&](const std::vector<int>& clause) { solver.addClause(clause); };
   SynthesisAttempt attempt;
   attempt.k = k;
@@ -107,49 +99,6 @@ SynthesisAttempt attemptOn(const GridLcl& lcl, int k, tiles::TileShape shape,
   attempt.success = true;
   attempt.rule = std::move(rule);
   return finish();
-}
-
-/// The ladder loop shared by the two regimes.
-template <typename Attempt>
-SynthesisResult runLadder(const GridLcl& lcl, const SynthesisOptions& options,
-                          Attempt&& attemptShape) {
-  static const telemetry::Counter attemptCounter =
-      telemetry::counter("synth.attempts");
-  static const telemetry::Counter successCounter =
-      telemetry::counter("synth.successes");
-  SynthesisResult result;
-  for (int k = 1; k <= options.maxK; ++k) {
-    // One span per ladder rung: the Chrome trace shows the k-climb of each
-    // synthesis as a run of sibling spans under the classify span.
-    telemetry::ScopedSpan rungSpan("synth/k=" + std::to_string(k));
-    for (const tiles::TileShape& shape :
-         candidateShapes(lcl, k, options.tryWiderShapes)) {
-      attemptCounter.increment();
-      SynthesisAttempt attempt =
-          attemptShape(k, shape, options.satConflictBudget);
-      bool success = attempt.success;
-      if (success) successCounter.increment();
-      if (success) {
-        result.rule = std::move(attempt.rule);
-        attempt.rule.reset();
-      }
-      result.attempts.push_back(std::move(attempt));
-      if (success) {
-        result.success = true;
-        return result;
-      }
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-SynthesisAttempt synthesizeForShape(const GridLcl& lcl, int k,
-                                    tiles::TileShape shape,
-                                    std::int64_t satConflictBudget) {
-  sat::Solver solver;
-  return attemptOn(lcl, k, shape, satConflictBudget, solver);
 }
 
 IncrementalSynthesizer::IncrementalSynthesizer(const GridLcl& lcl)
@@ -242,21 +191,39 @@ SynthesisAttempt IncrementalSynthesizer::solveActive(
 }
 
 SynthesisResult IncrementalSynthesizer::run(const SynthesisOptions& options) {
-  return runLadder(lcl_, options,
-                   [&](int k, tiles::TileShape shape, std::int64_t budget) {
-                     return attemptShape(k, shape, budget);
-                   });
+  static const telemetry::Counter attemptCounter =
+      telemetry::counter("synth.attempts");
+  static const telemetry::Counter successCounter =
+      telemetry::counter("synth.successes");
+  SynthesisResult result;
+  for (int k = 1; k <= options.maxK; ++k) {
+    // One span per ladder rung: the Chrome trace shows the k-climb of each
+    // synthesis as a run of sibling spans under the classify span.
+    telemetry::ScopedSpan rungSpan("synth/k=" + std::to_string(k));
+    for (const tiles::TileShape& shape :
+         candidateShapes(lcl_, k, options.tryWiderShapes)) {
+      attemptCounter.increment();
+      SynthesisAttempt attempt =
+          attemptShape(k, shape, options.satConflictBudget);
+      const bool success = attempt.success;
+      if (success) {
+        successCounter.increment();
+        result.rule = std::move(attempt.rule);
+        attempt.rule.reset();
+      }
+      result.attempts.push_back(std::move(attempt));
+      if (success) {
+        result.success = true;
+        return result;
+      }
+    }
+  }
+  return result;
 }
 
 SynthesisResult synthesize(const GridLcl& lcl, const SynthesisOptions& options) {
-  if (options.incremental) {
-    IncrementalSynthesizer synthesizer(lcl);
-    return synthesizer.run(options);
-  }
-  return runLadder(lcl, options,
-                   [&](int k, tiles::TileShape shape, std::int64_t budget) {
-                     return synthesizeForShape(lcl, k, shape, budget);
-                   });
+  IncrementalSynthesizer synthesizer(lcl);
+  return synthesizer.run(options);
 }
 
 }  // namespace lclgrid::synthesis

@@ -2,23 +2,19 @@
 // form A' o S_k with window shape h x w?" to SAT over per-tile label
 // variables, and extract the finite function A' from the model.
 //
-// Two solving regimes share one clause generator:
-//  * Fresh per-instance: synthesizeForShape builds a throwaway solver for
-//    one (k, shape) -- the seed behaviour, kept as the differential-testing
-//    reference and for callers that want instance isolation.
-//  * Incremental: IncrementalSynthesizer keeps ONE live solver per problem
-//    (per tile-set family). Each (k, shape) instance is encoded as an
-//    assumption-gated clause group (sat/cnf.hpp ClauseGroup); climbing the
-//    ladder retires the previous group and solves under the new group's
-//    activation literal, so the solver, its variable order, and everything
-//    it learnt persist across the ladder instead of being re-built per
-//    instance. Budget-staged deepening (solve cheap, re-solve harder only
-//    if Unknown) resumes from the learnt state rather than from scratch --
-//    that is where the measured >= 2x conflict savings of bench_sat come
-//    from.
-// synthesize() picks the regime via SynthesisOptions::incremental, whose
-// default honours the LCLGRID_INCREMENTAL_SAT environment toggle ("0"
-// forces the fresh path; anything else, or unset, keeps incremental on).
+// synthesize() runs the ladder on IncrementalSynthesizer, which keeps ONE
+// live solver per problem (per tile-set family). Each (k, shape) instance
+// is encoded as an assumption-gated clause group (sat/cnf.hpp ClauseGroup);
+// climbing the ladder retires the previous group and solves under the new
+// group's activation literal, so the solver, its variable order, and
+// everything it learnt persist across the ladder instead of being re-built
+// per instance. Budget-staged deepening (solve cheap, re-solve harder only
+// if Unknown) resumes from the learnt state rather than from scratch --
+// that is where the measured >= 2x conflict savings of bench_sat come from.
+// synthesizeForShape solves one (k, shape) on a throwaway solver from the
+// same clause generator: the fresh reference the differential tests and
+// bench_sat compare the ladder against, and the call for callers that want
+// instance isolation.
 //
 // Thread-safety contract: synthesize / synthesizeForShape are re-entrant --
 // every solver, tile set and constraint system is a local; the only reads
@@ -73,21 +69,11 @@ SynthesisAttempt synthesizeForShape(const GridLcl& lcl, int k,
                                     tiles::TileShape shape,
                                     std::int64_t satConflictBudget = -1);
 
-/// Default for SynthesisOptions::incremental: true unless the environment
-/// variable LCLGRID_INCREMENTAL_SAT is set to "0" (the CI matrix runs the
-/// suite both ways).
-bool incrementalSatDefault();
-
 struct SynthesisOptions {
   int maxK = 3;
   std::int64_t satConflictBudget = 2'000'000;
   /// Extra window shapes to try per k, beyond the defaults.
   bool tryWiderShapes = true;
-  /// Run the ladder on one live assumption-based solver (clause groups per
-  /// (k, shape), learnt clauses retained) instead of a fresh solver per
-  /// instance. Verdicts are identical either way (property-tested over the
-  /// whole registry); only the solving work differs.
-  bool incremental = incrementalSatDefault();
 };
 
 struct SynthesisResult {
@@ -96,7 +82,7 @@ struct SynthesisResult {
   std::vector<SynthesisAttempt> attempts;  // in the order tried
 };
 
-/// The incremental regime: one live solver for a whole synthesis ladder.
+/// One live solver for a whole synthesis ladder.
 /// See the header comment for the design; the per-call semantics of
 /// attemptShape mirror synthesizeForShape exactly (same attempt fields,
 /// same failureReason strings), with satConflicts counting only the
@@ -120,8 +106,8 @@ class IncrementalSynthesizer {
   /// whose window was encodable.
   SynthesisAttempt resolveActive(std::int64_t satConflictBudget = -1);
 
-  /// The full Section 7 ladder on the live solver (options.incremental is
-  /// ignored here -- this IS the incremental path).
+  /// The full Section 7 ladder on the live solver: k = 1..maxK, the
+  /// candidateShapes of each k in order, stopping at the first success.
   SynthesisResult run(const SynthesisOptions& options);
 
   /// The live solver, for statistics (cumulative across all attempts).

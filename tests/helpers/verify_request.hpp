@@ -2,7 +2,8 @@
 // through verify(VerifyRequest), and this fills in the fields a test
 // varies -- the problem, the instance, count or early-exit verify, the lane
 // count and the tier pin. Fields it does not take (grain, pool, window)
-// are set on the returned request.
+// are set on the returned request. asD() names either front end's problem
+// as the engine's GridLclD.
 #pragma once
 
 #include <span>
@@ -10,9 +11,15 @@
 
 #include "grid/torus2d.hpp"
 #include "grid/torusd.hpp"
+#include "lcl/grid_lcl.hpp"
+#include "lcl/grid_lcl_d.hpp"
 #include "lcl/verify_api.hpp"
 
 namespace lclgrid {
+
+/// Either front end's problem as the engine's GridLclD.
+inline const GridLclD& asD(const GridLcl& lcl) { return lcl.asD(); }
+inline const GridLclD& asD(const GridLclD& lcl) { return lcl; }
 
 /// A request for `lcl` over `instance`: a Torus2D (GridLcl) or TorusD
 /// (GridLclD) carrying `labels` -- one labelling or a back-to-back batch --

@@ -2,13 +2,12 @@
 // kernels verify(VerifyRequest) selects): LabelPlanes transposition
 // round-trips, the cyclic shift helpers, PairNetwork equivalence with its
 // predicate, plan synthesis expectations over the registry, and the
-// headline contract -- with the kernel gate on or off, counts are
-// bit-for-bit identical to the functional tier over the whole problem
-// registry, on odd and even torus sides (word-tail handling) and at 1/2/8
-// engine lanes -- and the
-// byte-lane colouring kernel against the functional tier on every SIMD
-// rung, with clashes on the seams and shard boundaries, in core and
-// streamed.
+// headline contract -- the automatic tier and every tier a problem can be
+// pinned to count bit-for-bit like the functional tier over the whole
+// problem registry, on odd and even torus sides (word-tail handling) and
+// at 1/2/8 engine lanes -- and the byte-lane colouring kernel against the
+// functional tier on every SIMD rung, with clashes on the seams and shard
+// boundaries, in core and streamed.
 #include <unistd.h>
 
 #include <algorithm>
@@ -38,17 +37,6 @@ using namespace lclgrid;
 
 namespace {
 
-/// Restores the process-wide kernel gate on scope exit, so a failing
-/// assertion cannot leak a pinned kernel into later tests.
-class GateGuard {
- public:
-  GateGuard() : saved_(bitslice::enabled()) {}
-  ~GateGuard() { bitslice::setEnabled(saved_); }
-
- private:
-  bool saved_;
-};
-
 std::vector<int> randomLabels(long long count, int range, std::uint32_t seed) {
   std::mt19937 rng(seed);
   std::uniform_int_distribution<int> dist(0, range - 1);
@@ -67,22 +55,40 @@ std::int64_t functionalCount(const Torus& torus, const Lcl& lcl,
       .violations;
 }
 
-/// Asserts the automatic tier's count and verdict at 1, 2 and 8 lanes.
+/// The tiers a problem runs on in-core labels: automatic selection, the
+/// functional tier, the row-pointer kernel when it has a compiled table
+/// and the bit-sliced kernel when that table carries a plan.
+template <typename Lcl>
+std::vector<TierPin> runnablePins(const Lcl& lcl) {
+  std::vector<TierPin> pins = {TierPin::kAuto, TierPin::kFunctional};
+  if (lcl.hasTable()) pins.push_back(TierPin::kTable);
+  if (verifier_detail::hasBitslicePlanD(asD(lcl))) {
+    pins.push_back(TierPin::kBitsliced);
+  }
+  return pins;
+}
+
+/// Asserts the count and verdict of every runnable tier at 1, 2 and 8
+/// lanes.
 template <typename Torus, typename Lcl>
-void expectAutoMatches(const Torus& torus, const Lcl& lcl,
-                       std::span<const int> labels, std::int64_t reference,
-                       const std::string& what) {
-  for (int threads : {1, 2, 8}) {
-    ASSERT_EQ(verify(verifyRequest(torus, lcl, labels, /*count=*/true,
-                                   threads))
-                  .violations,
-              reference)
-        << what << " threads=" << threads;
-    ASSERT_EQ(verify(verifyRequest(torus, lcl, labels, /*count=*/false,
-                                   threads))
-                  .feasible,
-              reference == 0)
-        << what << " threads=" << threads;
+void expectTiersMatch(const Torus& torus, const Lcl& lcl,
+                      std::span<const int> labels, std::int64_t reference,
+                      const std::string& what) {
+  for (TierPin pin : runnablePins(lcl)) {
+    for (int threads : {1, 2, 8}) {
+      ASSERT_EQ(verify(verifyRequest(torus, lcl, labels, /*count=*/true,
+                                     threads, pin))
+                    .violations,
+                reference)
+          << what << " pin=" << static_cast<int>(pin)
+          << " threads=" << threads;
+      ASSERT_EQ(verify(verifyRequest(torus, lcl, labels, /*count=*/false,
+                                     threads, pin))
+                    .feasible,
+                reference == 0)
+          << what << " pin=" << static_cast<int>(pin)
+          << " threads=" << threads;
+    }
   }
 }
 
@@ -199,17 +205,17 @@ TEST(PlanSynthesisBitslice, RegistryPlanShapesAreAsDocumented) {
   EXPECT_NE(colouring2.table().as2d()->bitslicePlan(), nullptr);
 }
 
-TEST(PlanSynthesisBitslice, GateAndSizeFloorControlSelection) {
-  GateGuard guard;
+TEST(PlanSynthesisBitslice, PlanAndSizeFloorControlSelection) {
   const GridLcl lcl = problems::vertexColouring(4);
   const long long big = 1 << 20;
-  bitslice::setEnabled(true);
   EXPECT_TRUE(verifier_detail::bitsliceSelectedD(lcl.asD(), big));
   // Below the setup floor the row-pointer kernel stays selected.
   EXPECT_FALSE(verifier_detail::bitsliceSelectedD(
       lcl.asD(), bitslice::kMinNodesForBitslice - 1));
-  bitslice::setEnabled(false);
-  EXPECT_FALSE(verifier_detail::bitsliceSelectedD(lcl.asD(), big));
+  // Without a plan it stays selected at any size.
+  const GridLcl edges = problems::edgeColouring(3);
+  ASSERT_TRUE(edges.hasTable());
+  EXPECT_FALSE(verifier_detail::bitsliceSelectedD(edges.asD(), big));
 }
 
 TEST(BitsliceVerifier, DirectKernelMatchesTableOnTinyOddSides) {
@@ -263,7 +269,6 @@ TEST(BitsliceVerifierD, DirectLineKernelMatchesTableOnTinySides) {
 }
 
 TEST(BitsliceVerifier, MatchesRowPointerKernelOverRegistry2D) {
-  GateGuard guard;
   auto registry = problemRegistry();
   // Odd sides stress the word-tail handling; 64 and 65 straddle the word
   // boundary; 3 makes every neighbour wrap.
@@ -274,22 +279,16 @@ TEST(BitsliceVerifier, MatchesRowPointerKernelOverRegistry2D) {
         const std::vector<int> labels = randomLabels(
             torus.size(), lcl.sigma(),
             seed * 977u + static_cast<std::uint32_t>(n));
-        const std::int64_t reference = functionalCount(torus, lcl, labels);
-        for (bool gate : {false, true}) {
-          bitslice::setEnabled(gate);
-          expectAutoMatches(torus, lcl, labels, reference,
-                            lcl.name() + " n=" + std::to_string(n) +
-                                " seed=" + std::to_string(seed) +
-                                " gate=" + std::to_string(gate));
-        }
+        expectTiersMatch(torus, lcl, labels,
+                         functionalCount(torus, lcl, labels),
+                         lcl.name() + " n=" + std::to_string(n) +
+                             " seed=" + std::to_string(seed));
       }
     }
   }
 }
 
 TEST(BitsliceVerifier, FeasibleColouringCountsZero) {
-  GateGuard guard;
-  bitslice::setEnabled(true);
   for (int n : {4, 64, 68}) {  // multiples of 4: the diagonal colouring wraps
     Torus2D torus(n);
     const GridLcl lcl = problems::vertexColouring(4);
@@ -297,13 +296,11 @@ TEST(BitsliceVerifier, FeasibleColouringCountsZero) {
     for (int v = 0; v < torus.size(); ++v) {
       labels[static_cast<std::size_t>(v)] = (torus.xOf(v) + torus.yOf(v)) % 4;
     }
-    expectAutoMatches(torus, lcl, labels, 0, "n=" + std::to_string(n));
+    expectTiersMatch(torus, lcl, labels, 0, "n=" + std::to_string(n));
   }
 }
 
 TEST(BitsliceVerifier, ThreadedCountsAreBitIdentical2D) {
-  GateGuard guard;
-  bitslice::setEnabled(true);
   auto registry = problemRegistry();
   for (int n : {31, 64}) {
     Torus2D torus(n);
@@ -311,15 +308,14 @@ TEST(BitsliceVerifier, ThreadedCountsAreBitIdentical2D) {
       const std::vector<int> labels =
           randomLabels(torus.size(), lcl.sigma(),
                        1234u + static_cast<std::uint32_t>(n));
-      expectAutoMatches(torus, lcl, labels,
-                        functionalCount(torus, lcl, labels),
-                        lcl.name() + " n=" + std::to_string(n));
+      expectTiersMatch(torus, lcl, labels,
+                       functionalCount(torus, lcl, labels),
+                       lcl.name() + " n=" + std::to_string(n));
     }
   }
 }
 
 TEST(BitsliceVerifierD, MatchesRowPointerKernelOnTorusD) {
-  GateGuard guard;
   for (int dims : {1, 2, 3}) {
     std::vector<GridLclD> registry;
     registry.push_back(problems_d::vertexColouring(dims, 4));
@@ -332,14 +328,10 @@ TEST(BitsliceVerifierD, MatchesRowPointerKernelOnTorusD) {
         const std::vector<int> labels = randomLabels(
             torus.size(), lcl.sigma(),
             static_cast<std::uint32_t>(dims * 131 + side));
-        const std::int64_t reference = functionalCount(torus, lcl, labels);
-        for (bool gate : {false, true}) {
-          bitslice::setEnabled(gate);
-          expectAutoMatches(torus, lcl, labels, reference,
-                            lcl.name() + " dims=" + std::to_string(dims) +
-                                " side=" + std::to_string(side) +
-                                " gate=" + std::to_string(gate));
-        }
+        expectTiersMatch(torus, lcl, labels,
+                         functionalCount(torus, lcl, labels),
+                         lcl.name() + " dims=" + std::to_string(dims) +
+                             " side=" + std::to_string(side));
       }
     }
   }
@@ -348,13 +340,11 @@ TEST(BitsliceVerifierD, MatchesRowPointerKernelOnTorusD) {
 TEST(BitsliceVerifierD, LargerOddTorusMatchesAcrossThreads) {
   // One bigger d = 3 instance so the staged line kernel crosses several
   // slabs per shard and the odd side exercises every wrap.
-  GateGuard guard;
   TorusD torus(3, 17);
   const GridLclD lcl = problems_d::vertexColouring(3, 4);
   const std::vector<int> labels = randomLabels(torus.size(), 4, 555u);
-  bitslice::setEnabled(true);
-  expectAutoMatches(torus, lcl, labels, functionalCount(torus, lcl, labels),
-                    "vc:4 d=3 n=17");
+  expectTiersMatch(torus, lcl, labels, functionalCount(torus, lcl, labels),
+                   "vc:4 d=3 n=17");
 }
 
 TEST(BitsliceVerifierD, ProgressiveStagedVerifyHandlesFeasibleAndNot) {
@@ -362,8 +352,6 @@ TEST(BitsliceVerifierD, ProgressiveStagedVerifyHandlesFeasibleAndNot) {
   // of the scan; a feasible labelling must survive the full staged sweep,
   // and a single violation in the last block must still be found. The
   // sharded runs stage everything first and must agree.
-  GateGuard guard;
-  bitslice::setEnabled(true);
   TorusD torus(3, 8);  // 4 | 8: the diagonal colouring wraps cleanly
   const GridLclD lcl = problems_d::vertexColouring(3, 4);
   std::vector<int> labels(static_cast<std::size_t>(torus.size()));
@@ -398,7 +386,6 @@ TEST(BitsliceVerifierD, ProgressiveStagedVerifyHandlesFeasibleAndNot) {
 }
 
 TEST(BitsliceVerifier, BatchEntriesAgreeWithSerialKernel) {
-  GateGuard guard;
   Torus2D torus(33);
   const GridLcl lcl = problems::vertexColouring(4);
   std::vector<int> batch;
@@ -409,12 +396,14 @@ TEST(BitsliceVerifier, BatchEntriesAgreeWithSerialKernel) {
     expected.push_back(functionalCount(torus, lcl, labels));
     batch.insert(batch.end(), labels.begin(), labels.end());
   }
-  bitslice::setEnabled(true);
-  for (int threads : {1, 2, 8}) {
-    EXPECT_EQ(verify(verifyRequest(torus, lcl, batch, /*count=*/true, threads))
-                  .violationsPerLabelling,
-              expected)
-        << "threads=" << threads;
+  for (TierPin pin : runnablePins(lcl)) {
+    for (int threads : {1, 2, 8}) {
+      EXPECT_EQ(verify(verifyRequest(torus, lcl, batch, /*count=*/true,
+                                     threads, pin))
+                    .violationsPerLabelling,
+                expected)
+          << "pin=" << static_cast<int>(pin) << " threads=" << threads;
+    }
   }
 }
 
@@ -458,9 +447,7 @@ TEST(SimdTier, NotEqualKernelCountsMatchAcrossTiers) {
   // Rows long enough that the AVX-512 worker takes full 8-word strides
   // (W = ceil(781 / 64) = 13 >= 12) with a ragged tail word; the forced
   // scalar pass is the reference the wide clones must reproduce exactly.
-  GateGuard gate;
   TierGuard guard;
-  bitslice::setEnabled(true);
   Torus2D torus(781);
   const GridLcl lcl = problems::vertexColouring(4);
   ASSERT_TRUE(lcl.table().bitslicePlan()->h.notEqual);
@@ -480,9 +467,7 @@ TEST(SimdTier, NotEqualKernelCountsMatchAcrossTiers) {
 }
 
 TEST(SimdTier, NotEqualFeasibleAndSingleViolationAgreeAcrossTiers) {
-  GateGuard gate;
   TierGuard guard;
-  bitslice::setEnabled(true);
   Torus2D torus(768);  // 4 | 768: diagonal colouring wraps; W = 12 exactly
   const GridLcl lcl = problems::vertexColouring(4);
   std::vector<int> labels(static_cast<std::size_t>(torus.size()));
@@ -514,9 +499,7 @@ TEST(SimdTier, NibbleKernelCountsMatchAcrossTiers) {
   // the AVX2 gather, one full 64-lane stride + tail for AVX-512. 1024 and
   // 1100 are packed as lockstep runs of the byte-lane rungs (16 whole
   // words; 17 and a ragged tail).
-  GateGuard gate;
   TierGuard guard;
-  bitslice::setEnabled(true);
   const GridLcl lcl = problems::weakColouring(3, 1);
   ASSERT_EQ(lcl.table().bitslicePlan()->kind,
             bitslice::BitslicePlan::Kind::kNibbleLut);
@@ -545,9 +528,7 @@ TEST(SimdTier, NibbleKernelCountsMatchAcrossTiers) {
 TEST(SimdTier, GenericPairPlanesUnaffectedByTierCap) {
   // Problems off the notEqual fast path stay on the minterm evaluator at
   // every tier -- the cap must not change their counts either.
-  GateGuard gate;
   TierGuard guard;
-  bitslice::setEnabled(true);
   Torus2D torus(257);
   const GridLcl lcl = problems::maximalIndependentSet();
   const std::vector<int> labels = randomLabels(torus.size(), lcl.sigma(), 7u);
@@ -748,9 +729,7 @@ TEST(ColouringKernel, SeamAndShardBoundaryClashesMatchFunctional) {
 TEST(ColouringKernel, StreamedLabellingsMatchFunctional) {
   // The same labellings from LCLLABv2 files, in slabs of three rows so the
   // passes cross slab boundaries, at 1 and 4 lanes on every rung.
-  GateGuard gate;
   TierGuard guard;
-  bitslice::setEnabled(true);
   for (int k : {2, 4, 8}) {
     const GridLcl lcl = problems::vertexColouring(k);
     for (int n : {16, 33, 65, 129}) {
@@ -864,9 +843,7 @@ TEST(SimdTier, NibbleStreamedAtInterleavedWidthMatchesFunctional) {
   // weak:3:1 from an LCLLABv2 file: the stream decodes its slabs into an
   // int32 image, which the nibble tier packs through the byte-lane rungs,
   // at n = 1100 as lockstep runs with a ragged tail word.
-  GateGuard gate;
   TierGuard guard;
-  bitslice::setEnabled(true);
   const GridLcl lcl = problems::weakColouring(3, 1);
   const int n = 1100;
   const Torus2D torus(n);

@@ -1,15 +1,17 @@
-// Differential suite for the incremental SAT engine (PR 3): assumption-based
-// incremental classification must agree with fresh-solve-per-instance -- and
-// with the PR 2 fingerprint-cached family_sweep path -- over the whole
-// problem registry, at 1/2/8 engine threads.
+// Differential suite for the incremental SAT engine: classification on one
+// live solver per ladder (the oracle's only regime) must agree with the
+// fresh-solver-per-instance reference (tests/helpers/fresh_synthesis.hpp)
+// -- directly and through the fingerprint-cached family_sweep path -- over
+// the whole problem registry, at 1/2/8 engine threads.
 //
 // "Agree" is checked on a canonical rendering of the oracle report that
 // covers every semantic field: complexity verdict, trivial label, the full
 // attempt ladder (k, shape, tile count, clause count, outcome, failure
 // reason), rule presence/shape/size/label-range, and every probe verdict.
-// Wall times and SAT conflict counts are deliberately excluded: the two
-// regimes solve different clause databases by design (that is the point),
-// so their search statistics differ while every verdict must not.
+// Wall times and SAT conflict counts are deliberately excluded: the live
+// solver and the fresh ones solve different clause databases by design
+// (that is the point), so their search statistics differ while every
+// verdict must not.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -18,6 +20,7 @@
 
 #include "engine/family_sweep.hpp"
 #include "grid/torus2d.hpp"
+#include "helpers/fresh_synthesis.hpp"
 #include "helpers/problem_registry.hpp"
 #include "lcl/global_solver.hpp"
 #include "lcl/problems.hpp"
@@ -59,11 +62,10 @@ std::string canonical(const synthesis::OracleReport& report, int sigma) {
   return os.str();
 }
 
-synthesis::OracleOptions oracleOptions(bool incremental) {
+synthesis::OracleOptions oracleOptions() {
   synthesis::OracleOptions options;
   options.synthesis.maxK = 1;
   options.synthesis.tryWiderShapes = false;
-  options.synthesis.incremental = incremental;
   // n=3 and n=4 probe one odd and one even torus cheaply; the odd-n parity
   // obstructions at n=5 cost millions of resolution conflicts and belong
   // to the benches, not here.
@@ -76,9 +78,8 @@ std::vector<std::string> freshReference(const std::vector<GridLcl>& registry) {
   std::vector<std::string> reference;
   reference.reserve(registry.size());
   for (const GridLcl& lcl : registry) {
-    reference.push_back(canonical(
-        synthesis::classifyOnGrid(lcl, oracleOptions(/*incremental=*/false)),
-        lcl.sigma()));
+    reference.push_back(
+        canonical(freshClassification(lcl, oracleOptions()), lcl.sigma()));
   }
   return reference;
 }
@@ -89,8 +90,7 @@ TEST(Differential, IncrementalClassificationMatchesFreshOnRegistry) {
   auto registry = problemRegistry();
   auto reference = freshReference(registry);
   for (std::size_t i = 0; i < registry.size(); ++i) {
-    auto incremental = synthesis::classifyOnGrid(
-        registry[i], oracleOptions(/*incremental=*/true));
+    auto incremental = synthesis::classifyOnGrid(registry[i], oracleOptions());
     EXPECT_EQ(canonical(incremental, registry[i].sigma()), reference[i])
         << registry[i].name();
   }
@@ -101,29 +101,26 @@ TEST(Differential, SweepMatchesFreshAtAllThreadCountsAndCacheModes) {
   auto reference = freshReference(registry);
 
   for (int threads : {1, 2, 8}) {
-    for (bool incremental : {false, true}) {
-      for (bool cache : {false, true}) {
-        engine::SweepOptions options;
-        options.oracle = oracleOptions(incremental);
-        options.engine.threads = threads;
-        options.cacheByFingerprint = cache;
-        auto sweep = engine::sweepFamily(registry, options);
-        ASSERT_EQ(sweep.entries.size(), registry.size());
-        for (std::size_t i = 0; i < registry.size(); ++i) {
-          ASSERT_NE(sweep.entries[i].report, nullptr);
-          EXPECT_EQ(canonical(*sweep.entries[i].report, registry[i].sigma()),
-                    reference[i])
-              << registry[i].name() << " threads=" << threads
-              << " incremental=" << incremental << " cache=" << cache;
-        }
-        // The PR 2 cache path must still collapse the duplicate relation
-        // (vertex-2-colouring == weak-2-colouring-4) in both regimes.
-        if (cache) {
-          EXPECT_GE(sweep.cacheHits, 1)
-              << "threads=" << threads << " incremental=" << incremental;
-        } else {
-          EXPECT_EQ(sweep.cacheHits, 0);
-        }
+    for (bool cache : {false, true}) {
+      engine::SweepOptions options;
+      options.oracle = oracleOptions();
+      options.engine.threads = threads;
+      options.cacheByFingerprint = cache;
+      auto sweep = engine::sweepFamily(registry, options);
+      ASSERT_EQ(sweep.entries.size(), registry.size());
+      for (std::size_t i = 0; i < registry.size(); ++i) {
+        ASSERT_NE(sweep.entries[i].report, nullptr);
+        EXPECT_EQ(canonical(*sweep.entries[i].report, registry[i].sigma()),
+                  reference[i])
+            << registry[i].name() << " threads=" << threads
+            << " cache=" << cache;
+      }
+      // The cache path must still collapse the duplicate relation
+      // (vertex-2-colouring == weak-2-colouring-4).
+      if (cache) {
+        EXPECT_GE(sweep.cacheHits, 1) << "threads=" << threads;
+      } else {
+        EXPECT_EQ(sweep.cacheHits, 0);
       }
     }
   }

@@ -143,7 +143,6 @@ TEST(LclCnf, CrossesGetOneBlockingClausePerForbiddenRow) {
 }
 
 TEST(LclCnf, ProbeTraceSplitsIntoEncodeAndSolve) {
-  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   telemetry::setTraceEnabled(true);
   telemetry::clearTrace();
   const GridLcl lcl = problems::vertexColouring(3);

@@ -185,7 +185,6 @@ TEST(ServiceDaemon, MultiLaneRequestsShareOneEnginePool) {
   // The daemon builds its ThreadPool(engineThreads) once; no request --
   // one lane inline, two lanes on that pool, in-core or streamed -- starts
   // a pool thread of its own.
-  if (!support::telemetry::kCompiledIn) GTEST_SKIP() << "telemetry off";
   const auto threadsStarted = [] {
     for (const auto& counter : support::telemetry::snapshotMetrics().counters) {
       if (counter.name == "pool.threads_started") return counter.value;

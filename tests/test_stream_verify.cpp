@@ -16,6 +16,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "lcl/label_planes.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
+#include "lcl/verifier.hpp"
 #include "lcl/verify_api.hpp"
 
 using namespace lclgrid;
@@ -50,16 +52,6 @@ class TempFile {
 
  private:
   std::filesystem::path path_;
-};
-
-/// Restores the bit-slice gate on scope exit.
-class GateGuard {
- public:
-  GateGuard() : saved_(bitslice::enabled()) {}
-  ~GateGuard() { bitslice::setEnabled(saved_); }
-
- private:
-  bool saved_;
 };
 
 std::vector<GridLcl> problemRegistry() {
@@ -90,6 +82,14 @@ std::int64_t functionalCount(const Torus& torus, const Lcl& lcl,
                              std::span<const int> labels) {
   return verify(verifyRequest(torus, lcl, labels, /*count=*/true, 1,
                               TierPin::kFunctional))
+      .violations;
+}
+
+/// The in-core count of `pin` at one lane.
+template <typename Torus, typename Lcl>
+std::int64_t pinnedCount(const Torus& torus, const Lcl& lcl,
+                         std::span<const int> labels, TierPin pin) {
+  return verify(verifyRequest(torus, lcl, labels, /*count=*/true, 1, pin))
       .violations;
 }
 
@@ -392,7 +392,6 @@ TEST(StreamVerify, MismatchedProblemThrows) {
 }
 
 TEST(StreamVerify, MatchesInCoreOverRegistry2D) {
-  GateGuard guard;
   // Sides straddling the word boundary plus a wrap-heavy small one; window
   // geometries down to one row per slab stress the rolling wrap stash.
   for (int n : {5, 64, 65}) {
@@ -417,31 +416,75 @@ TEST(StreamVerify, MatchesInCoreOverRegistry2D) {
 }
 
 TEST(StreamVerify, MatchesInCoreWithBitsliceOnAndOff) {
-  GateGuard guard;
+  // The streamed pass runs the bit-sliced kernel for a problem with a plan
+  // and the table kernel for one without; each matches its in-core pin.
   const int n = 65;
   Torus2D torus(n);
-  const GridLcl lcl = problems::vertexColouring(4);
-  const std::vector<int> labels = randomLabels(torus.size(), lcl.sigma(), 77u);
-  TempFile file("tiers");
-  writeLabellingFile(file.str(), lcl.sigma(), 2, n, labels);
-  StreamLabelling mapped(file.str());
-  const std::int64_t reference = functionalCount(torus, lcl, labels);
-  bitslice::setEnabled(false);
-  EXPECT_FALSE(stream_verify_detail::streamUsesBitsliceD(mapped, lcl.asD()));
-  for (int threads : {1, 2, 8}) {
-    EXPECT_EQ(streamed(mapped, lcl, true, threads).violations, reference)
-        << "table threads=" << threads;
-  }
-  bitslice::setEnabled(true);
-  EXPECT_TRUE(stream_verify_detail::streamUsesBitsliceD(mapped, lcl.asD()));
-  for (int threads : {1, 2, 8}) {
-    EXPECT_EQ(streamed(mapped, lcl, true, threads).violations, reference)
-        << "bitsliced threads=" << threads;
+  const GridLcl sliced = problems::vertexColouring(4);
+  const GridLcl tabled = problems::maximalMatching();
+  for (const auto& [lcl, pin] : {std::pair{&sliced, TierPin::kBitsliced},
+                                 std::pair{&tabled, TierPin::kTable}}) {
+    const std::vector<int> labels =
+        randomLabels(torus.size(), lcl->sigma(), 77u);
+    TempFile file("tiers");
+    writeLabellingFile(file.str(), lcl->sigma(), 2, n, labels);
+    StreamLabelling mapped(file.str());
+    EXPECT_EQ(verifier_detail::bitsliceSelectedD(lcl->asD(), mapped.size()),
+              pin == TierPin::kBitsliced)
+        << lcl->name();
+    const std::int64_t reference = pinnedCount(torus, *lcl, labels, pin);
+    EXPECT_EQ(reference, functionalCount(torus, *lcl, labels)) << lcl->name();
+    for (int threads : {1, 2, 8}) {
+      EXPECT_EQ(streamed(mapped, *lcl, true, threads).violations, reference)
+          << lcl->name() << " threads=" << threads;
+    }
   }
 }
 
+TEST(StreamVerify, PlanlessProblemsStreamTheTableKernel) {
+  // Problems without a bit-slice plan stream on the table kernel at every
+  // size: the coverage of the streamed table path. Should one gain a plan,
+  // the selection assertion fails and another problem must take its place.
+  const GridLcl matching = problems::maximalMatching();
+  const GridLclD parity = problems_d::xorParity(3);
+  const auto check = [](const auto& torus, const auto& lcl, int dims,
+                        const std::vector<int>& labels,
+                        const std::string& what) {
+    ASSERT_TRUE(lcl.hasTable()) << what;
+    ASSERT_FALSE(verifier_detail::bitsliceSelectedD(asD(lcl), torus.size()))
+        << what;
+    const std::int64_t reference =
+        pinnedCount(torus, lcl, labels, TierPin::kTable);
+    TempFile file("planless");
+    writeLabellingFile(file.str(), lcl.sigma(), dims, torus.n(), labels);
+    StreamLabelling mapped(file.str());
+    for (long long rows : {2LL, 0LL}) {
+      const StreamWindow window{.rows = rows};
+      for (int threads : {1, 2, 8}) {
+        ASSERT_EQ(streamed(mapped, lcl, true, threads, window).violations,
+                  reference)
+            << what << " rows=" << rows << " threads=" << threads;
+        ASSERT_EQ(streamed(mapped, lcl, false, threads, window).feasible,
+                  reference == 0)
+            << what << " rows=" << rows << " threads=" << threads;
+      }
+    }
+  };
+  for (int n : {64, 65}) {
+    const Torus2D torus(n);
+    check(torus, matching, 2,
+          randomLabels(torus.size(), matching.sigma(),
+                       static_cast<std::uint32_t>(n)),
+          "matching n=" + std::to_string(n));
+  }
+  const TorusD torus(3, 9);
+  check(torus, parity, 3, randomLabels(torus.size(), parity.sigma(), 93u),
+        "xor parity d=3");
+  check(torus, parity, 3, std::vector<int>(torus.size(), 0),
+        "xor parity d=3 zeros");
+}
+
 TEST(StreamVerify, ThreadedCountsAreBitIdentical2D) {
-  GateGuard guard;
   const int n = 65;
   Torus2D torus(n);
   for (const GridLcl& lcl : problemRegistry()) {
@@ -462,7 +505,6 @@ TEST(StreamVerify, ThreadedCountsAreBitIdentical2D) {
 }
 
 TEST(StreamVerifyD, MatchesInCoreOnTorusD) {
-  GateGuard guard;
   for (int dims : {1, 2, 3, 4}) {
     std::vector<GridLclD> registry;
     registry.push_back(problems_d::vertexColouring(dims, 4));
@@ -501,8 +543,6 @@ TEST(StreamVerifyD, MatchesInCoreOnTorusD) {
 }
 
 TEST(StreamVerify, OutOfRangeLabelFallsBackToFunctionalTier) {
-  GateGuard guard;
-  bitslice::setEnabled(true);
   const int n = 33;
   Torus2D torus(n);
   const GridLcl lcl = problems::vertexColouring(3);
@@ -533,20 +573,6 @@ TEST(StreamVerify, OutOfRangeLabelFallsBackToFunctionalTier) {
   }
 }
 
-TEST(StreamVerify, DropBehindOffMatchesDropBehindOn) {
-  const int n = 65;
-  Torus2D torus(n);
-  const GridLcl lcl = problems::maximalIndependentSet();
-  const std::vector<int> labels = randomLabels(torus.size(), lcl.sigma(), 3u);
-  TempFile file("dropoff");
-  writeLabellingFile(file.str(), lcl.sigma(), 2, n, labels);
-  StreamLabelling mapped(file.str());
-  const StreamWindow keep{.rows = 2, .dropBehind = false};
-  const StreamWindow drop{.rows = 2, .dropBehind = true};
-  EXPECT_EQ(streamed(mapped, lcl, true, 1, keep).violations,
-            streamed(mapped, lcl, true, 1, drop).violations);
-}
-
 TEST(StreamVerifyDetail, WindowGeometry) {
   using stream_verify_detail::resolveWindowRows;
   using stream_verify_detail::wrapWindowRows;
@@ -563,10 +589,6 @@ TEST(StreamVerifyDetail, WindowGeometry) {
 }
 
 namespace {
-
-/// Either front end's problem as the engine's GridLclD.
-const GridLclD& asD(const GridLcl& lcl) { return lcl.asD(); }
-const GridLclD& asD(const GridLclD& lcl) { return lcl; }
 
 /// One hostile mutant of a valid file: `bytes` either fails to open with
 /// std::runtime_error or opens and then verifies, in count and verify mode
@@ -618,8 +640,6 @@ TEST(StreamHostileFiles, MutantsThrowTypedOrMatchFunctional) {
   // in 2D and 3D (sigma = 3: the frontier checks labels >= sigma and tail
   // bits on the planes), the decoded nibble and table tiers -- with header
   // and payload bit flips, set tail bits, truncation and trailing bytes.
-  GateGuard guard;
-  bitslice::setEnabled(true);
   engine::ThreadPool pool(8);
   std::mt19937 rng(20261021u);
   int opened = 0;

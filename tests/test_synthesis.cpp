@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string>
-
+#include "helpers/fresh_synthesis.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/verify_api.hpp"
 #include "local/graph_view.hpp"
@@ -184,20 +182,17 @@ TEST(Oracle, ReportsFeasibilityProbe) {
 }
 
 TEST(IncrementalSynthesis, LadderMatchesFreshRegime) {
-  // synthesize() must reach the same verdict, rule shape and attempt ladder
-  // whichever regime SynthesisOptions::incremental selects. (The full
-  // registry version of this lives in tests/test_differential.cpp.)
+  // synthesize() on its live solver must reach the verdict, rule shape and
+  // attempt ladder of a fresh solver per attempt. (The full registry
+  // version of this lives in tests/test_differential.cpp.)
   for (bool wider : {false, true}) {
-    SynthesisOptions fresh;
-    fresh.maxK = 3;
-    fresh.tryWiderShapes = wider;
-    fresh.incremental = false;
-    SynthesisOptions incremental = fresh;
-    incremental.incremental = true;
+    SynthesisOptions options;
+    options.maxK = 3;
+    options.tryWiderShapes = wider;
 
     auto lcl = problems::vertexColouring(4);
-    auto a = synthesize(lcl, fresh);
-    auto b = synthesize(lcl, incremental);
+    auto a = freshLadder(lcl, options);
+    auto b = synthesize(lcl, options);
     ASSERT_TRUE(a.success);
     ASSERT_TRUE(b.success);
     EXPECT_EQ(a.rule->k, b.rule->k);
@@ -213,12 +208,10 @@ TEST(IncrementalSynthesis, LadderMatchesFreshRegime) {
 }
 
 TEST(IncrementalSynthesis, SynthesizedRuleExecutes) {
-  // The incremental regime's rule is decoded from a live solver's model
-  // snapshot; it must drive the normal-form algorithm end to end.
-  SynthesisOptions options;
-  options.incremental = true;
+  // The rule is decoded from a live solver's model snapshot; it must drive
+  // the normal-form algorithm end to end.
   auto lcl = problems::vertexColouring(4);
-  auto result = synthesize(lcl, options);
+  auto result = synthesize(lcl);
   ASSERT_TRUE(result.success);
   NormalFormAlgorithm algorithm(*result.rule);
   Torus2D torus(24);
@@ -250,15 +243,6 @@ TEST(IncrementalSynthesis, ResolveActiveWithoutInstanceThrows) {
   auto lcl = problems::vertexColouring(3);
   IncrementalSynthesizer live(lcl);
   EXPECT_THROW(live.resolveActive(), std::logic_error);
-}
-
-TEST(IncrementalSynthesis, DefaultHonoursEnvironmentToggle) {
-  // CI runs the whole shard under LCLGRID_INCREMENTAL_SAT=0/1; the options
-  // default must track the toggle (unset or "1" => incremental).
-  const char* env = std::getenv("LCLGRID_INCREMENTAL_SAT");
-  const bool expected = env == nullptr || std::string(env) != "0";
-  EXPECT_EQ(incrementalSatDefault(), expected);
-  EXPECT_EQ(SynthesisOptions{}.incremental, expected);
 }
 
 TEST(Constraints, EdgeDecomposableUsesPairConstraints) {

@@ -261,12 +261,10 @@ void checkPoisonMatrix(const Torus& torus, const Lcl& lcl,
           // The discarded bit-sliced pass is counted; the answer is the
           // functional tier's.
           EXPECT_EQ(result.tier, VerifyTier::kFunctional) << where();
-          if (telemetry::kCompiledIn) {
-            EXPECT_EQ(counterValue("verify.range_fallbacks") - fallbacks, 1)
-                << where();
-            EXPECT_EQ(counterValue("verify.calls.bitsliced"), sliced)
-                << where();
-          }
+          EXPECT_EQ(counterValue("verify.range_fallbacks") - fallbacks, 1)
+              << where();
+          EXPECT_EQ(counterValue("verify.calls.bitsliced"), sliced)
+              << where();
         }
       }
     }
@@ -276,13 +274,6 @@ void checkPoisonMatrix(const Torus& torus, const Lcl& lcl,
 }  // namespace
 
 TEST(VerifyPoison, OutOfAlphabetLabelsMatchFunctionalOnEveryKernelShape) {
-  // The matrix targets the bit-sliced tier whatever LCLGRID_BITSLICE says.
-  const bool gate = bitslice::enabled();
-  bitslice::setEnabled(true);
-  struct RestoreGate {
-    bool saved;
-    ~RestoreGate() { bitslice::setEnabled(saved); }
-  } restore{gate};
   // 84 = one AVX2 word + an SSE2 step + a scalar tail per row, and a
   // multiple of 2, 3 and 4 so the diagonal labellings wrap.
   const Torus2D torus(84);
